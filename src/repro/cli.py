@@ -1151,9 +1151,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.profiler.meta import export_sched_trace, profile_storm, render_profile
 
     use_zc = args.backend == "zc"
-    artifact = profile_storm(
-        use_zc=use_zc, n_ocalls=args.ocalls, timers=args.timers, top=args.top
-    )
+    artifact = profile_storm(use_zc=use_zc, n_ocalls=args.ocalls, top=args.top)
     print(render_profile(artifact))
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -1161,9 +1159,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             handle.write("\n")
         print(f"[profile artifact written to {args.json}]")
     if args.trace is not None:
-        count = export_sched_trace(
-            args.trace, use_zc=use_zc, n_ocalls=args.ocalls, timers=args.timers
-        )
+        count = export_sched_trace(args.trace, use_zc=use_zc, n_ocalls=args.ocalls)
         print(f"[{count} chrome trace event(s) written to {args.trace}]")
     return 0
 
@@ -1946,12 +1942,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=("zc", "regular"),
         default="zc",
         help="storm call path to profile (default zc = switchless)",
-    )
-    profile_meta.add_argument(
-        "--timers",
-        choices=("wheel", "heap"),
-        default="wheel",
-        help="kernel timer backend (default wheel; heap = legacy)",
     )
     profile_meta.add_argument(
         "--ocalls", type=int, default=3_000, help="storm size (default 3000)"

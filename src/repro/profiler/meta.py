@@ -3,7 +3,7 @@
 The figure benches measure *simulated* cycles; this module measures the
 *simulator* — which Python functions burn host CPU while the DES kernel
 grinds through the meta-bench ocall storm.  It exists because the kernel
-overhaul (calendar-queue timers, pre-bound telemetry paths, slotted
+overhaul (tuple-entry timers, pre-bound telemetry paths, slotted
 accounting) was driven by exactly this profile: the pre-overhaul run
 spent its top slot on ``_Timer.__lt__`` — 351,610 calls for a 3,000-ocall
 storm — which the tuple-entry timer queue removed outright.
@@ -38,7 +38,6 @@ DEFAULT_OCALLS = 3_000
 def run_storm(
     use_zc: bool = True,
     n_ocalls: int = DEFAULT_OCALLS,
-    timers: str = "wheel",
     trace: Any = None,
 ):
     """The meta-bench ocall storm: two app threads, one enclave.
@@ -51,7 +50,7 @@ def run_storm(
     from repro.sgx import Enclave, UntrustedRuntime
     from repro.sim import Compute, Kernel, paper_machine
 
-    kernel = Kernel(paper_machine(), trace=trace, timers=timers)
+    kernel = Kernel(paper_machine(), trace=trace)
     urts = UntrustedRuntime()
     enclave = Enclave(kernel, urts)
     if use_zc:
@@ -77,7 +76,6 @@ def run_storm(
 def profile_storm(
     use_zc: bool = True,
     n_ocalls: int = DEFAULT_OCALLS,
-    timers: str = "wheel",
     top: int = 20,
 ) -> dict[str, Any]:
     """cProfile one storm; returns the artifact dict (see ``hot`` key).
@@ -88,7 +86,7 @@ def profile_storm(
     """
     profiler = cProfile.Profile()
     profiler.enable()
-    kernel = run_storm(use_zc=use_zc, n_ocalls=n_ocalls, timers=timers)
+    kernel = run_storm(use_zc=use_zc, n_ocalls=n_ocalls)
     profiler.disable()
 
     stats = pstats.Stats(profiler, stream=io.StringIO())
@@ -107,7 +105,6 @@ def profile_storm(
     rows.sort(key=lambda row: row["tottime_s"], reverse=True)
     return {
         "backend": "zc" if use_zc else "regular",
-        "timers": timers,
         "n_ocalls": n_ocalls,
         "events_processed": kernel.events_processed,
         "simulated_s": kernel.seconds(kernel.now),
@@ -121,7 +118,6 @@ def export_sched_trace(
     path: str,
     use_zc: bool = True,
     n_ocalls: int = DEFAULT_OCALLS,
-    timers: str = "wheel",
     max_entries: int = 200_000,
 ) -> int:
     """Re-run the storm with a SchedTrace and write a Chrome trace JSON.
@@ -133,7 +129,7 @@ def export_sched_trace(
     from repro.sim.kernel import SchedTrace
 
     trace = SchedTrace(max_entries=max_entries)
-    kernel = run_storm(use_zc=use_zc, n_ocalls=n_ocalls, timers=timers, trace=trace)
+    kernel = run_storm(use_zc=use_zc, n_ocalls=n_ocalls, trace=trace)
     events = sched_trace_events(trace, freq_hz=kernel.spec.freq_hz)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(events, handle)
@@ -144,8 +140,7 @@ def export_sched_trace(
 def render_profile(artifact: dict[str, Any]) -> str:
     """The hot-function table as an aligned text block."""
     lines = [
-        f"meta profile: backend {artifact['backend']}, "
-        f"timers {artifact['timers']}, {artifact['n_ocalls']} ocalls",
+        f"meta profile: backend {artifact['backend']}, {artifact['n_ocalls']} ocalls",
         f"  {artifact['events_processed']} kernel events, "
         f"{artifact['host_seconds'] * 1e3:.1f} ms host, "
         f"{artifact['simulated_s'] * 1e3:.3f} ms simulated",

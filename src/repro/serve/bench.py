@@ -446,7 +446,7 @@ def run_bench(
         # on its grid boundary and the per-shard schedulers observe the
         # same stretch of simulated time in sliced and unsliced runs.
         # A parked sleeper (rather than ``run(until_time=...)``) keeps
-        # the timer wheel and CPU accounting on their normal path.
+        # the timer queue and CPU accounting on their normal path.
         if kernel.now < sampler.horizon:
 
             def _hold_until_horizon() -> Any:

@@ -18,12 +18,9 @@ stepped afterwards at the same simulated timestamp.
 
 Raw-speed design (see docs/performance.md for the measured profile):
 
-- **Timers** live in a pluggable queue (:mod:`repro.sim.timerqueue`).
-  The default is a calendar queue — O(1) pushes within a two-timeslice
-  horizon, overflow heap beyond it, same-timestamp batch extraction and
-  lazy-cancel compaction.  ``Kernel(..., timers="heap")`` selects the
-  legacy single binary heap; the dual-run equivalence suite proves both
-  backends produce byte-identical simulated outcomes.
+- **Timers** live in one binary heap of ``(when, seq, Timer)`` tuples
+  (:mod:`repro.sim.timerqueue`) with lazy cancellation, compacted once
+  cancelled entries outnumber live ones.
 - **Telemetry is zero-cost when detached.**  Instead of ``if bus is not
   None`` checks on every dispatch/park/finish/accounting call, the kernel
   binds lean or instrumented variants of its hot functions whenever
@@ -49,15 +46,12 @@ from repro.sim.errors import DeadlockError, LivelockError, SimulationError
 from repro.sim.instructions import Block, Compute, Instruction, Sleep, Spin, YieldCPU
 from repro.sim.machine import MachineSpec
 from repro.sim.primitives import Event, Gate
-from repro.sim.timerqueue import TIMER_BACKENDS, Timer, make_timer_queue
+from repro.sim.timerqueue import Timer, TimerHeap
 
 Program = Generator[Instruction, Any, Any]
 
 #: Upper bound on consecutive zero-duration generator steps of one thread.
 _LIVELOCK_LIMIT = 100_000
-
-#: Backwards-compatible name: the timer handle moved to repro.sim.timerqueue.
-_Timer = Timer
 
 
 class ThreadState(enum.Enum):
@@ -299,18 +293,12 @@ class SchedTrace:
 
 
 class Kernel:
-    """Deterministic discrete-event kernel for one simulated machine.
-
-    ``timers`` selects the timer-queue backend: ``"wheel"`` (default, the
-    calendar queue) or ``"heap"`` (the legacy binary heap, kept for the
-    dual-run equivalence proof).  Both produce identical simulations.
-    """
+    """Deterministic discrete-event kernel for one simulated machine."""
 
     def __init__(
         self,
         spec: MachineSpec | None = None,
         trace: "SchedTrace | None" = None,
-        timers: str = "wheel",
     ) -> None:
         self.spec = spec if spec is not None else MachineSpec()
         self.now = 0.0
@@ -331,10 +319,7 @@ class Kernel:
         #: timeout/check on this single attribute so un-faulted runs stay
         #: byte-identical to builds without the fault layer.
         self.faults: Any = None
-        if timers not in TIMER_BACKENDS:
-            raise ValueError(f"timers must be one of {TIMER_BACKENDS}")
-        self.timer_backend = timers
-        self._timers = make_timer_queue(timers, self.spec.timeslice_cycles)
+        self._timers = TimerHeap()
         self._seq = itertools.count()
         self._micro: deque[Callable[[], None]] = deque()
         self._ready: deque[SimThread] = deque()

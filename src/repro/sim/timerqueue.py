@@ -1,32 +1,20 @@
-"""Timer queues for the DES kernel: calendar queue and legacy heap.
+"""The DES kernel's timer queue: one binary heap with compaction.
 
 The kernel's event loop needs exactly one ordered structure: pending
 timers, popped strictly by ``(when, seq)`` — simulated deadline first,
-creation order as the tie-break.  Two interchangeable implementations
-live here:
+creation order as the tie-break.  :class:`TimerHeap` stores
+``(when, seq, Timer)`` tuples so ordering comparisons stay in C (float,
+then int) instead of calling a Python ``__lt__`` — on the meta-bench the
+old ``_Timer.__lt__`` was the single hottest function.
 
-- :class:`CalendarQueue` (the default) — a bucketed timer wheel with an
-  overflow heap.  Pushes within the wheel horizon are O(1) list appends;
-  the current bucket is a small binary heap; timers beyond the horizon
-  wait in an overflow heap and migrate as the wheel advances.  Runs of
-  same-timestamp timers are extracted as one batch, and lazily-cancelled
-  entries are compacted away once they outnumber live ones.
-- :class:`TimerHeap` — the seed kernel's single binary heap with lazy
-  cancellation, kept as the reference implementation: the dual-run
-  equivalence suite executes the same workloads on both backends and
-  asserts byte-identical simulated outcomes.
-
-Both store ``(when, seq, Timer)`` tuples so ordering comparisons stay in
-C (float, then int) instead of calling a Python ``__lt__`` — on the
-meta-bench the old ``_Timer.__lt__`` was the single hottest function.
-
-Cancellation is lazy everywhere: :meth:`Timer.cancel` flags the entry
-and notifies its queue, which skips flagged entries on pop.  The
-calendar queue additionally *compacts*: when cancelled entries exceed
-half the stored total (and a small floor), every bucket and the overflow
-heap are rebuilt live-only, so the serve router's mass cancel/re-arm
-completion-timeout pattern keeps the structure O(live) instead of
-accumulating one dead entry per request.
+Cancellation is lazy: :meth:`Timer.cancel` flags the entry and notifies
+its queue, which skips flagged entries on pop.  The heap also *compacts*:
+once cancelled entries exceed half the stored total (and a small floor)
+it is rebuilt live-only, so the serve router's mass cancel/re-arm
+completion-timeout pattern keeps it O(live) instead of accumulating one
+dead entry per request.  Compaction drops only cancelled entries, and
+pop order is a total order on ``(when, seq)``, so it never changes what
+the simulation sees.
 """
 
 from __future__ import annotations
@@ -44,7 +32,8 @@ class Timer:
 
     The queue stores ``(when, seq, timer)`` tuples; the handle itself is
     never compared.  ``cancel()`` is lazy — the entry stays stored until
-    popped or compacted away.
+    popped or compacted away.  Cancelling a timer that already fired only
+    sets the flag: :meth:`TimerHeap.pop` detaches the handle first.
     """
 
     __slots__ = ("when", "seq", "fn", "cancelled", "_queue")
@@ -54,7 +43,7 @@ class Timer:
         self.seq = seq
         self.fn = fn
         self.cancelled = False
-        self._queue: "TimerHeap | CalendarQueue | None" = None
+        self._queue: TimerHeap | None = None
 
     def cancel(self) -> None:
         """Cancel this timer (lazily skipped, later compacted away)."""
@@ -70,18 +59,14 @@ class Timer:
 
 
 class TimerHeap:
-    """The legacy backend: one binary heap, lazy cancellation only.
+    """Binary heap of ``(when, seq, Timer)`` with lazy cancellation."""
 
-    Kept as the behavioural reference for the calendar queue (see the
-    dual-run equivalence tests) and selectable with
-    ``Kernel(..., timers="heap")``.
-    """
-
-    __slots__ = ("_heap", "_cancelled")
+    __slots__ = ("_heap", "_cancelled", "compactions")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Timer]] = []
         self._cancelled = 0
+        self.compactions = 0
 
     def push(self, timer: Timer) -> None:
         """Store ``timer``; O(log n)."""
@@ -96,11 +81,25 @@ class TimerHeap:
             if timer.cancelled:
                 self._cancelled -= 1
                 continue
+            timer._queue = None
             return timer
         return None
 
     def _note_cancel(self) -> None:
         self._cancelled += 1
+        if (
+            self._cancelled > COMPACT_MIN_CANCELLED
+            and self._cancelled * 2 > len(self._heap)
+        ):
+            self.compact()
+
+    def compact(self) -> None:
+        """Drop every cancelled entry and re-heapify the survivors."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapify(heap)
+        self._cancelled = 0
+        self.compactions += 1
 
     def stored(self) -> int:
         """Entries currently stored, including cancelled ones."""
@@ -115,285 +114,8 @@ class TimerHeap:
 
     def stats(self) -> dict[str, int]:
         """Counters for tests and the profiler."""
-        return {"stored": self.stored(), "live": self.live(), "compactions": 0}
-
-
-class CalendarQueue:
-    """Bucketed timer wheel with an overflow heap and compaction.
-
-    The wheel covers ``n_buckets`` consecutive buckets of
-    ``bucket_cycles`` simulated cycles each, starting at the *current*
-    bucket (the one being drained).  Each slot is a plain list; only the
-    current slot is heap-ordered (heapified the moment the wheel advances
-    into it), so pushes into future buckets are plain appends.  Timers
-    beyond the horizon go to an overflow heap and migrate into the wheel
-    as it advances.  Pop order is globally exact ``(when, seq)``:
-    buckets partition time, the current bucket is a heap, and overflow
-    entries always lie past every wheel entry.
-
-    Same-timestamp runs: when the top of the current bucket is followed
-    by more entries at the identical timestamp, the whole run is
-    extracted into a batch buffer in one pass and served from there.
-    Later pushes at the same timestamp carry larger ``seq`` values, so
-    serving the buffer before re-reading the heap preserves exact order.
-    """
-
-    __slots__ = (
-        "_width",
-        "_n",
-        "_buckets",
-        "_cur",
-        "_horizon",
-        "_overflow",
-        "_wheel_count",
-        "_occupied",
-        "_batch",
-        "_batch_pos",
-        "_stored",
-        "_cancelled",
-        "compactions",
-        "migrations",
-    )
-
-    def __init__(self, bucket_cycles: float = 16_384.0, n_buckets: int = 512) -> None:
-        if bucket_cycles <= 0:
-            raise ValueError("bucket_cycles must be positive")
-        if n_buckets < 2:
-            raise ValueError("n_buckets must be >= 2")
-        self._width = float(bucket_cycles)
-        self._n = n_buckets
-        self._buckets: list[list[tuple[float, int, Timer]]] = [
-            [] for _ in range(n_buckets)
-        ]
-        #: Absolute index of the bucket currently being drained.
-        self._cur = 0
-        #: First cycle *not* covered by the wheel window.
-        self._horizon = n_buckets * self._width
-        self._overflow: list[tuple[float, int, Timer]] = []
-        self._wheel_count = 0
-        #: Min-heap of absolute indices of occupied *future* buckets —
-        #: an index enters when its bucket first turns non-empty, so
-        #: :meth:`_advance` jumps straight to the next occupied bucket
-        #: instead of scanning empties (sparse wheels would otherwise pay
-        #: an O(n_buckets) walk per advance).  Entries can go stale
-        #: (bucket emptied by compaction, or already passed); _advance
-        #: skips those lazily and compaction rebuilds the heap.
-        self._occupied: list[int] = []
-        #: Extracted same-timestamp run, served before the heap.
-        self._batch: list[tuple[float, int, Timer]] = []
-        self._batch_pos = 0
-        self._stored = 0
-        self._cancelled = 0
-        self.compactions = 0
-        self.migrations = 0
-
-    # ------------------------------------------------------------------
-    # Core interface
-    # ------------------------------------------------------------------
-    def push(self, timer: Timer) -> None:
-        """Store ``timer``: O(1) within the horizon, O(log o) beyond."""
-        timer._queue = self
-        entry = (timer.when, timer.seq, timer)
-        bucket = int(timer.when // self._width)
-        if bucket <= self._cur:
-            # Lands in (or before) the bucket being drained; the current
-            # slot is heap-ordered, so a push behind the drain point
-            # still pops in exact (when, seq) order.
-            heappush(self._buckets[self._cur % self._n], entry)
-            self._wheel_count += 1
-        elif timer.when < self._horizon:
-            slot = self._buckets[bucket % self._n]
-            if not slot:
-                heappush(self._occupied, bucket)
-            slot.append(entry)
-            self._wheel_count += 1
-        else:
-            heappush(self._overflow, entry)
-        self._stored += 1
-
-    def pop(self) -> Timer | None:
-        """Remove and return the minimum live timer, or None when empty."""
-        while True:
-            # Serve the extracted same-timestamp batch first.
-            pos = self._batch_pos
-            batch = self._batch
-            if pos < len(batch):
-                self._batch_pos = pos + 1
-                timer = batch[pos][2]
-                self._stored -= 1
-                if timer.cancelled:
-                    self._cancelled -= 1
-                    continue
-                return timer
-            if batch:
-                self._batch = []
-                self._batch_pos = 0
-            current = self._buckets[self._cur % self._n]
-            if not current and not self._advance():
-                return None
-            current = self._buckets[self._cur % self._n]
-            entry = heappop(current)
-            self._wheel_count -= 1
-            timer = entry[2]
-            if timer.cancelled:
-                self._stored -= 1
-                self._cancelled -= 1
-                continue
-            # Extract the rest of the same-timestamp run in one pass.
-            when = entry[0]
-            if current and current[0][0] == when:
-                batch = self._batch
-                while current and current[0][0] == when:
-                    batch.append(heappop(current))
-                    self._wheel_count -= 1
-            self._stored -= 1
-            return timer
-
-    def _advance(self) -> bool:
-        """Move ``_cur`` to the next non-empty bucket; heapify it.
-
-        Returns False when the queue holds no wheel or overflow entries.
-        Advancing migrates overflow timers that the sliding horizon now
-        covers; when the wheel is empty the window *rebases* directly to
-        the overflow minimum instead of scanning empty buckets.
-        """
-        width = self._width
-        n = self._n
-        buckets = self._buckets
-        if self._wheel_count == 0:
-            if not self._overflow:
-                return False
-            # Rebase the window onto the earliest overflow timer.
-            self._cur = int(self._overflow[0][0] // width)
-        else:
-            cur = self._cur
-            occupied = self._occupied
-            moved = False
-            while occupied:
-                bucket = heappop(occupied)
-                if bucket > cur and buckets[bucket % n]:
-                    self._cur = bucket
-                    moved = True
-                    break
-            if not moved:  # pragma: no cover - occupied tracks every fill
-                for step in range(1, n + 1):
-                    if buckets[(cur + step) % n]:
-                        self._cur = cur + step
-                        break
-        self._horizon = (self._cur + n) * width
-        self._migrate()
-        current = buckets[self._cur % n]
-        if not current:  # pragma: no cover - rebase always lands on one
-            return self._advance()
-        heapify(current)
-        return True
-
-    def _migrate(self) -> None:
-        """Pull overflow entries the advanced horizon now covers."""
-        overflow = self._overflow
-        horizon = self._horizon
-        if not overflow or overflow[0][0] >= horizon:
-            return
-        width = self._width
-        n = self._n
-        buckets = self._buckets
-        while overflow and overflow[0][0] < horizon:
-            entry = heappop(overflow)
-            bucket = int(entry[0] // width)
-            slot = buckets[bucket % n]
-            if not slot and bucket > self._cur:
-                heappush(self._occupied, bucket)
-            slot.append(entry)
-            self._wheel_count += 1
-            self.migrations += 1
-
-    # ------------------------------------------------------------------
-    # Cancellation and compaction
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        self._cancelled += 1
-        if (
-            self._cancelled > COMPACT_MIN_CANCELLED
-            and self._cancelled * 2 > self._stored
-        ):
-            self.compact()
-
-    def compact(self) -> None:
-        """Drop every cancelled entry; rebuilds buckets in place."""
-        live = 0
-        cur_slot = self._cur % self._n
-        occupied = []
-        for index, bucket in enumerate(self._buckets):
-            if not bucket:
-                continue
-            kept = [entry for entry in bucket if not entry[2].cancelled]
-            self._buckets[index] = kept
-            live += len(kept)
-            if kept and index != cur_slot:
-                # Every entry of a non-current slot shares one absolute
-                # bucket (the wheel window holds no modulo collisions),
-                # so the first entry names the slot's index.
-                occupied.append(int(kept[0][0] // self._width))
-        heapify(occupied)
-        self._occupied = occupied
-        self._wheel_count = live
-        current = self._buckets[cur_slot]
-        if current:
-            heapify(current)
-        kept_overflow = [e for e in self._overflow if not e[2].cancelled]
-        heapify(kept_overflow)
-        self._overflow = kept_overflow
-        kept_batch = [
-            e for e in self._batch[self._batch_pos :] if not e[2].cancelled
-        ]
-        self._batch = kept_batch
-        self._batch_pos = 0
-        self._stored = live + len(kept_overflow) + len(kept_batch)
-        self._cancelled = 0
-        self.compactions += 1
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def stored(self) -> int:
-        """Entries currently stored, including cancelled ones."""
-        return self._stored
-
-    def live(self) -> int:
-        """Entries that would still fire."""
-        return self._stored - self._cancelled
-
-    def __len__(self) -> int:
-        return self.live()
-
-    def stats(self) -> dict[str, int]:
-        """Counters for tests and the profiler."""
         return {
-            "stored": self._stored,
+            "stored": self.stored(),
             "live": self.live(),
             "compactions": self.compactions,
-            "migrations": self.migrations,
-            "overflow": len(self._overflow),
         }
-
-
-#: Names accepted by ``Kernel(..., timers=...)``.
-TIMER_BACKENDS = ("wheel", "heap")
-
-
-def make_timer_queue(
-    backend: str, timeslice_cycles: float
-) -> "CalendarQueue | TimerHeap":
-    """Build the requested backend, sizing the wheel off the timeslice.
-
-    The wheel window spans two scheduler quanta: slice-end timers (one
-    quantum out, re-armed constantly under load) stay O(1) pushes, while
-    anything farther — rare in practice — takes the overflow heap.
-    """
-    if backend == "heap":
-        return TimerHeap()
-    if backend != "wheel":
-        raise ValueError(f"timers must be one of {TIMER_BACKENDS}")
-    n_buckets = 512
-    width = max(timeslice_cycles * 2.0 / n_buckets, 1.0)
-    return CalendarQueue(bucket_cycles=width, n_buckets=n_buckets)

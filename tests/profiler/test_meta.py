@@ -14,13 +14,12 @@ from repro.profiler.meta import (
 
 @pytest.fixture(scope="module")
 def artifact():
-    return profile_storm(use_zc=True, n_ocalls=200, timers="wheel", top=10)
+    return profile_storm(use_zc=True, n_ocalls=200, top=10)
 
 
 class TestProfileStorm:
     def test_artifact_shape(self, artifact):
         assert artifact["backend"] == "zc"
-        assert artifact["timers"] == "wheel"
         assert artifact["n_ocalls"] == 200
         assert artifact["events_processed"] > 0
         assert artifact["simulated_s"] > 0
@@ -36,13 +35,13 @@ class TestProfileStorm:
             assert set(row) >= {"function", "ncalls", "tottime_s", "cumtime_s"}
 
     def test_storm_is_deterministic(self):
-        a = run_storm(use_zc=True, n_ocalls=150, timers="wheel")
-        b = run_storm(use_zc=True, n_ocalls=150, timers="wheel")
+        a = run_storm(use_zc=True, n_ocalls=150)
+        b = run_storm(use_zc=True, n_ocalls=150)
         assert a.events_processed == b.events_processed
         assert a.now == b.now
 
     def test_regular_backend_storm(self):
-        kernel = run_storm(use_zc=False, n_ocalls=100, timers="heap")
+        kernel = run_storm(use_zc=False, n_ocalls=100)
         assert kernel.events_processed > 0
 
 
@@ -60,7 +59,7 @@ class TestRendering:
 class TestTraceExport:
     def test_trace_file_is_chrome_compatible(self, tmp_path):
         path = tmp_path / "trace.json"
-        export_sched_trace(str(path), use_zc=True, n_ocalls=120, timers="wheel")
+        export_sched_trace(str(path), use_zc=True, n_ocalls=120)
         events = json.loads(path.read_text())
         assert isinstance(events, list) and events
         for event in events[:20]:

@@ -1,0 +1,255 @@
+"""The kernel's timer queue: ordering, cancellation, compaction.
+
+The kernel's simulated outcomes ride entirely on the timer queue popping
+in exact ``(when, seq)`` order, so these tests check same-cycle seq ties,
+pushes after a partial drain, cancellation (including during a drain and
+after a timer fired), the compaction that keeps mass cancel/re-arm
+workloads O(live), and pinned simulated outcomes of whole kernel runs.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from repro.api import BenchSpec, ServeSpec
+from repro.profiler.meta import run_storm
+from repro.serve.bench import run_bench
+from repro.sim import Compute, Kernel, Sleep, paper_machine
+from repro.sim.timerqueue import COMPACT_MIN_CANCELLED, Timer, TimerHeap
+
+
+def drain(queue):
+    return [(timer.when, timer.seq) for timer in iter(queue.pop, None)]
+
+
+def push_all(queue, entries):
+    timers = [Timer(when, seq, None) for when, seq in entries]
+    for timer in timers:
+        queue.push(timer)
+    return timers
+
+
+class TestOrdering:
+    def test_same_timestamp_pops_in_seq_order(self):
+        queue = TimerHeap()
+        entries = [(5.0, seq) for seq in (3, 0, 7, 1, 4)]
+        push_all(queue, entries)
+        assert drain(queue) == sorted(entries, key=lambda e: e[1])
+
+    def test_same_timestamp_across_push_pop_interleave(self):
+        queue = TimerHeap()
+        push_all(queue, [(5.0, 0), (5.0, 1)])
+        first = queue.pop()
+        assert (first.when, first.seq) == (5.0, 0)
+        queue.push(Timer(5.0, 2, None))
+        assert drain(queue) == [(5.0, 1), (5.0, 2)]
+
+    def test_push_after_partial_drain_still_ordered(self):
+        queue = TimerHeap()
+        push_all(queue, [(35.0, 0), (70.0, 1)])
+        assert queue.pop().seq == 0
+        queue.push(Timer(12.0, 2, None))
+        assert drain(queue) == [(12.0, 2), (70.0, 1)]
+
+    def test_far_future_deadlines_pop_in_order(self):
+        queue = TimerHeap()
+        push_all(queue, [(5.0, 0), (123_456.0, 1), (81.0, 2), (790.0, 3)])
+        assert drain(queue) == [(5.0, 0), (81.0, 2), (790.0, 3), (123_456.0, 1)]
+
+    def test_near_push_after_far_future_pop_still_ordered(self):
+        queue = TimerHeap()
+        push_all(queue, [(123_456.0, 0)])
+        popped = queue.pop()
+        assert (popped.when, popped.seq) == (123_456.0, 0)
+        push_all(queue, [(123_460.0, 1), (123_458.0, 2)])
+        assert drain(queue) == [(123_458.0, 2), (123_460.0, 1)]
+
+    def test_wide_deadline_spread_pops_sorted(self):
+        queue = TimerHeap()
+        rng = random.Random(11)
+        entries = [(rng.uniform(0, 400), seq) for seq in range(200)]
+        push_all(queue, entries)
+        assert drain(queue) == sorted(entries)
+
+    def test_total_order_equals_sorted(self):
+        queue = TimerHeap()
+        rng = random.Random(5)
+        entries = [(rng.uniform(0, 500), seq) for seq in range(300)]
+        push_all(queue, entries)
+        assert drain(queue) == sorted(entries)
+
+
+class TestCancellation:
+    def test_cancelled_timer_is_skipped(self):
+        queue = TimerHeap()
+        timers = push_all(queue, [(5.0, 0), (6.0, 1), (7.0, 2)])
+        timers[1].cancel()
+        assert drain(queue) == [(5.0, 0), (7.0, 2)]
+
+    def test_cancel_is_idempotent(self):
+        queue = TimerHeap()
+        (timer,) = push_all(queue, [(5.0, 0)])
+        timer.cancel()
+        timer.cancel()
+        assert queue.live() == 0
+        assert drain(queue) == []
+
+    def test_cancel_during_callback_window(self):
+        # The serve router's pattern: a popped timer's callback cancels
+        # other pending timers (completion timeouts) and re-arms new ones.
+        queue = TimerHeap()
+        timers = push_all(queue, [(5.0, 0), (6.0, 1), (7.0, 2)])
+        assert queue.pop().seq == 0
+        timers[2].cancel()
+        queue.push(Timer(6.5, 3, None))
+        assert drain(queue) == [(6.0, 1), (6.5, 3)]
+
+    def test_cancel_same_timestamp_entry_mid_drain(self):
+        queue = TimerHeap()
+        timers = push_all(queue, [(5.0, 0), (5.0, 1), (5.0, 2)])
+        assert queue.pop().seq == 0
+        timers[1].cancel()
+        assert drain(queue) == [(5.0, 2)]
+
+    def test_cancel_after_fire_keeps_counts(self):
+        # FaultInjector.detach() cancels every timer it ever armed, fired
+        # ones included; that must not count as a cancellation.
+        queue = TimerHeap()
+        fired = push_all(queue, [(float(i), i) for i in range(600)])
+        push_all(queue, [(1e9, 600)])
+        for _ in fired:
+            queue.pop()
+        for timer in fired:
+            timer.cancel()
+        assert queue.stats() == {"stored": 1, "live": 1, "compactions": 0}
+        assert len(queue) == 1
+        assert drain(queue) == [(1e9, 600)]
+
+    def test_kernel_cancel_after_fire_keeps_counts(self):
+        kernel = Kernel(paper_machine())
+        timer = kernel.call_at(10.0, lambda: None)
+        kernel.run()
+        timer.cancel()
+        assert kernel.timer_stats() == {"stored": 0, "live": 0, "compactions": 0}
+
+
+class TestCompaction:
+    def test_mass_cancel_rearm_stays_bounded(self):
+        # The serve router's completion-timeout pattern: arm a timeout per
+        # request, cancel nearly every one, re-arm.  Without compaction
+        # the heap accumulates one dead entry per request; with it,
+        # stored() stays O(live + compaction threshold).
+        queue = TimerHeap()
+        seq = 0
+        for _round in range(200):
+            batch = [Timer(5_000.0 + seq + i, seq + i, None) for i in range(50)]
+            seq += 50
+            for timer in batch:
+                queue.push(timer)
+            for timer in batch:
+                timer.cancel()
+            assert queue.stored() <= queue.live() + 2 * COMPACT_MIN_CANCELLED + 50
+        assert queue.compactions > 0
+        assert queue.live() == 0
+
+    def test_compaction_preserves_survivors_order(self):
+        queue = TimerHeap()
+        rng = random.Random(3)
+        timers = push_all(queue, [(rng.uniform(0, 1000), seq) for seq in range(600)])
+        survivors = []
+        for timer in timers:
+            if rng.random() < 0.8:
+                timer.cancel()
+            else:
+                survivors.append((timer.when, timer.seq))
+        queue.compact()
+        assert queue.stored() == queue.live() == len(survivors)
+        assert drain(queue) == sorted(survivors)
+
+    def test_compaction_mid_drain_keeps_same_timestamp_run(self):
+        queue = TimerHeap()
+        push_all(queue, [(5.0, 0), (5.0, 1), (5.0, 2)])
+        assert queue.pop().seq == 0
+        queue.compact()
+        assert drain(queue) == [(5.0, 1), (5.0, 2)]
+
+
+class TestRandomized:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_workload_pops_in_sorted_order(self, seed):
+        # Property test: an interleave of pushes (same-cycle, near, far),
+        # pops and cancels pops exactly the live entries, each pop the
+        # minimum of what is live at that moment.
+        rng = random.Random(seed)
+        queue = TimerHeap()
+        live: dict[int, Timer] = {}
+        now = 0.0
+        for seq in range(2_000):
+            action = rng.random()
+            if action < 0.55:
+                when = now + rng.choice((0.0, 0.5, 7.0, 40.0, 900.0)) * (1 + rng.random())
+                timer = Timer(when, seq, None)
+                queue.push(timer)
+                live[seq] = timer
+            elif action < 0.85:
+                expected = min(((t.when, t.seq) for t in live.values()), default=None)
+                timer = queue.pop()
+                assert (None if timer is None else (timer.when, timer.seq)) == expected
+                if timer is not None:
+                    now = timer.when
+                    del live[timer.seq]
+            elif live:
+                live.pop(rng.choice(sorted(live))).cancel()
+            assert queue.live() == len(live)
+        assert drain(queue) == sorted((t.when, t.seq) for t in live.values())
+
+
+class TestPinnedOutcomes:
+    """Simulated outcomes recorded before the heap replaced the wheel.
+
+    The timer queue may only change host performance, never a simulated
+    outcome; these pins hold it to that at unit-test scale.
+    """
+
+    @pytest.mark.parametrize(
+        ("use_zc", "events", "now"),
+        [(False, 2402, 4_290_000.0), (True, 3030, 677_569.3548387131)],
+        ids=["regular", "zc"],
+    )
+    def test_meta_storm(self, use_zc, events, now):
+        kernel = run_storm(use_zc=use_zc, n_ocalls=600)
+        assert (kernel.events_processed, kernel.now) == (events, now)
+
+    def test_sleep_heavy_workload(self):
+        kernel = Kernel(paper_machine())
+
+        def worker(seed):
+            for step in range(40):
+                yield Compute(100 + 37 * ((seed * 31 + step) % 11))
+                yield Sleep(1_000 + 997 * ((seed * 17 + step) % 13))
+
+        threads = [kernel.spawn(worker(i), name=f"w{i}") for i in range(12)]
+        kernel.join(*threads)
+        busy = kernel.cpu_snapshot()["busy_total"]
+        assert (kernel.events_processed, kernel.now, busy) == (
+            960,
+            297_207.72528616025,
+            139_068.66636492297,
+        )
+
+    def test_serve_bench_artifact(self):
+        # Router timeouts, the budget arbiter, tenant fair shedding and
+        # per-request spans exercise mass cancel/re-arm and preemption.
+        result = run_bench(
+            BenchSpec(
+                serve=ServeSpec(shards=3, budget=6, tenants=(("bronze", 1.0), ("gold", 3.0))),
+                seconds=0.03,
+                rate=5_000.0,
+            ),
+            telemetry=False,
+        )
+        del result["meta"]  # version stamp, not a simulated outcome
+        digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+        assert digest == "156a1ba33465d3e0d4e74f02cf9a287c8d6e54b2611f1eda79e0505022f6c4a5"
