@@ -11,8 +11,8 @@ request threads call in):
   (records are MACed — modelled as cycles — since the host is untrusted);
 - recovery replays the log through ocalls into a fresh enclave.
 
-Both boundaries can run switchless: install a
-:class:`repro.core.ZcSwitchlessBackend` for the ocall side and a
+Both boundaries can run switchless: install
+``repro.api.make_backend("zc")`` for the ocall side and a
 :class:`repro.core.ecalls.ZcEcallRuntime` for the ecall side.
 """
 

@@ -19,12 +19,10 @@ sweep artifact (``autoscale-sweep``) embeds its own gate verdict, and
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any
 
 from repro.api import AutoscaleSpec, BenchSpec
-from repro.telemetry.schema import check_stamp, stamp
+from repro.telemetry.schema import stamp
 
 #: Artifact kind of a sweep result / committed sweep baseline.
 AUTOSCALE_ARTIFACT = "autoscale-sweep"
@@ -196,25 +194,6 @@ def sweep_snapshot(result: dict[str, Any]) -> dict[str, Any]:
         },
         "gate": result["gate"],
     }
-
-
-def write_sweep_baseline(snapshot: dict[str, Any], path: str) -> str:
-    """Write a sweep baseline snapshot as JSON; returns the path."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_sweep_baseline(path: str) -> dict[str, Any]:
-    """Load and stamp-check a committed sweep baseline."""
-    with open(path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    check_stamp(baseline.get("meta", {}), AUTOSCALE_ARTIFACT, source=path)
-    return baseline
 
 
 def compare_sweep_baseline(

@@ -31,8 +31,10 @@ Regression sentinel (see the "Regression workflow" section of
 
 - ``repro baseline`` snapshots a run (cycle-ledger categories, metrics,
   shape verdicts) into a schema-stamped JSON file;
-- ``repro diff BASELINE`` re-runs the baseline's experiments (or reads a
-  second snapshot with ``--against``) and fails on confirmed regressions;
+- ``repro diff BASELINE`` re-runs what the baseline recorded (a run
+  snapshot's experiments, or the spec a serve-family baseline embeds),
+  or reads a second file with ``--against``, and fails on confirmed
+  regressions;
 - ``repro audit`` runs the paper-invariant checkers live over an
   experiment, or replays an exported ``*.events.jsonl``.
 
@@ -221,26 +223,88 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_gate(
+    violations: list[str], label: str, path: str, threshold: float
+) -> int:
+    """Print a baseline gate's verdict; returns its exit code."""
+    if violations:
+        print(f"{label}: {len(violations)} violation(s)")
+        for violation in violations:
+            print(f"  - {violation}")
+        return 1
+    print(f"{label}: OK (within {threshold:.0%} of {path})")
+    return 0
+
+
+def _gate_baseline(
+    result: dict[str, Any], path: str, threshold: float
+) -> list[str]:
+    """The ``--baseline`` flag: gate a fresh run and print the verdict.
+
+    A baseline that cannot gate the run exits in one line instead.
+    """
+    from repro.regress.baselines import gate
+
+    try:
+        violations = gate(result, path, threshold)
+    except ValueError as exc:  # SchemaMismatch, or a run the kind cannot snapshot
+        raise SystemExit(f"--baseline: {exc}")
+    _report_gate(violations, "baseline gate", path, threshold)
+    return violations
+
+
+def _write_snapshot(kind: str, result: dict[str, Any], path: str) -> None:
+    """A snapshot flag: write ``result``'s baseline of ``kind`` to ``path``."""
+    from repro.regress.baselines import BASELINES
+    from repro.telemetry.schema import write_artifact
+
+    write_artifact(BASELINES[kind].snapshot(result), path)
+    print(f"[{kind} baseline snapshot written to {path}]")
+
+
 def _cmd_diff(args: argparse.Namespace) -> int:
-    """Diff a baseline against a re-run (or a second snapshot)."""
-    from repro.regress import capture_run, diff_snapshots, load_snapshot
+    """Gate a baseline against a re-run of what it recorded.
 
-    # Peek at the artifact kind before the regress loader stamps it:
-    # obs-windows baselines re-run their own scenario and gate the
-    # window stream instead of the cycle ledger.
-    with open(args.baseline, encoding="utf-8") as handle:
-        peek = json.load(handle)
-    if peek.get("meta", {}).get("artifact") == "obs-windows":
-        return _diff_obs_baseline(args)
-    if peek.get("meta", {}).get("artifact") == "scenario-bench":
-        return _diff_scenario_baseline(args)
-    if peek.get("meta", {}).get("artifact") == "autoscale-sweep":
-        return _diff_autoscale_baseline(args)
+    Run snapshots get the bootstrap cycle-ledger diff; every serve-family
+    baseline goes through :mod:`repro.regress.baselines`.  ``--against``
+    compares a second file of the same kind instead of re-running.
+    """
+    from repro.regress import capture_run, diff_snapshots
+    from repro.regress.baselines import BASELINES, gate
+    from repro.regress.snapshot import SNAPSHOT_ARTIFACT
+    from repro.telemetry.schema import SchemaMismatch, artifact_of, read_artifact
 
-    base = load_snapshot(args.baseline)
-    if args.against is not None:
-        current = load_snapshot(args.against)
-    else:
+    try:
+        base = read_artifact(args.baseline)
+        artifact = artifact_of(base)
+        current = (
+            read_artifact(args.against, (artifact,))
+            if args.against is not None
+            else None
+        )
+    except SchemaMismatch as exc:
+        raise SystemExit(f"repro diff: {exc}")
+    if artifact in BASELINES:
+        kind = BASELINES[artifact]
+        if current is not None:
+            violations = kind.compare(current, base, args.threshold)
+        else:
+            print(f"[{kind.label} baseline: re-running {args.baseline}]")
+            try:
+                violations = gate(kind.rerun(base), args.baseline, args.threshold)
+            except (OSError, ValueError) as exc:
+                raise SystemExit(f"repro diff: {exc}")
+        return _report_gate(
+            violations, f"{kind.label} baseline gate", args.baseline, args.threshold
+        )
+    if artifact != SNAPSHOT_ARTIFACT:
+        raise SystemExit(
+            f"repro diff: {args.baseline}: {artifact!r} artifacts have no "
+            "repro diff gate (BENCH_meta.json baselines are gated by "
+            "benchmarks/bench_meta_simulator.py --baseline)"
+        )
+
+    if current is None:
         # Re-run exactly what the baseline recorded, at its own scale —
         # including its fault plan, unless --plan overrides it.
         quick = base.get("quick", True)
@@ -276,127 +340,10 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return report.exit_code()
 
 
-def _diff_obs_baseline(args: argparse.Namespace) -> int:
-    """Re-run an obs-windows baseline's scenario and gate the stream."""
-    from repro.obs import (
-        compare_obs_baseline,
-        load_obs_baseline,
-        obs_snapshot,
-        run_obs_scenario,
-    )
-
-    baseline = load_obs_baseline(args.baseline)
-    if args.against is not None:
-        current = load_obs_baseline(args.against)
-    else:
-        print(
-            f"[obs baseline: re-running "
-            f"{baseline['params']['shards']}-shard windowed bench]"
-        )
-        current = obs_snapshot(run_obs_scenario(baseline["params"]))
-    violations = compare_obs_baseline(current, baseline, threshold=args.threshold)
-    summary = current["summary"]
-    print(
-        f"obs diff: {summary['records']} record(s) over "
-        f"{current['windows']} window(s), {summary['anomalies']} anomaly(ies)"
-    )
-    if violations:
-        print(f"obs baseline gate: {len(violations)} violation(s)")
-        for violation in violations:
-            print(f"  - {violation}")
-        return 1
-    print(f"obs baseline gate: OK (matches {args.baseline})")
-    return 0
-
-
-def _diff_scenario_baseline(args: argparse.Namespace) -> int:
-    """Re-run a scenario baseline's replay and gate the outcome."""
-    from repro.scenarios import (
-        compare_scenario_baseline,
-        load_scenario_baseline,
-        run_scenario_from_baseline,
-        scenario_snapshot,
-    )
-
-    baseline = load_scenario_baseline(args.baseline)
-    name = baseline["params"].get("scenario")
-    if args.against is not None:
-        current = load_scenario_baseline(args.against)
-    else:
-        print(
-            f"[scenario baseline: replaying {name!r} on "
-            f"{baseline['params'].get('shards')} shard(s)]"
-        )
-        try:
-            current = scenario_snapshot(run_scenario_from_baseline(baseline))
-        except (OSError, ValueError) as exc:
-            print(f"scenario baseline gate: {exc}")
-            return 1
-    violations = compare_scenario_baseline(
-        current, baseline, threshold=args.threshold
-    )
-    totals = current["totals"]
-    print(
-        f"scenario diff: {totals.get('issued')} arrival(s), "
-        f"{totals.get('completed')} completed, {totals.get('shed')} shed"
-    )
-    if violations:
-        print(f"scenario baseline gate: {len(violations)} violation(s)")
-        for violation in violations:
-            print(f"  - {violation}")
-        return 1
-    print(f"scenario baseline gate: OK (matches {args.baseline})")
-    return 0
-
-
-def _diff_autoscale_baseline(args: argparse.Namespace) -> int:
-    """Re-run an autoscale sweep baseline's arms and gate the outcome."""
-    from repro.autoscale.bench import (
-        compare_sweep_baseline,
-        load_sweep_baseline,
-        run_autoscale_sweep,
-        sweep_snapshot,
-    )
-
-    baseline = load_sweep_baseline(args.baseline)
-    if args.against is not None:
-        current = load_sweep_baseline(args.against)
-    else:
-        scenario = baseline.get("scenario", "diurnal-kv")
-        print(f"[autoscale baseline: re-running the {scenario!r} sweep]")
-        try:
-            current = sweep_snapshot(run_autoscale_sweep(scenario))
-        except (OSError, ValueError) as exc:
-            print(f"autoscale baseline gate: {exc}")
-            return 1
-    violations = compare_sweep_baseline(
-        current, baseline, threshold=args.threshold
-    )
-    arms = current.get("arms", {})
-    elastic = arms.get("autoscale", {})
-    print(
-        f"autoscale diff: {len(arms)} arm(s), elastic "
-        f"{elastic.get('cycles_per_request', 0) or 0:,.0f} cycles/request"
-    )
-    if violations:
-        print(f"autoscale baseline gate: {len(violations)} violation(s)")
-        for violation in violations:
-            print(f"  - {violation}")
-        return 1
-    print(f"autoscale baseline gate: OK (matches {args.baseline})")
-    return 0
-
-
 def _cmd_autoscale(args: argparse.Namespace) -> int:
     """The elastic control plane's acceptance sweep (and its baseline)."""
-    from repro.autoscale.bench import (
-        compare_sweep_baseline,
-        load_sweep_baseline,
-        run_autoscale_sweep,
-        sweep_snapshot,
-        write_sweep_baseline,
-    )
-    from repro.telemetry.schema import SchemaMismatch
+    from repro.autoscale.bench import AUTOSCALE_ARTIFACT, run_autoscale_sweep
+    from repro.telemetry.schema import write_artifact
 
     started = time.monotonic()
     result = run_autoscale_sweep(args.scenario)
@@ -428,34 +375,12 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
             print(f"  - {violation}")
     failures = 0 if gate["ok"] else 1
     if args.out is not None:
-        directory = os.path.dirname(args.out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_artifact(result, args.out)
         print(f"[sweep artifact written to {args.out}]")
     if args.snapshot is not None:
-        path = write_sweep_baseline(sweep_snapshot(result), args.snapshot)
-        print(f"[sweep baseline snapshot written to {path}]")
+        _write_snapshot(AUTOSCALE_ARTIFACT, result, args.snapshot)
     if args.baseline is not None:
-        try:
-            baseline = load_sweep_baseline(args.baseline)
-        except (OSError, SchemaMismatch, ValueError) as exc:
-            raise SystemExit(f"--baseline: {exc}")
-        violations = compare_sweep_baseline(
-            sweep_snapshot(result), baseline, threshold=args.threshold
-        )
-        if violations:
-            print(f"baseline gate: {len(violations)} violation(s)")
-            for violation in violations:
-                print(f"  - {violation}")
-            failures += 1
-        else:
-            print(
-                f"baseline gate: OK (within {args.threshold:.0%} of "
-                f"{args.baseline})"
-            )
+        failures += bool(_gate_baseline(result, args.baseline, args.threshold))
     print(f"[autoscale sweep: {elapsed:.1f}s wall]")
     return 1 if failures else 0
 
@@ -748,15 +673,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         return 1 if drifted else 0
 
     # replay
-    from repro.scenarios import (
-        compare_scenario_baseline,
-        load_scenario_baseline,
-        replay_scenario,
-        scenario_snapshot,
-        write_scenario_baseline,
-    )
-    from repro.serve.bench import write_result
-    from repro.telemetry.schema import SchemaMismatch
+    from repro.scenarios import SCENARIO_ARTIFACT, replay_scenario
+    from repro.telemetry.schema import SchemaMismatch, write_artifact
 
     overrides: dict[str, Any] = {}
     if args.shards is not None:
@@ -804,33 +722,141 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                 for violation in entry["violations"]:
                     print(f"    - {violation}")
             failures += 1
-    path = write_result(result, args.out)
-    print(f"[scenario artifact written to {path}]")
+    write_artifact(result, args.out)
+    print(f"[scenario artifact written to {args.out}]")
     if args.snapshot is not None:
-        snap_path = write_scenario_baseline(
-            scenario_snapshot(result), args.snapshot
-        )
-        print(f"[scenario baseline snapshot written to {snap_path}]")
+        _write_snapshot(SCENARIO_ARTIFACT, result, args.snapshot)
     if args.baseline is not None:
-        try:
-            baseline = load_scenario_baseline(args.baseline)
-        except (OSError, SchemaMismatch, ValueError) as exc:
-            raise SystemExit(f"--baseline: {exc}")
-        violations = compare_scenario_baseline(
-            result, baseline, threshold=args.threshold
-        )
-        if violations:
-            print(f"baseline gate: {len(violations)} violation(s)")
-            for violation in violations:
-                print(f"  - {violation}")
-            failures += 1
-        else:
-            print(
-                f"baseline gate: OK (within {args.threshold:.0%} of "
-                f"{args.baseline})"
-            )
+        failures += bool(_gate_baseline(result, args.baseline, args.threshold))
     print(f"[scenarios replay: {elapsed:.1f}s wall]")
     return 1 if failures else 0
+
+
+def _add_serve_flags(parser: argparse.ArgumentParser, *, seconds: float) -> None:
+    """The serve-bench flags ``serve bench`` and ``evidence build`` share.
+
+    :func:`_serve_bench_spec` folds them into one ``BenchSpec``.
+    """
+    from repro.api import BACKEND_CHOICES
+    from repro.serve import ADMISSION_CHOICES, KEYDIST_CHOICES, POLICY_CHOICES
+
+    parser.add_argument(
+        "--shards", type=int, default=2, help="enclave shards (default 2)"
+    )
+    parser.add_argument(
+        "--seconds",
+        type=float,
+        default=seconds,
+        help=f"simulated run length in seconds (default {seconds})",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=BACKEND_CHOICES,
+        default="zc",
+        help="call backend per shard (default zc)",
+    )
+    parser.add_argument(
+        "--rate",
+        type=float,
+        default=2_000.0,
+        help="open-loop offered load in rps (default 2000)",
+    )
+    parser.add_argument(
+        "--policy",
+        choices=POLICY_CHOICES,
+        default="hash",
+        help="request placement (default hash = rendezvous)",
+    )
+    parser.add_argument(
+        "--admission",
+        choices=ADMISSION_CHOICES,
+        default="shed",
+        help="full-queue behaviour (default shed)",
+    )
+    parser.add_argument(
+        "--queue-capacity",
+        type=int,
+        default=64,
+        help="per-shard queue bound (default 64)",
+    )
+    parser.add_argument(
+        "--servers-per-shard",
+        type=int,
+        default=2,
+        help="untrusted server threads per shard (default 2)",
+    )
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="global switchless-worker cap across all shards (default uncapped)",
+    )
+    parser.add_argument(
+        "--plan",
+        default=None,
+        metavar="PLAN",
+        help="fault plan (name or JSON file) injected into one shard",
+    )
+    parser.add_argument(
+        "--fault-shard",
+        type=int,
+        default=0,
+        help="shard the fault plan targets (default 0)",
+    )
+    parser.add_argument(
+        "--keydist",
+        choices=KEYDIST_CHOICES,
+        default="uniform",
+        help="client key distribution (default uniform)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="load-generator seed (default 0)"
+    )
+    parser.add_argument(
+        "--tenants",
+        default=None,
+        metavar="MIX",
+        help=(
+            "weighted tenant mix, e.g. 'gold:3,bronze:1' "
+            "(enables weighted-fair shedding and per-tenant stats)"
+        ),
+    )
+    parser.add_argument(
+        "--contracts",
+        default=None,
+        metavar="FILE",
+        help="evaluate per-tenant SLO contracts; hard breaches exit 1",
+    )
+    parser.add_argument(
+        "--baseline",
+        default=None,
+        metavar="FILE",
+        help="gate the run against a committed baseline (see baselines/README.md)",
+    )
+    parser.add_argument(
+        "--threshold",
+        type=float,
+        default=0.1,
+        help="relative drift the baseline gate tolerates (default 0.1)",
+    )
+    parser.add_argument(
+        "--obs",
+        action="store_true",
+        help=(
+            "attach the windowed metric sampler + anomaly detector; "
+            "the window stream is written as stamped JSONL"
+        ),
+    )
+    parser.add_argument(
+        "--obs-interval",
+        type=float,
+        default=None,
+        metavar="CYCLES",
+        help=(
+            "window length in simulated cycles (implies --obs; default: "
+            "the run split into 10 windows)"
+        ),
+    )
 
 
 def _serve_bench_spec(
@@ -840,23 +866,24 @@ def _serve_bench_spec(
     app_mix: tuple[tuple[str, float], ...] | None,
     obs_enabled: bool,
 ) -> Any:
-    """The serve-bench flags folded into one validated ``BenchSpec``.
+    """The serve flags (:func:`_add_serve_flags`) folded into one
+    validated ``BenchSpec``.
 
     All spec-combination validation (slices vs shards, autoscale vs
     fixed slices, trace vs closed loop, …) happens inside the spec
     constructors — :class:`repro.api.SpecError` is the single error
     path, surfaced as a one-line ``SystemExit``.
     """
-    from repro.api import AutoscaleSpec, BenchSpec, ServeSpec, SpecError
-    from repro.telemetry.schema import SchemaMismatch
+    from repro.api import SPEC_ARTIFACT, AutoscaleSpec, BenchSpec, ServeSpec, SpecError
+    from repro.telemetry.schema import read_artifact
 
-    if getattr(args, "spec", None) is not None:
+    if args.spec is not None:
         conflicting = [
             flag
             for flag, given in (
-                ("--scenario", getattr(args, "scenario", None) is not None),
-                ("--trace", getattr(args, "trace", None) is not None),
-                ("--autoscale", bool(getattr(args, "autoscale", False))),
+                ("--scenario", args.scenario is not None),
+                ("--trace", args.trace is not None),
+                ("--autoscale", args.autoscale),
             )
             if given
         ]
@@ -865,17 +892,14 @@ def _serve_bench_spec(
                 f"--spec carries the full bench config; drop {conflicting}"
             )
         try:
-            with open(args.spec, encoding="utf-8") as fh:
-                spec = BenchSpec.from_json(json.load(fh))
-        except FileNotFoundError:
-            raise SystemExit(f"--spec: no such file: {args.spec}")
-        except (SchemaMismatch, SpecError, KeyError, TypeError, ValueError) as exc:
+            spec = BenchSpec.from_json(read_artifact(args.spec, (SPEC_ARTIFACT,)))
+        except (KeyError, TypeError, ValueError) as exc:  # incl. SpecError
             raise SystemExit(f"--spec: {exc}")
         if obs_enabled and not spec.obs:
             spec = spec.replace(obs=True)
         return spec
     autoscale = None
-    if getattr(args, "autoscale", False):
+    if args.autoscale:
         try:
             autoscale = AutoscaleSpec(
                 min_shards=args.min_shards, max_shards=args.max_shards
@@ -905,8 +929,8 @@ def _serve_bench_spec(
             requests_per_client=args.requests_per_client,
             keydist=args.keydist,
             seed=args.seed,
-            scenario=getattr(args, "scenario", None),
-            trace=getattr(args, "trace", None),
+            scenario=args.scenario,
+            trace=args.trace,
             slices=args.slices,
             obs=obs_enabled,
             obs_interval=args.obs_interval,
@@ -918,12 +942,8 @@ def _serve_bench_spec(
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the sharded serving bench; optionally gate against a baseline."""
     from repro.api import SpecError
-    from repro.serve.bench import (
-        compare_to_baseline,
-        load_baseline,
-        run_bench,
-        write_result,
-    )
+    from repro.serve.bench import run_bench
+    from repro.telemetry.schema import write_artifact
 
     obs_enabled = bool(
         args.obs
@@ -1059,20 +1079,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{entry['completed']} completed, "
             f"{entry['skipped_arrivals']} arrival(s) owned elsewhere"
         )
-    path = write_result(result, args.out)
-    print(f"[serve artifact written to {path}]")
+    write_artifact(result, args.out)
+    print(f"[serve artifact written to {args.out}]")
     if span_sink is not None:
         from repro.slo import write_spans_jsonl
 
         count = write_spans_jsonl(args.spans, span_sink)
         print(f"[{count} span record(s) written to {args.spans}]")
     if obs_enabled and "obs" in result:
-        from repro.obs import (
-            obs_snapshot,
-            write_html_report,
-            write_obs_snapshot,
-            write_windows_jsonl,
-        )
+        from repro.obs import OBS_ARTIFACT, write_html_report, write_windows_jsonl
 
         obs = result["obs"]
         print(
@@ -1103,8 +1118,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             write_html_report(obs, args.obs_html)
             print(f"[obs dashboard written to {args.obs_html}]")
         if args.obs_snapshot is not None:
-            write_obs_snapshot(obs_snapshot(result), args.obs_snapshot)
-            print(f"[obs baseline snapshot written to {args.obs_snapshot}]")
+            _write_snapshot(OBS_ARTIFACT, result, args.obs_snapshot)
     print(f"[serve: {elapsed:.1f}s wall]")
     failures = 0
     if "audit" in result:
@@ -1128,19 +1142,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if result["slo"]["hard_breaches"]:
             failures += 1
     if args.baseline is not None:
-        baseline = load_baseline(args.baseline)
-        violations = compare_to_baseline(
-            result, baseline, threshold=args.threshold
-        )
-        if violations:
-            print(f"\nbaseline gate: {len(violations)} violation(s)")
-            for violation in violations:
-                print(f"  - {violation}")
-            failures += 1
-        else:
-            print(
-                f"\nbaseline gate: OK (within {args.threshold:.0%} of {args.baseline})"
-            )
+        failures += bool(_gate_baseline(result, args.baseline, args.threshold))
     return 1 if failures else 0
 
 
@@ -1185,9 +1187,8 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
 
     # evidence build: one command runs the bench (with telemetry + live
     # audit), evaluates contracts, and packs every artifact with hashes.
-    from repro.api import BenchSpec, ServeSpec, SpecError
     from repro.regress import attach_auditor
-    from repro.serve.bench import compare_to_baseline, load_baseline, run_bench
+    from repro.serve.bench import run_bench
     from repro.slo import (
         Verdict,
         build_evidence_pack,
@@ -1202,34 +1203,9 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
     tenants = _parse_tenants(args.tenants)
     contracts = load_contracts(args.contracts) if args.contracts else None
     obs_enabled = bool(args.obs or args.obs_interval is not None)
-    if args.obs_interval is not None and args.obs_interval <= 0:
-        raise SystemExit(
-            f"--obs-interval must be a positive cycle count "
-            f"(got {args.obs_interval:g})"
-        )
-    try:
-        spec = BenchSpec(
-            serve=ServeSpec(
-                shards=args.shards,
-                backend=args.backend,
-                policy=args.policy,
-                admission=args.admission,
-                queue_capacity=args.queue_capacity,
-                servers_per_shard=args.servers_per_shard,
-                budget=args.budget,
-                plan=args.plan,
-                fault_shard=args.fault_shard,
-                tenants=tuple(sorted(tenants.items())) if tenants else None,
-            ),
-            seconds=args.seconds,
-            rate=args.rate,
-            keydist=args.keydist,
-            seed=args.seed,
-            obs=obs_enabled,
-            obs_interval=args.obs_interval,
-        )
-    except SpecError as exc:
-        raise SystemExit(str(exc))
+    spec = _serve_bench_spec(
+        args, tenants=tenants, app_mix=None, obs_enabled=obs_enabled
+    )
     span_sink: list = []
     auditors: list[Any] = []
     started = time.monotonic()
@@ -1297,10 +1273,7 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
         ]
         print(render_verdicts(verdicts))
     if args.baseline:
-        baseline = load_baseline(args.baseline)
-        gate_violations = compare_to_baseline(
-            result, baseline, threshold=args.threshold
-        )
+        gate_violations = _gate_baseline(result, args.baseline, args.threshold)
         with open(args.baseline, encoding="utf-8") as handle:
             contents["baseline.json"] = handle.read()
         contents["gate.json"] = {
@@ -1330,8 +1303,6 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
         failures += 1
     if gate_violations:
         print(f"evidence: baseline gate failed ({len(gate_violations)} violation(s))")
-        for violation in gate_violations:
-            print(f"  - {violation}")
         failures += 1
     return 1 if failures else 0
 
@@ -1505,29 +1476,8 @@ def main(argv: list[str] | None = None) -> int:
         "bench", help="run the serving bench and write BENCH_serve.json"
     )
     from repro.api import BACKEND_CHOICES
-    from repro.serve import ADMISSION_CHOICES, KEYDIST_CHOICES, POLICY_CHOICES
 
-    serve_bench.add_argument(
-        "--shards", type=int, default=2, help="enclave shards (default 2)"
-    )
-    serve_bench.add_argument(
-        "--seconds",
-        type=float,
-        default=2.0,
-        help="simulated run length in seconds (default 2.0)",
-    )
-    serve_bench.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="zc",
-        help="call backend per shard (default zc)",
-    )
-    serve_bench.add_argument(
-        "--rate",
-        type=float,
-        default=2_000.0,
-        help="open-loop offered load in rps (default 2000)",
-    )
+    _add_serve_flags(serve_bench, seconds=2.0)
     serve_bench.add_argument(
         "--clients",
         type=int,
@@ -1541,88 +1491,10 @@ def main(argv: list[str] | None = None) -> int:
         help="closed-loop bound on requests per client",
     )
     serve_bench.add_argument(
-        "--policy",
-        choices=POLICY_CHOICES,
-        default="hash",
-        help="request placement (default hash = rendezvous)",
-    )
-    serve_bench.add_argument(
-        "--admission",
-        choices=ADMISSION_CHOICES,
-        default="shed",
-        help="full-queue behaviour (default shed)",
-    )
-    serve_bench.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=64,
-        help="per-shard queue bound (default 64)",
-    )
-    serve_bench.add_argument(
-        "--servers-per-shard",
-        type=int,
-        default=2,
-        help="untrusted server threads per shard (default 2)",
-    )
-    serve_bench.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="global switchless-worker cap across all shards (default uncapped)",
-    )
-    serve_bench.add_argument(
-        "--plan",
-        default=None,
-        metavar="PLAN",
-        help="fault plan (name or JSON file) injected into one shard",
-    )
-    serve_bench.add_argument(
-        "--fault-shard",
-        type=int,
-        default=0,
-        help="shard the fault plan targets (default 0)",
-    )
-    serve_bench.add_argument(
-        "--keydist",
-        choices=KEYDIST_CHOICES,
-        default="uniform",
-        help="client key distribution (default uniform)",
-    )
-    serve_bench.add_argument(
-        "--seed", type=int, default=0, help="load-generator seed (default 0)"
-    )
-    serve_bench.add_argument(
         "--out",
         default="BENCH_serve.json",
         metavar="FILE",
         help="artifact output path (default BENCH_serve.json)",
-    )
-    serve_bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="gate the run against a committed serve baseline",
-    )
-    serve_bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.1,
-        help="relative drift the baseline gate tolerates (default 0.1)",
-    )
-    serve_bench.add_argument(
-        "--tenants",
-        default=None,
-        metavar="MIX",
-        help=(
-            "weighted tenant mix, e.g. 'gold:3,bronze:1' "
-            "(enables weighted-fair shedding and per-tenant stats)"
-        ),
-    )
-    serve_bench.add_argument(
-        "--contracts",
-        default=None,
-        metavar="FILE",
-        help="evaluate per-tenant SLO contracts; hard breaches exit 1",
     )
     serve_bench.add_argument(
         "--apps",
@@ -1676,24 +1548,6 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "attach live invariant checkers to every slice kernel; "
             "violations drive the exit code (requires --slices)"
-        ),
-    )
-    serve_bench.add_argument(
-        "--obs",
-        action="store_true",
-        help=(
-            "attach the windowed metric sampler + anomaly detector; "
-            "writes the window stream as stamped JSONL"
-        ),
-    )
-    serve_bench.add_argument(
-        "--obs-interval",
-        type=float,
-        default=None,
-        metavar="CYCLES",
-        help=(
-            "window length in simulated cycles (implies --obs; default: "
-            "the run split into 10 windows)"
         ),
     )
     serve_bench.add_argument(
@@ -1890,38 +1744,17 @@ def main(argv: list[str] | None = None) -> int:
         default=2_000,
         help="span records included in spans.jsonl (default 2000)",
     )
-    evidence_build.add_argument("--shards", type=int, default=2)
-    evidence_build.add_argument("--seconds", type=float, default=0.5)
-    evidence_build.add_argument("--backend", choices=BACKEND_CHOICES, default="zc")
-    evidence_build.add_argument("--rate", type=float, default=2_000.0)
-    evidence_build.add_argument("--policy", choices=POLICY_CHOICES, default="hash")
-    evidence_build.add_argument(
-        "--admission", choices=ADMISSION_CHOICES, default="shed"
-    )
-    evidence_build.add_argument("--queue-capacity", type=int, default=64)
-    evidence_build.add_argument("--servers-per-shard", type=int, default=2)
-    evidence_build.add_argument("--budget", type=int, default=None)
-    evidence_build.add_argument("--plan", default=None, metavar="PLAN")
-    evidence_build.add_argument("--fault-shard", type=int, default=0)
-    evidence_build.add_argument(
-        "--keydist", choices=KEYDIST_CHOICES, default="uniform"
-    )
-    evidence_build.add_argument("--seed", type=int, default=0)
-    evidence_build.add_argument("--tenants", default=None, metavar="MIX")
-    evidence_build.add_argument("--contracts", default=None, metavar="FILE")
-    evidence_build.add_argument("--baseline", default=None, metavar="FILE")
-    evidence_build.add_argument("--threshold", type=float, default=0.1)
-    evidence_build.add_argument(
-        "--obs",
-        action="store_true",
-        help="include the windowed stream as windows.jsonl in the pack",
-    )
-    evidence_build.add_argument(
-        "--obs-interval",
-        type=float,
-        default=None,
-        metavar="CYCLES",
-        help="window length in simulated cycles (implies --obs)",
+    _add_serve_flags(evidence_build, seconds=0.5)
+    # Evidence runs the synthetic open loop on one process: the serve
+    # bench's load-source flags are fixed, not offered.
+    evidence_build.set_defaults(
+        spec=None,
+        scenario=None,
+        trace=None,
+        autoscale=False,
+        clients=None,
+        requests_per_client=None,
+        slices=1,
     )
     evidence_verify = evidence_sub.add_parser(
         "verify", help="re-hash a pack (directory or tarball) against its manifest"

@@ -24,8 +24,6 @@ enclave's marshalling ``memcpy`` for the paper's optimised ``rep movsb``
 implementation (§IV-F), as the released system does.
 """
 
-from typing import Any
-
 from repro.core.config import SchedulerPolicy, ZcConfig
 from repro.core.ecalls import ZcEcallRuntime
 from repro.core.mempool import MemoryPool
@@ -33,25 +31,6 @@ from repro.core.scheduler import ZcScheduler, wasted_cycles
 from repro.core.stats import ZcStats
 from repro.core.trustzone import trustzone_cost_model
 from repro.core.worker import WorkerStatus, ZcWorker
-
-
-def __getattr__(name: str) -> Any:
-    # Deprecated construction path: backends are built by repro.api.
-    if name == "ZcSwitchlessBackend":
-        import warnings
-
-        warnings.warn(
-            "importing ZcSwitchlessBackend from repro.core is deprecated; "
-            "construct backends via repro.api (Runtime.create or "
-            "make_backend('zc'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.backend import ZcSwitchlessBackend
-
-        return ZcSwitchlessBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "MemoryPool",
@@ -61,7 +40,6 @@ __all__ = [
     "ZcEcallRuntime",
     "ZcScheduler",
     "ZcStats",
-    "ZcSwitchlessBackend",
     "ZcWorker",
     "trustzone_cost_model",
     "wasted_cycles",

@@ -20,13 +20,7 @@ unsliced (see :func:`merge_raw_windows` for why).
 """
 
 from repro.obs.anomaly import AnomalyDetector
-from repro.obs.baseline import (
-    compare_obs_baseline,
-    load_obs_baseline,
-    obs_snapshot,
-    run_obs_scenario,
-    write_obs_snapshot,
-)
+from repro.obs.baseline import compare_obs_baseline, obs_snapshot
 from repro.obs.console import LiveConsole
 from repro.obs.export import (
     OBS_ARTIFACT,
@@ -49,14 +43,11 @@ __all__ = [
     "OBS_ARTIFACT",
     "build_window_records",
     "compare_obs_baseline",
-    "load_obs_baseline",
     "load_windows_jsonl",
     "merge_raw_windows",
     "obs_snapshot",
     "render_html_report",
     "render_windows_jsonl",
-    "run_obs_scenario",
     "write_html_report",
-    "write_obs_snapshot",
     "write_windows_jsonl",
 ]

@@ -1,41 +1,19 @@
-"""Committed window-stream baselines and the ``repro diff`` gate.
+"""Committed window-stream baselines: the ``obs-windows`` snapshot and gate.
 
 ``baselines/obs-quick.json`` snapshots the quick serve scenario's whole
-window stream.  The gate re-runs the scenario from the snapshot's own
-``params`` (simulated runs are deterministic, so any drift is a real
-behavior change) and compares window counts, lane coverage, anomaly
-verdicts and the completion totals.
+window stream together with the ``BenchSpec`` that produced it.  ``repro
+diff`` re-runs that spec (simulated runs are deterministic, so any drift
+is a real behavior change) and :func:`compare_obs_baseline` gates window
+counts, lane coverage, anomaly verdicts and the completion totals; see
+:mod:`repro.regress.baselines`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any
 
-from repro.telemetry.schema import check_stamp, stamp
-
 from repro.obs.export import OBS_ARTIFACT
-
-#: Serve-bench parameters a snapshot records (and the re-run consumes).
-SCENARIO_PARAMS = (
-    "shards",
-    "seconds",
-    "backend",
-    "rate",
-    "policy",
-    "admission",
-    "queue_capacity",
-    "servers_per_shard",
-    "budget",
-    "plan",
-    "keydist",
-    "keyspace",
-    "set_fraction",
-    "seed",
-    "tenants",
-    "obs_interval",
-)
+from repro.telemetry.schema import stamp
 
 
 def obs_snapshot(result: dict[str, Any]) -> dict[str, Any]:
@@ -43,8 +21,6 @@ def obs_snapshot(result: dict[str, Any]) -> dict[str, Any]:
     obs = result.get("obs")
     if obs is None:
         raise ValueError("result has no obs section (run with obs=True)")
-    params = dict(result["params"])
-    params["obs_interval"] = obs["interval_cycles"]
     total_completed = sum(
         record["completed"]
         for record in obs["records"]
@@ -52,7 +28,7 @@ def obs_snapshot(result: dict[str, Any]) -> dict[str, Any]:
     )
     return {
         "meta": stamp(OBS_ARTIFACT),
-        "params": {name: params.get(name) for name in SCENARIO_PARAMS},
+        "spec": result["spec"],
         "windows": obs["windows"],
         "interval_cycles": obs["interval_cycles"],
         "freq_hz": obs["freq_hz"],
@@ -65,56 +41,6 @@ def obs_snapshot(result: dict[str, Any]) -> dict[str, Any]:
         "records": list(obs["records"]),
         "anomalies": list(obs["anomalies"]),
     }
-
-
-def write_obs_snapshot(snapshot: dict[str, Any], path: str) -> str:
-    """Write a snapshot as JSON; returns the path."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_obs_baseline(path: str) -> dict[str, Any]:
-    """Load and stamp-check a committed obs baseline."""
-    with open(path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    check_stamp(baseline.get("meta", {}), OBS_ARTIFACT, source=path)
-    return baseline
-
-
-def run_obs_scenario(params: dict[str, Any]) -> dict[str, Any]:
-    """Re-run the serve scenario a snapshot's ``params`` describe."""
-    # Local import: repro.serve.bench imports repro.obs for the sampler.
-    from repro.api import BenchSpec, ServeSpec
-    from repro.serve.bench import run_bench
-
-    tenants = params.get("tenants")
-    spec = BenchSpec(
-        serve=ServeSpec(
-            shards=params.get("shards", 2),
-            backend=params.get("backend", "zc"),
-            policy=params.get("policy", "hash"),
-            admission=params.get("admission", "shed"),
-            queue_capacity=params.get("queue_capacity", 64),
-            servers_per_shard=params.get("servers_per_shard", 2),
-            budget=params.get("budget"),
-            plan=params.get("plan"),
-            tenants=tuple(sorted(tenants.items())) if tenants else None,
-        ),
-        seconds=params.get("seconds", 0.05),
-        rate=params.get("rate", 2_000.0),
-        keydist=params.get("keydist", "uniform"),
-        keyspace=params.get("keyspace", 256),
-        set_fraction=params.get("set_fraction", 1.0 / 3.0),
-        seed=params.get("seed", 0),
-        obs=True,
-        obs_interval=params.get("obs_interval"),
-    )
-    return run_bench(spec, telemetry=False)
 
 
 def _anomaly_key(anomaly: dict[str, Any]) -> tuple[Any, ...]:

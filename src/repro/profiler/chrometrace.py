@@ -8,14 +8,14 @@ Both trace sources the library produces can be exported:
 - :class:`repro.profiler.tracer.CallTracer` events become per-thread
   async-style slices named after the ocall, coloured by execution mode.
 
-The output is the JSON array flavour of the trace-event format, loadable
-in ``chrome://tracing`` or Perfetto.  Times are exported in microseconds
-of *simulated* time.
+These functions only build trace events;
+:func:`repro.telemetry.exporters.write_chrome_trace` writes them as one
+stamped file, loadable in ``chrome://tracing`` or Perfetto.  Times are
+exported in microseconds of *simulated* time.
 """
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -129,31 +129,3 @@ def instant_events(
         }
         for t_cycles, name, args in items
     ]
-
-
-def export_chrome_trace(
-    path: str,
-    sched: "SchedTrace | None" = None,
-    calls: list["CallEvent"] | None = None,
-    freq_hz: float = 3.8e9,
-    extra: list[dict] | None = None,
-) -> int:
-    """Write a combined trace JSON to ``path``; returns the event count.
-
-    Metadata events name the tracks: pid 0 is "CPUs" (one tid per logical
-    CPU), pid 1 is "ocalls".  ``extra`` appends pre-built trace events
-    (counters, instants) verbatim.
-    """
-    events: list[dict] = [
-        {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": "CPUs"}},
-        {"name": "process_name", "ph": "M", "pid": 1, "args": {"name": "ocalls"}},
-    ]
-    if sched is not None:
-        events.extend(sched_trace_events(sched, freq_hz))
-    if calls is not None:
-        events.extend(call_trace_events(calls, freq_hz))
-    if extra:
-        events.extend(extra)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(events, handle)
-    return len(events)

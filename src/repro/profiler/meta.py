@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cProfile
 import io
-import json
 import pstats
 from typing import Any
 
@@ -127,14 +126,13 @@ def export_sched_trace(
     """
     from repro.profiler.chrometrace import sched_trace_events
     from repro.sim.kernel import SchedTrace
+    from repro.telemetry.exporters import write_chrome_trace
 
     trace = SchedTrace(max_entries=max_entries)
     kernel = run_storm(use_zc=use_zc, n_ocalls=n_ocalls, trace=trace)
-    events = sched_trace_events(trace, freq_hz=kernel.spec.freq_hz)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(events, handle)
-        handle.write("\n")
-    return len(events)
+    return write_chrome_trace(
+        path, sched_trace_events(trace, freq_hz=kernel.spec.freq_hz)
+    )
 
 
 def render_profile(artifact: dict[str, Any]) -> str:

@@ -14,7 +14,10 @@ across runs:
 - :mod:`repro.regress.audit` — paper-level scheduler invariants checked
   live on the telemetry :class:`~repro.telemetry.events.EventBus`;
 - :mod:`repro.regress.replay` — the same checkers over an exported JSONL
-  event log.
+  event log;
+- :mod:`repro.regress.baselines` — the serve-family baseline protocol
+  behind ``repro diff`` and every ``--baseline`` flag (not re-exported
+  here: it imports the serve stack).
 
 See the "Regression workflow" section of ``docs/observability.md``.
 """

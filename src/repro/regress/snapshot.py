@@ -33,7 +33,7 @@ from repro.experiments import EXPERIMENTS
 from repro.faults import FaultPlan, activate_plan
 from repro.telemetry.ledger import CATEGORIES
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.schema import check_stamp, stamp
+from repro.telemetry.schema import read_artifact, stamp
 from repro.telemetry.session import TelemetrySession
 
 #: Artifact kind recorded in every snapshot's stamp.
@@ -177,7 +177,4 @@ def save_snapshot(snapshot: Mapping[str, Any], path: str) -> str:
 
 def load_snapshot(path: str) -> dict[str, Any]:
     """Read a snapshot, refusing unstamped or mismatched files."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    check_stamp(document, SNAPSHOT_ARTIFACT, source=path)
-    return document
+    return read_artifact(path, (SNAPSHOT_ARTIFACT,))

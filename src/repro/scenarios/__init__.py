@@ -39,11 +39,8 @@ from repro.scenarios.replay import (
     SCENARIO_ARTIFACT,
     TraceReplayer,
     compare_scenario_baseline,
-    load_scenario_baseline,
     replay_scenario,
-    run_scenario_from_baseline,
     scenario_snapshot,
-    write_scenario_baseline,
 )
 from repro.scenarios.trace import (
     TRACE_ARTIFACT,
@@ -70,13 +67,10 @@ __all__ = [
     "compare_scenario_baseline",
     "generate_trace",
     "get_scenario",
-    "load_scenario_baseline",
     "load_trace",
     "replay_scenario",
-    "run_scenario_from_baseline",
     "scenario_snapshot",
     "trace_digest",
     "trace_path",
-    "write_scenario_baseline",
     "write_trace",
 ]

@@ -15,25 +15,20 @@ ones (the acceptance test of the scenario library).
 replay it on the catalog's default cluster (optionally sliced), and
 return the stamped artifact.  :func:`scenario_snapshot` distils that
 artifact into a small committed baseline, and
-:func:`compare_scenario_baseline` is the ``repro diff`` gate.
+:func:`compare_scenario_baseline` is the comparison its gate runs
+(:mod:`repro.regress.baselines`).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Callable
 
-from repro.scenarios.catalog import (
-    REPLAY_DEFAULTS,
-    get_scenario,
-    trace_path,
-)
-from repro.scenarios.trace import ScenarioTrace, load_trace
+from repro.scenarios.catalog import REPLAY_DEFAULTS, get_scenario
+from repro.scenarios.trace import ScenarioTrace
 from repro.serve.router import Router
 from repro.sim.instructions import Compute, Sleep
 from repro.sim.kernel import Kernel, Program, SimThread
-from repro.telemetry.schema import check_stamp, stamp
+from repro.telemetry.schema import stamp
 
 #: Artifact kind of a committed scenario baseline snapshot.
 SCENARIO_ARTIFACT = "scenario-bench"
@@ -260,25 +255,6 @@ def scenario_snapshot(result: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def write_scenario_baseline(snapshot: dict[str, Any], path: str) -> str:
-    """Write a scenario baseline snapshot as JSON; returns the path."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_scenario_baseline(path: str) -> dict[str, Any]:
-    """Load and stamp-check a committed scenario baseline."""
-    with open(path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    check_stamp(baseline.get("meta", {}), SCENARIO_ARTIFACT, source=path)
-    return baseline
-
-
 def compare_scenario_baseline(
     result: dict[str, Any],
     baseline: dict[str, Any],
@@ -334,45 +310,3 @@ def compare_scenario_baseline(
     if new_shed > max(old_shed * (1 + threshold), old_shed + 5):
         violations.append(f"shed count grew: {new_shed} vs baseline {old_shed}")
     return violations
-
-
-def run_scenario_from_baseline(
-    baseline: dict[str, Any], *, root: str = "."
-) -> dict[str, Any]:
-    """Re-run the replay a committed baseline describes.
-
-    Loads the committed trace for the baseline's scenario, checks its
-    digest against the one recorded in the baseline (so a silently
-    regenerated trace fails loudly instead of gating apples against
-    oranges), and replays on the baseline's recorded cluster shape.
-    """
-    params = baseline["params"]
-    name = params["scenario"]
-    path = trace_path(name, root)
-    trace = load_trace(path)
-    if trace.digest != params.get("trace_digest"):
-        raise ValueError(
-            f"{path}: trace digest {trace.digest[:12]}… does not match the "
-            f"baseline's ({str(params.get('trace_digest'))[:12]}…) — "
-            "regenerate the baseline or restore the committed trace"
-        )
-    spec_json = baseline.get("spec")
-    if spec_json is not None:
-        # Post-spec baselines carry the full declarative config: re-run
-        # exactly that, no field-by-field reconstruction.
-        from repro.api import BenchSpec
-        from repro.serve.bench import run_bench
-
-        return run_bench(BenchSpec.from_json(spec_json), root=root)
-    overrides = {
-        key: params[key]
-        for key in (
-            "shards",
-            "backend",
-            "budget",
-            "queue_capacity",
-            "servers_per_shard",
-        )
-        if params.get(key) is not None
-    }
-    return replay_scenario(name, root=root, **overrides)

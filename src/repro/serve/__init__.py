@@ -39,13 +39,7 @@ from repro.serve.apps import (
     SessionServedApp,
     make_apps,
 )
-from repro.serve.bench import (
-    ServeCluster,
-    build_cluster,
-    build_serve,
-    run_bench,
-    run_serve_bench,
-)
+from repro.serve.bench import ServeCluster, build_cluster, run_bench
 from repro.serve.budget import WorkerBudgetArbiter
 from repro.serve.loadgen import KEYDIST_CHOICES, LoadGenerator, LoadSpec
 from repro.serve.router import (
@@ -75,8 +69,6 @@ __all__ = [
     "TenantStats",
     "WorkerBudgetArbiter",
     "build_cluster",
-    "build_serve",
     "make_apps",
     "run_bench",
-    "run_serve_bench",
 ]

@@ -10,9 +10,6 @@ The declarative surface is a :class:`repro.api.BenchSpec`:
 :func:`run_bench` takes the spec plus runner plumbing (sinks, slice
 hooks, a telemetry session) and nothing else.  :func:`build_cluster`
 does the same for a bare cluster from a :class:`repro.api.ServeSpec`.
-The historical keyword entry points (:func:`build_serve`,
-:func:`run_serve_bench`) survive as DeprecationWarning shims that
-construct the equivalent spec.
 
 Everything here is deterministic per seed: same spec → identical
 artifact, which is what lets CI compare against
@@ -22,10 +19,7 @@ artifact, which is what lets CI compare against
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -37,7 +31,7 @@ from repro.serve.router import Router
 from repro.serve.shard import EnclaveShard
 from repro.sim import Kernel, MachineSpec, server_machine
 from repro.sim.instructions import Sleep
-from repro.telemetry.schema import check_stamp, stamp
+from repro.telemetry.schema import stamp
 from repro.telemetry.session import CellCapture, TelemetrySession, active_session
 
 #: Scheduler quantum for serve shards.  Serving runs are short (seconds
@@ -672,140 +666,6 @@ def _fleet_section(
     }
 
 
-# ----------------------------------------------------------------------
-# Deprecated keyword entry points (pre-spec surface)
-# ----------------------------------------------------------------------
-def build_serve(
-    shards: int = 2,
-    backend: str = "zc",
-    *,
-    machine: MachineSpec | None = None,
-    policy: str = "hash",
-    admission: str = "shed",
-    queue_capacity: int = 64,
-    servers_per_shard: int = 2,
-    budget: int | None = None,
-    plan: FaultPlan | str | None = None,
-    fault_shard: int = 0,
-    tenant_weights: dict[str, float] | None = None,
-    telemetry: TelemetrySession | bool | None = None,
-    shard_ids: tuple[int, ...] | None = None,
-    apps: tuple[str, ...] | None = None,
-) -> ServeCluster:
-    """Deprecated: build a :class:`repro.api.ServeSpec` and use
-    ``Runtime.serve(spec)`` / :func:`build_cluster` instead."""
-    warnings.warn(
-        "build_serve(...) is deprecated; construct a repro.api.ServeSpec "
-        "and call Runtime.serve(spec) (or repro.serve.bench.build_cluster)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = ServeSpec(
-        shards=shards,
-        backend=backend,
-        policy=policy,
-        admission=admission,
-        queue_capacity=queue_capacity,
-        servers_per_shard=servers_per_shard,
-        budget=budget,
-        apps=tuple((name, 1.0) for name in apps) if apps is not None else None,
-        tenants=(
-            tuple(sorted(tenant_weights.items()))
-            if tenant_weights is not None
-            else None
-        ),
-        fault_shard=fault_shard,
-    )
-    return build_cluster(
-        spec,
-        machine=machine,
-        telemetry=telemetry,
-        shard_ids=shard_ids,
-        plan=plan,
-    )
-
-
-def run_serve_bench(
-    shards: int = 2,
-    seconds: float = 2.0,
-    backend: str = "zc",
-    *,
-    rate: float | None = 2_000.0,
-    clients: int | None = None,
-    requests_per_client: int | None = None,
-    policy: str = "hash",
-    admission: str = "shed",
-    queue_capacity: int = 64,
-    servers_per_shard: int = 2,
-    budget: int | None = None,
-    plan: FaultPlan | str | None = None,
-    fault_shard: int = 0,
-    keydist: str = "uniform",
-    keyspace: int = 256,
-    set_fraction: float = 1.0 / 3.0,
-    seed: int = 0,
-    tenants: dict[str, float] | None = None,
-    contracts: list | None = None,
-    span_sink: list | None = None,
-    machine: MachineSpec | None = None,
-    telemetry: TelemetrySession | bool | None = None,
-    shard_ids: tuple[int, ...] | None = None,
-    admit: Any = None,
-    raw_sink: dict[str, Any] | None = None,
-    obs: bool = False,
-    obs_interval: float | None = None,
-    obs_on_window: Any = None,
-    apps: tuple[tuple[str, float], ...] | None = None,
-    trace: Any = None,
-) -> dict[str, Any]:
-    """Deprecated: build a :class:`repro.api.BenchSpec` and use
-    ``Runtime.serve(spec)`` / :func:`run_bench` instead."""
-    warnings.warn(
-        "run_serve_bench(...) is deprecated; construct a repro.api.BenchSpec "
-        "and call Runtime.serve(spec) (or repro.serve.bench.run_bench)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    serve = ServeSpec(
-        shards=shards,
-        backend=backend,
-        policy=policy,
-        admission=admission,
-        queue_capacity=queue_capacity,
-        servers_per_shard=servers_per_shard,
-        budget=budget,
-        apps=tuple(apps) if apps is not None else None,
-        tenants=tuple(sorted(tenants.items())) if tenants is not None else None,
-        fault_shard=fault_shard,
-    )
-    spec = BenchSpec(
-        serve=serve,
-        seconds=seconds,
-        rate=None if clients is not None else (rate if rate is not None else 2_000.0),
-        clients=clients,
-        requests_per_client=requests_per_client,
-        keydist=keydist,
-        keyspace=keyspace,
-        set_fraction=set_fraction,
-        seed=seed,
-        obs=obs,
-        obs_interval=obs_interval,
-    )
-    return run_bench(
-        spec,
-        machine=machine,
-        telemetry=telemetry,
-        plan=plan,
-        contracts=contracts,
-        trace=trace,
-        span_sink=span_sink,
-        shard_ids=shard_ids,
-        admit=admit,
-        raw_sink=raw_sink,
-        obs_on_window=obs_on_window,
-    )
-
-
 def _obs_lanes(sampler: Any) -> list[str]:
     """Every lane present in the window stream, in canonical order."""
     tenant_lanes = sorted(
@@ -865,25 +725,6 @@ def _export_serve_metrics(
         registry.gauge(
             "repro_serve_shard_occupancy", cell=cell, shard=label
         ).set(active / len(workers), t_cycles=now_cycles)
-
-
-def write_result(result: dict[str, Any], path: str) -> str:
-    """Write the bench artifact as JSON; returns the path."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_baseline(path: str) -> dict[str, Any]:
-    """Load and stamp-check a committed serve baseline."""
-    with open(path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    check_stamp(baseline.get("meta", {}), "serve-bench", source=path)
-    return baseline
 
 
 def compare_to_baseline(

@@ -40,11 +40,10 @@ registered cell kind (``serve-slice``).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any, Callable
 
 from repro.analysis.metrics import LatencyRecorder
-from repro.api import BenchSpec, ServeSpec, SpecError
+from repro.api import BenchSpec, SpecError
 from repro.parallel.cells import CellSpec, cell
 from repro.parallel.runner import CellRunner
 from repro.serve.router import _rendezvous_score
@@ -223,17 +222,13 @@ def slice_cells(
 
 
 def run_slice_bench(
-    spec: BenchSpec | int | None = None,
-    slices: int | None = None,
-    seconds: float = 2.0,
-    backend: str = "zc",
+    spec: BenchSpec,
     *,
     machine: MachineSpec | None = None,
     root: str = ".",
     audit: bool = False,
     jobs: int | str | None = None,
     contracts: list | None = None,
-    **legacy: Any,
 ) -> dict[str, Any]:
     """Run the serve bench slice-parallel; returns one merged artifact.
 
@@ -244,96 +239,16 @@ def run_slice_bench(
     plus a ``slices`` section with per-slice provenance and — with
     ``audit=True`` — an ``audit`` section aggregating every slice's live
     invariant verdicts.
-
-    The pre-spec keyword signature ``run_slice_bench(shards, slices,
-    ...)`` still works but warns :class:`DeprecationWarning`.
     """
-    if isinstance(spec, BenchSpec):
-        if slices is not None or legacy:
-            raise SpecError(
-                "run_slice_bench(spec) takes no extra bench keywords; put "
-                "them on the BenchSpec"
-            )
-        bench_spec = spec
-    else:
-        warnings.warn(
-            "run_slice_bench(shards, slices, ...) is deprecated; construct "
-            "a repro.api.BenchSpec with slices=N and call Runtime.serve(spec)"
-            " (or repro.serve.bench.run_bench)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        bench_spec = _legacy_slice_spec(
-            shards=spec if spec is not None else legacy.pop("shards"),
-            slices=slices if slices is not None else legacy.pop("slices"),
-            seconds=seconds,
-            backend=backend,
-            **legacy,
-        )
-    specs = slice_cells(bench_spec, root=root, audit=audit)
+    specs = slice_cells(spec, root=root, audit=audit)
     runner = CellRunner(jobs="auto" if jobs is None else jobs)
     rows = [outcome.row for outcome in runner.run(specs)]
     spec_machine = machine if machine is not None else server_machine()
-    if contracts is None and bench_spec.contracts is not None:
+    if contracts is None and spec.contracts is not None:
         from repro.slo import load_contracts
 
-        contracts = load_contracts(bench_spec.contracts)
-    return merge_slice_results(
-        rows, spec_machine, contracts=contracts, spec=bench_spec
-    )
-
-
-def _legacy_slice_spec(
-    *,
-    shards: int,
-    slices: int,
-    seconds: float = 2.0,
-    backend: str = "zc",
-    rate: float = 2_000.0,
-    policy: str = "hash",
-    admission: str = "shed",
-    queue_capacity: int = 64,
-    servers_per_shard: int = 2,
-    budget: int | None = None,
-    plan: str | None = None,
-    fault_shard: int = 0,
-    keydist: str = "uniform",
-    keyspace: int = 256,
-    set_fraction: float = 1.0 / 3.0,
-    seed: int = 0,
-    tenants: dict[str, float] | None = None,
-    obs: bool = False,
-    obs_interval: float | None = None,
-    apps: tuple[tuple[str, float], ...] | None = None,
-    trace_path: str | None = None,
-) -> BenchSpec:
-    """The old keyword surface folded into one :class:`BenchSpec`."""
-    serve = ServeSpec(
-        shards=shards,
-        backend=backend,
-        policy=policy,
-        admission=admission,
-        queue_capacity=queue_capacity,
-        servers_per_shard=servers_per_shard,
-        budget=budget,
-        plan=plan,
-        fault_shard=fault_shard,
-        apps=tuple(tuple(pair) for pair in apps) if apps else None,
-        tenants=tuple(sorted(tenants.items())) if tenants else None,
-    )
-    return BenchSpec(
-        serve=serve,
-        seconds=seconds,
-        rate=rate,
-        keydist=keydist,
-        keyspace=keyspace,
-        set_fraction=set_fraction,
-        seed=seed,
-        slices=slices,
-        obs=obs,
-        obs_interval=obs_interval,
-        trace=trace_path,
-    )
+        contracts = load_contracts(spec.contracts)
+    return merge_slice_results(rows, spec_machine, contracts=contracts, spec=spec)
 
 
 def merge_slice_results(

@@ -309,8 +309,7 @@ def tenant_lane_trace_events(
 def write_span_chrome_trace(
     path: str, records: Sequence[Mapping[str, Any]], freq_hz: float
 ) -> int:
-    """Write the tenant-lane trace (object form, schema-stamped)."""
-    events = tenant_lane_trace_events(records, freq_hz)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({**stamp("chrome-trace"), "traceEvents": events}, handle)
-    return len(events)
+    """Write the tenant-lane trace through the one Chrome-trace writer."""
+    from repro.telemetry.exporters import write_chrome_trace
+
+    return write_chrome_trace(path, tenant_lane_trace_events(records, freq_hz))

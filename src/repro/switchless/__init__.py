@@ -17,35 +17,13 @@ paper criticises:
    abnormal.
 """
 
-from typing import Any
-
 from repro.switchless.config import SwitchlessConfig
 from repro.switchless.hotcalls import HotCallsBackend, HotCallsConfig
 from repro.switchless.taskpool import SwitchlessTask, TaskPool
 
-
-def __getattr__(name: str) -> Any:
-    # Deprecated construction path: backends are built by repro.api.
-    if name == "IntelSwitchlessBackend":
-        import warnings
-
-        warnings.warn(
-            "importing IntelSwitchlessBackend from repro.switchless is "
-            "deprecated; construct backends via repro.api (Runtime.create or "
-            "make_backend('intel'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.switchless.backend import IntelSwitchlessBackend
-
-        return IntelSwitchlessBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "HotCallsBackend",
     "HotCallsConfig",
-    "IntelSwitchlessBackend",
     "SwitchlessConfig",
     "SwitchlessTask",
     "TaskPool",

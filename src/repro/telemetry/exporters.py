@@ -188,17 +188,17 @@ def build_chrome_trace(captures: Sequence["CellCapture"]) -> list[dict]:
     return events
 
 
-def write_chrome_trace(path: str, captures: Sequence["CellCapture"]) -> int:
-    """Write the combined trace JSON; returns the event count.
+def write_chrome_trace(path: str, events: Sequence[dict]) -> int:
+    """Write trace events as one Chrome trace file; returns the event count.
 
-    The file uses the trace format's *object* form (``traceEvents`` plus
-    top-level metadata) rather than the bare array form — both load in
-    ``chrome://tracing``/Perfetto, and the object form carries the schema
-    stamp.
+    The repo's only Chrome-trace writer (session captures, tenant span
+    lanes, the meta-bench schedule).  The file uses the trace format's
+    *object* form (``traceEvents`` plus top-level metadata) rather than
+    the bare array form — both load in ``chrome://tracing``/Perfetto, and
+    the object form carries the schema stamp.
     """
-    events = build_chrome_trace(captures)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({**stamp("chrome-trace"), "traceEvents": events}, handle)
+        json.dump({**stamp("chrome-trace"), "traceEvents": list(events)}, handle)
     return len(events)
 
 

@@ -11,12 +11,16 @@ baselines under ``baselines/`` — carries the same two fields:
 
 Consumers (``repro diff``, the JSONL replay auditor) call
 :func:`check_stamp` before parsing and refuse mismatched inputs instead
-of silently misreading them.
+of silently misreading them.  Stamped JSON documents are written by
+:func:`write_artifact` and read back by :func:`read_artifact`, which
+turns every way a file can be wrong into one :class:`SchemaMismatch`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+import json
+import os
+from typing import Any, Collection, Mapping
 
 from repro import __version__
 
@@ -54,3 +58,58 @@ def check_stamp(meta: Mapping[str, Any], artifact: str, source: str = "artifact"
             f"{source}: schema_version {version!r} is not the supported "
             f"{SCHEMA_VERSION} (written by repro {meta.get('repro_version', '?')})"
         )
+
+
+def _stamp_fields(document: Mapping[str, Any]) -> Mapping[str, Any]:
+    """The stamp fields of a JSON document.
+
+    Most artifacts nest their stamp under ``meta``; run snapshots and
+    ``BENCH_meta.json`` carry it at the top level.
+    """
+    meta = document.get("meta")
+    return meta if isinstance(meta, Mapping) else document
+
+
+def artifact_of(document: Mapping[str, Any]) -> Any:
+    """The artifact kind a JSON document is stamped with (None if unstamped)."""
+    return _stamp_fields(document).get("artifact")
+
+
+def write_artifact(document: Mapping[str, Any], path: str) -> str:
+    """Write a JSON artifact (indented, sorted keys); returns ``path``."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
+
+
+def read_artifact(path: str, kinds: Collection[str] | None = None) -> dict[str, Any]:
+    """Read a stamped JSON artifact, accepting only ``kinds`` when given.
+
+    A missing or unreadable file, non-JSON text, a document that is not
+    a JSON object, a missing or foreign stamp and a schema-version
+    mismatch each raise one :class:`SchemaMismatch` naming ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except FileNotFoundError:
+        raise SchemaMismatch(f"{path}: no such file") from None
+    except OSError as exc:
+        raise SchemaMismatch(f"{path}: unreadable ({exc.strerror})") from None
+    except ValueError as exc:
+        raise SchemaMismatch(f"{path}: not JSON ({exc})") from None
+    if not isinstance(document, dict):
+        raise SchemaMismatch(
+            f"{path}: expected a stamped JSON object, found a JSON "
+            f"{type(document).__name__}"
+        )
+    found = artifact_of(document)
+    if not isinstance(found, str) or (kinds is not None and found not in kinds):
+        expected = " or ".join(repr(kind) for kind in kinds) if kinds else "an artifact"
+        raise SchemaMismatch(f"{path}: expected {expected} stamp, found {found!r}")
+    check_stamp(_stamp_fields(document), found, source=path)
+    return document

@@ -26,6 +26,7 @@ from repro.profiler.tracer import CallTracer
 from repro.sim.kernel import Kernel, SchedTrace
 from repro.telemetry.events import EventBus, TelemetryEvent
 from repro.telemetry.exporters import (
+    build_chrome_trace,
     render_cycle_budget,
     write_chrome_trace,
     write_cycle_budget,
@@ -496,7 +497,7 @@ class TelemetrySession:
             "budget": os.path.join(directory, f"{name}.cycle_budget.txt"),
         }
         write_events_jsonl(paths["events"], self.captures)
-        write_chrome_trace(paths["trace"], self.captures)
+        write_chrome_trace(paths["trace"], build_chrome_trace(self.captures))
         write_prometheus(paths["metrics"], self.registry)
         write_cycle_budget(paths["budget"], self.captures)
         return paths
@@ -506,7 +507,7 @@ class TelemetrySession:
         self.finalize_all()
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{name}.trace.json")
-        write_chrome_trace(path, self.captures)
+        write_chrome_trace(path, build_chrome_trace(self.captures))
         return path
 
     def render_cycle_budget(self) -> str:

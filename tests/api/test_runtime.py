@@ -170,55 +170,3 @@ class TestLifecycle:
             rt.start_measuring()
             rt.run_program(ocall_program(rt.enclave))
             assert rt.cpu_usage_pct() >= 0.0
-
-
-class TestDeprecatedShims:
-    def test_core_import_warns(self):
-        import repro.core as core
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            core.ZcSwitchlessBackend  # noqa: B018
-
-    def test_switchless_import_warns(self):
-        import repro.switchless as switchless
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            switchless.IntelSwitchlessBackend  # noqa: B018
-
-    def test_shim_class_is_the_real_class(self):
-        import repro.core as core
-        import repro.switchless as switchless
-
-        with pytest.warns(DeprecationWarning):
-            assert core.ZcSwitchlessBackend is ZcSwitchlessBackend
-        with pytest.warns(DeprecationWarning):
-            assert switchless.IntelSwitchlessBackend is IntelSwitchlessBackend
-
-    def test_shim_backend_ledger_identical(self):
-        """A shim-constructed backend runs byte-identically to make_backend."""
-
-        def run(factory):
-            session = TelemetrySession()
-            with session:
-                rt = Runtime.create(backend="baseline", telemetry=session)
-                rt.enclave.set_backend(factory())
-                rt.run_program(ocall_program(rt.enclave, repeats=16))
-                rt.close()
-            capture = session.captures[0]
-            snapshot = capture.snapshot
-            return (
-                dict(capture.event_counts),
-                snapshot.wall_by_category,
-                snapshot.now_cycles,
-            )
-
-        def shim_factory():
-            import repro.core as core
-
-            with pytest.warns(DeprecationWarning):
-                cls = core.ZcSwitchlessBackend
-            return cls(ZcConfig(enable_scheduler=False))
-
-        via_shim = run(shim_factory)
-        via_api = run(lambda: make_backend("zc", ZcConfig(enable_scheduler=False)))
-        assert via_shim == via_api

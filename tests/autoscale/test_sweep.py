@@ -13,12 +13,10 @@ from repro.autoscale.bench import (
     STATIC_GRID,
     compare_sweep_baseline,
     evaluate_sweep,
-    load_sweep_baseline,
     sweep_snapshot,
     sweep_specs,
-    write_sweep_baseline,
 )
-from repro.telemetry.schema import SchemaMismatch
+from repro.telemetry.schema import SchemaMismatch, read_artifact, write_artifact
 
 
 def arm(cpr, p99, completed=1_000, shed=0):
@@ -109,17 +107,17 @@ class TestEvaluateSweep:
 class TestBaselineRoundTrip:
     def test_snapshot_write_load(self, tmp_path):
         snapshot = sweep_snapshot(result())
-        path = write_sweep_baseline(snapshot, str(tmp_path / "b.json"))
-        loaded = load_sweep_baseline(path)
+        path = write_artifact(snapshot, str(tmp_path / "b.json"))
+        loaded = read_artifact(path, (AUTOSCALE_ARTIFACT,))
         assert loaded == snapshot
         assert compare_sweep_baseline(result(), loaded) == []
 
     def test_load_rejects_a_wrong_stamp(self, tmp_path):
         snapshot = sweep_snapshot(result())
         snapshot["meta"]["artifact"] = "serve-bench"
-        path = write_sweep_baseline(snapshot, str(tmp_path / "b.json"))
+        path = write_artifact(snapshot, str(tmp_path / "b.json"))
         with pytest.raises(SchemaMismatch):
-            load_sweep_baseline(path)
+            read_artifact(path, (AUTOSCALE_ARTIFACT,))
 
 
 class TestCompareSweepBaseline:

@@ -1,19 +1,17 @@
 """Tests for obs-windows baselines and the ``repro diff`` gate."""
 
 import json
+import os
 
 import pytest
 
-from repro.obs import (
-    compare_obs_baseline,
-    load_obs_baseline,
-    obs_snapshot,
-    run_obs_scenario,
-    write_obs_snapshot,
-)
+from repro.obs import OBS_ARTIFACT, compare_obs_baseline, obs_snapshot
 from repro.api import BenchSpec, ServeSpec
+from repro.regress.baselines import BASELINES
 from repro.serve.bench import run_bench
-from repro.telemetry.schema import SchemaMismatch
+from repro.telemetry.schema import SchemaMismatch, read_artifact, write_artifact
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 SCENARIO = BenchSpec(
     serve=ServeSpec(shards=2, backend="intel"),
@@ -35,9 +33,8 @@ class TestSnapshot:
             obs_snapshot({"params": {}})
 
     def test_roundtrip_through_disk(self, snapshot, tmp_path):
-        path = tmp_path / "obs.json"
-        write_obs_snapshot(snapshot, str(path))
-        loaded = load_obs_baseline(str(path))
+        path = write_artifact(snapshot, str(tmp_path / "obs.json"))
+        loaded = read_artifact(path, (OBS_ARTIFACT,))
         assert loaded == json.loads(json.dumps(snapshot))
 
     def test_load_refuses_a_foreign_artifact(self, tmp_path):
@@ -46,7 +43,7 @@ class TestSnapshot:
             json.dumps({"meta": {"artifact": "serve-bench", "schema_version": 1}})
         )
         with pytest.raises(SchemaMismatch):
-            load_obs_baseline(str(path))
+            read_artifact(str(path), (OBS_ARTIFACT,))
 
 
 class TestCompare:
@@ -54,9 +51,9 @@ class TestCompare:
         assert compare_obs_baseline(snapshot, snapshot) == []
 
     def test_rerun_from_params_matches(self, snapshot):
-        # The gate's own loop: re-running the recorded params must
+        # The gate's own loop: re-running the embedded spec must
         # reproduce the stream (simulated runs are deterministic).
-        current = obs_snapshot(run_obs_scenario(snapshot["params"]))
+        current = obs_snapshot(BASELINES[OBS_ARTIFACT].rerun(snapshot))
         assert compare_obs_baseline(current, snapshot) == []
         assert current["records"] == snapshot["records"]
 
@@ -98,9 +95,10 @@ class TestCompare:
 class TestCommittedBaseline:
     def test_obs_quick_baseline_still_reproduces(self):
         # The CI gate in miniature: baselines/obs-quick.json re-runs its
-        # own params and must match bit-for-bit.
-        baseline = load_obs_baseline("baselines/obs-quick.json")
-        current = obs_snapshot(run_obs_scenario(baseline["params"]))
+        # own spec and must match bit-for-bit.
+        path = os.path.join(ROOT, "baselines", "obs-quick.json")
+        baseline = read_artifact(path, (OBS_ARTIFACT,))
+        current = obs_snapshot(BASELINES[OBS_ARTIFACT].rerun(baseline))
         assert compare_obs_baseline(current, baseline) == []
         assert current["records"] == baseline["records"]
         assert current["anomalies"] == baseline["anomalies"]

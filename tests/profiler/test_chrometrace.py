@@ -1,17 +1,14 @@
-"""Tests for the Chrome trace-event exporter."""
+"""Tests for the Chrome trace-event builders."""
 
 import json
 
 import pytest
 
 from repro.profiler import CallTracer
-from repro.profiler.chrometrace import (
-    call_trace_events,
-    export_chrome_trace,
-    sched_trace_events,
-)
+from repro.profiler.chrometrace import call_trace_events, sched_trace_events
 from repro.sgx import Enclave, UntrustedRuntime
 from repro.sim import Compute, Kernel, MachineSpec, SchedTrace
+from repro.telemetry.exporters import write_chrome_trace
 
 
 def build(trace=None):
@@ -90,13 +87,14 @@ class TestCombinedExport:
             yield from enclave.ocall("f")
 
         kernel.join(kernel.spawn(app(), name="app"))
+        events = sched_trace_events(trace, freq_hz=1e6)
+        events += call_trace_events(tracer.events, freq_hz=1e6)
         out = tmp_path / "trace.json"
-        count = export_chrome_trace(
-            str(out), sched=trace, calls=tracer.events, freq_hz=1e6
-        )
+        count = write_chrome_trace(str(out), events)
         data = json.loads(out.read_text())
-        assert len(data) == count
-        phases = {e["ph"] for e in data}
-        assert phases == {"M", "X"}
-        names = {e["args"]["name"] for e in data if e["ph"] == "M"}
-        assert names == {"CPUs", "ocalls"}
+        assert data["artifact"] == "chrome-trace"
+        assert data["traceEvents"] == events
+        assert count == len(events)
+        assert {e["ph"] for e in data["traceEvents"]} == {"X"}
+        # CPU lane (pid 0) and ocall lane (pid 1) both present.
+        assert {e["pid"] for e in data["traceEvents"]} == {0, 1}

@@ -59,8 +59,10 @@ class TestRendering:
 class TestTraceExport:
     def test_trace_file_is_chrome_compatible(self, tmp_path):
         path = tmp_path / "trace.json"
-        export_sched_trace(str(path), use_zc=True, n_ocalls=120)
-        events = json.loads(path.read_text())
-        assert isinstance(events, list) and events
+        count = export_sched_trace(str(path), use_zc=True, n_ocalls=120)
+        trace = json.loads(path.read_text())
+        assert trace["artifact"] == "chrome-trace"
+        events = trace["traceEvents"]
+        assert len(events) == count > 0
         for event in events[:20]:
             assert {"name", "ph", "ts", "pid", "tid"} <= set(event)

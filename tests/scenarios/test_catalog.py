@@ -6,14 +6,15 @@ import pytest
 
 from repro.scenarios import (
     CATALOG,
+    SCENARIO_ARTIFACT,
     SCENARIO_NAMES,
     baseline_path,
     generate_trace,
     get_scenario,
-    load_scenario_baseline,
     load_trace,
     trace_path,
 )
+from repro.telemetry.schema import read_artifact
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -69,8 +70,9 @@ class TestCommittedTraces:
             f"missing committed baseline {path}; run "
             f"'repro scenarios replay {name} --snapshot {path}'"
         )
-        baseline = load_scenario_baseline(path)
+        baseline = read_artifact(path, (SCENARIO_ARTIFACT,))
         assert baseline["params"]["scenario"] == name
+        assert baseline["spec"]["scenario"] == name
         committed = load_trace(trace_path(name, ROOT))
         assert baseline["params"]["trace_digest"] == committed.digest
         assert baseline["params"]["trace_events"] == len(committed.events)

@@ -7,13 +7,9 @@ import pytest
 from repro.api import BenchSpec, ServeSpec
 from repro.faults import FaultPlan, FaultSpec
 from repro.regress import attach_auditor
-from repro.serve.bench import (
-    compare_to_baseline,
-    load_baseline,
-    run_bench,
-    write_result,
-)
+from repro.serve.bench import compare_to_baseline, run_bench
 from repro.telemetry import TelemetrySession
+from repro.telemetry.schema import read_artifact, write_artifact
 
 #: Small open-loop spec most artifact tests share.
 OPEN_LOOP = BenchSpec(
@@ -77,8 +73,8 @@ class TestArtifact:
             serve=ServeSpec(shards=1, budget=4), seconds=0.005
         )
         result = run_bench(spec, telemetry=False)
-        path = write_result(result, str(tmp_path / "serve.json"))
-        baseline = load_baseline(path)
+        path = write_artifact(result, str(tmp_path / "serve.json"))
+        baseline = read_artifact(path, ("serve-bench",))
         assert compare_to_baseline(result, baseline) == []
 
     def test_gate_catches_regressions(self, tmp_path):
@@ -86,8 +82,8 @@ class TestArtifact:
             serve=ServeSpec(shards=1, budget=4), seconds=0.005
         )
         result = run_bench(spec, telemetry=False)
-        path = write_result(result, str(tmp_path / "serve.json"))
-        baseline = load_baseline(path)
+        path = write_artifact(result, str(tmp_path / "serve.json"))
+        baseline = read_artifact(path, ("serve-bench",))
         worse = copy.deepcopy(result)
         worse["totals"]["throughput_rps"] *= 0.5
         worse["totals"]["latency_us"]["p99"] *= 2.0

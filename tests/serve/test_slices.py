@@ -174,22 +174,11 @@ class TestValidation:
                 slices=2,
             )
 
-    def test_spec_and_legacy_kwargs_are_exclusive(self):
-        with pytest.raises(SpecError, match="extra bench keywords"):
-            run_slice_bench(light(4, 2), seed=11)
-
     def test_merge_rejects_empty(self):
         from repro.sim import server_machine
 
         with pytest.raises(ValueError, match="nothing to merge"):
             merge_slice_results([], server_machine())
-
-    def test_legacy_keyword_path_warns_but_still_runs(self):
-        with pytest.deprecated_call():
-            sliced = run_slice_bench(
-                4, 2, seconds=0.04, rate=3_000.0, seed=11, jobs=1
-            )
-        assert sliced["params"]["slices"] == 2
 
     def test_fault_plan_attaches_only_in_owning_slice(self):
         sliced = run_slice_bench(

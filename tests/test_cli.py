@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import QUICK_KWARGS, main, run_experiment
 from repro.experiments import EXPERIMENTS
+
+BASELINES_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "baselines")
 
 
 class TestCli:
@@ -344,3 +348,48 @@ class TestScenarioCommands:
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit, match="scenarios gen"):
             main(["scenarios", "replay", "flash-crowd"])
+
+
+class TestBaselineFiles:
+    """Every baseline file is gated or refused in one line, never a traceback."""
+
+    SERVE = ["serve", "bench", "--shards", "1", "--seconds", "0.005"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("not json\n", "not JSON"),
+            ("[1, 2]\n", "found a JSON list"),
+            ('{"totals": {}}\n', "found None"),
+            ('{"meta": {"artifact": "obs-windows", "schema_version": 99}}', "schema_version 99"),
+        ],
+        ids=["non-json", "array", "unstamped", "future-schema"],
+    )
+    def test_diff_refuses_a_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit, match=message) as excinfo:
+            main(["diff", str(path)])
+        refusal = str(excinfo.value)
+        assert str(path) in refusal and "\n" not in refusal
+
+    def test_diff_refuses_a_missing_file(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(SystemExit, match="no such file") as excinfo:
+            main(["diff", str(path)])
+        assert str(path) in str(excinfo.value)
+
+    def test_diff_points_bench_meta_at_its_own_gate(self):
+        with pytest.raises(SystemExit, match="no repro diff gate.*bench_meta"):
+            main(["diff", os.path.join(BASELINES_DIR, "meta.json")])
+
+    def test_diff_gates_the_committed_serve_baseline(self, capsys):
+        assert main(["diff", os.path.join(BASELINES_DIR, "serve-quick.json")]) == 0
+        assert "serve baseline gate: OK" in capsys.readouterr().out
+
+    def test_baseline_flag_refuses_a_non_json_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json\n")
+        out = str(tmp_path / "serve.json")
+        with pytest.raises(SystemExit, match="--baseline: .*not JSON"):
+            main([*self.SERVE, "--out", out, "--baseline", str(bad)])
