@@ -326,6 +326,12 @@ def main(argv: list[str] | None = None) -> int:
         "(default 5.0; 0 skips, e.g. on single-core boxes)",
     )
     args = parser.parse_args(argv)
+    from repro.telemetry.schema import SchemaMismatch, read_artifact, stamp, write_artifact
+
+    try:  # refuse a bad baseline before measuring anything
+        baseline = read_artifact(args.baseline, ("bench-meta",)) if args.baseline else None
+    except SchemaMismatch as exc:
+        raise SystemExit(f"--baseline: {exc}")
     jobs = resolve_jobs(args.jobs)
     workers = 0 if args.workers in ("0", 0) else resolve_jobs(args.workers)
 
@@ -346,8 +352,6 @@ def main(argv: list[str] | None = None) -> int:
     specs = _suite_specs()
     serial_wall = _best_of(lambda: run_cells(specs, jobs=1), 1)
     parallel_wall = _best_of(lambda: run_cells(specs, jobs=jobs), 1)
-    from repro.telemetry.schema import stamp
-
     payload = {
         **stamp("bench-meta"),
         "n_ocalls": N_OCALLS,
@@ -361,13 +365,9 @@ def main(argv: list[str] | None = None) -> int:
             "speedup": serial_wall / parallel_wall if parallel_wall else 0.0,
         },
     }
-    with open(args.json, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_artifact(payload, args.json)
     print(json.dumps(payload, indent=2))
-    if args.baseline is not None:
-        with open(args.baseline, encoding="utf-8") as handle:
-            baseline = json.load(handle)
+    if baseline is not None:
         violations = check_baseline(
             payload, baseline, args.tolerance, args.min_speedup
         )

@@ -179,12 +179,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     payload = measure_arms(repeats=args.repeats)
-    from repro.telemetry.schema import stamp
+    from repro.telemetry.schema import stamp, write_artifact
 
     payload = {**stamp("bench-obs"), "scenario": SCENARIO, **payload}
-    with open(args.json, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_artifact(payload, args.json)
     print(json.dumps(payload, indent=2))
 
     violations = check_overhead(payload, args.max_overhead)

@@ -66,11 +66,10 @@ packs" section of ``docs/observability.md``):
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from typing import Any
+from typing import Any, Sequence
 
 from repro.analysis.report import to_csv
 from repro.experiments import EXPERIMENTS
@@ -122,9 +121,7 @@ def run_experiment(
     print(module.report(result))
     if session is not None:
         if telemetry_dir is not None:
-            paths = session.export(telemetry_dir, exp_id)
-            print(f"\n{session.render_cycle_budget()}")
-            print(f"[telemetry written to {', '.join(sorted(paths.values()))}]")
+            _export_telemetry(session, telemetry_dir, exp_id)
         if trace_dir is not None:
             path = session.export_trace(trace_dir, exp_id)
             print(f"[trace written to {path}]")
@@ -134,15 +131,64 @@ def run_experiment(
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(to_csv(headers, rows))
         print(f"[csv written to {path}]")
-    violations = module.check_shape(result)
+    print()
+    violations = _print_check("shape check", module.check_shape(result), "matches the paper")
+    print(f"[{exp_id}: {elapsed:.1f}s wall]")
+    return violations
+
+
+def _print_check(label: str, violations: Sequence[str], ok_note: str) -> int:
+    """Print one check's verdict — ``label: OK (note)`` or its violations
+    one per line — and return the violation count."""
     if violations:
-        print(f"\nshape check: {len(violations)} violation(s)")
+        print(f"{label}: {len(violations)} violation(s)")
         for violation in violations:
             print(f"  - {violation}")
     else:
-        print("\nshape check: OK (matches the paper)")
-    print(f"[{exp_id}: {elapsed:.1f}s wall]")
+        print(f"{label}: OK ({ok_note})")
     return len(violations)
+
+
+def _export_telemetry(session: Any, directory: str, name: str) -> None:
+    """Write a session's telemetry artifacts and print the cycle budget."""
+    paths = session.export(directory, name)
+    print(f"\n{session.render_cycle_budget()}")
+    print(f"[telemetry written to {', '.join(sorted(paths.values()))}]")
+
+
+def _print_auditors(auditors: list[Any]) -> int:
+    """Print finished auditors and the summary line; returns the violation count."""
+    violations = 0
+    for auditor in auditors:
+        print(auditor.render())
+        violations += len(auditor.violations)
+    print(
+        f"\naudit: {len(auditors)} cell(s), "
+        + (f"{violations} violation(s)" if violations else "all invariants hold")
+    )
+    return violations
+
+
+def _print_serve_audit(result: dict[str, Any]) -> int:
+    """Print a serve artifact's ``audit`` section; returns 1 on violations."""
+    audit = result.get("audit")
+    if audit is None:
+        return 0
+    violations = [v for entry in audit["cells"] for v in entry["violations"]]
+    note = f"{len(audit['cells'])} kernel(s), all invariants hold"
+    return 1 if _print_check("audit", violations, note) else 0
+
+
+def _print_verdicts(result: dict[str, Any]) -> int:
+    """Print a contract-checked run's SLO verdicts; returns its hard breaches."""
+    from repro.slo import Verdict, render_verdicts
+
+    verdicts = [
+        Verdict(**{k: v for k, v in entry.items() if k != "diff_severity"})
+        for entry in result["slo"]["verdicts"]
+    ]
+    print("\n" + render_verdicts(verdicts))
+    return result["slo"]["hard_breaches"]
 
 
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
@@ -187,17 +233,27 @@ def _parse_experiments(value: str) -> list[str] | None:
 
 
 def _resolve_plan(name_or_path: str | None) -> Any | None:
-    """``--plan`` value → FaultPlan (registry name or JSON file), or None."""
+    """A plan value → FaultPlan (registry name or JSON file), or None.
+
+    An unknown name and a plan file that does not parse exit with one
+    line naming the value, before anything is built.
+    """
     if name_or_path is None:
         return None
     from repro.faults import get_plan
 
-    return get_plan(name_or_path)
+    try:
+        return get_plan(name_or_path)
+    except KeyError as exc:  # an unknown name (the message lists the known ones)
+        raise SystemExit(str(exc.args[0]))
+    except (OSError, TypeError, ValueError) as exc:
+        raise SystemExit(f"fault plan file {name_or_path}: not a valid plan ({exc})")
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     """Capture a run snapshot and write it to ``--out``."""
-    from repro.regress import capture_run, save_snapshot
+    from repro.regress import capture_run
+    from repro.telemetry.schema import write_artifact
 
     fault_plan = _resolve_plan(args.plan)
     snapshot = capture_run(
@@ -210,7 +266,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         name=args.name,
         fault_plan=fault_plan,
     )
-    path = save_snapshot(snapshot, args.out)
+    path = write_artifact(snapshot, args.out)
     cells = sum(
         len(record["cells"]) for record in snapshot["experiments"].values()
     )
@@ -220,19 +276,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         f"({len(snapshot['experiments'])} experiment(s), {cells} cell(s), "
         f"{args.repeats} repeat(s){plan_note})"
     )
-    return 0
-
-
-def _report_gate(
-    violations: list[str], label: str, path: str, threshold: float
-) -> int:
-    """Print a baseline gate's verdict; returns its exit code."""
-    if violations:
-        print(f"{label}: {len(violations)} violation(s)")
-        for violation in violations:
-            print(f"  - {violation}")
-        return 1
-    print(f"{label}: OK (within {threshold:.0%} of {path})")
     return 0
 
 
@@ -249,7 +292,7 @@ def _gate_baseline(
         violations = gate(result, path, threshold)
     except ValueError as exc:  # SchemaMismatch, or a run the kind cannot snapshot
         raise SystemExit(f"--baseline: {exc}")
-    _report_gate(violations, "baseline gate", path, threshold)
+    _print_check("baseline gate", violations, f"within {threshold:.0%} of {path}")
     return violations
 
 
@@ -272,18 +315,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.regress import capture_run, diff_snapshots
     from repro.regress.baselines import BASELINES, gate
     from repro.regress.snapshot import SNAPSHOT_ARTIFACT
-    from repro.telemetry.schema import SchemaMismatch, artifact_of, read_artifact
+    from repro.telemetry.schema import artifact_of, read_artifact
 
-    try:
-        base = read_artifact(args.baseline)
-        artifact = artifact_of(base)
-        current = (
-            read_artifact(args.against, (artifact,))
-            if args.against is not None
-            else None
-        )
-    except SchemaMismatch as exc:
-        raise SystemExit(f"repro diff: {exc}")
+    base = read_artifact(args.baseline)
+    artifact = artifact_of(base)
+    current = (
+        read_artifact(args.against, (artifact,)) if args.against is not None else None
+    )
     if artifact in BASELINES:
         kind = BASELINES[artifact]
         if current is not None:
@@ -294,9 +332,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
                 violations = gate(kind.rerun(base), args.baseline, args.threshold)
             except (OSError, ValueError) as exc:
                 raise SystemExit(f"repro diff: {exc}")
-        return _report_gate(
-            violations, f"{kind.label} baseline gate", args.baseline, args.threshold
-        )
+        note = f"within {args.threshold:.0%} of {args.baseline}"
+        return 1 if _print_check(f"{kind.label} baseline gate", violations, note) else 0
     if artifact != SNAPSHOT_ARTIFACT:
         raise SystemExit(
             f"repro diff: {args.baseline}: {artifact!r} artifacts have no "
@@ -366,14 +403,8 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
             if cpr is not None and p99 is not None
             else f"  {name}: {arm['completed']} completed"
         )
-    gate = result["gate"]
-    if gate["ok"]:
-        print("acceptance gate: OK (autoscale beats every static arm)")
-    else:
-        print(f"acceptance gate: {len(gate['violations'])} violation(s)")
-        for violation in gate["violations"]:
-            print(f"  - {violation}")
-    failures = 0 if gate["ok"] else 1
+    note = "autoscale beats every static arm"
+    failures = 1 if _print_check("acceptance gate", result["gate"]["violations"], note) else 0
     if args.out is not None:
         write_artifact(result, args.out)
         print(f"[sweep artifact written to {args.out}]")
@@ -407,20 +438,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         for auditor in live:
             auditor.finish()
         auditors = live
-    violations = 0
-    for auditor in auditors:
-        print(auditor.render())
-        violations += len(auditor.violations)
-    print(
-        f"\naudit: {len(auditors)} cell(s), "
-        + (f"{violations} violation(s)" if violations else "all invariants hold")
-    )
-    return 1 if violations else 0
+    return 1 if _print_auditors(auditors) else 0
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     """Inspect fault plans, or run one experiment under a plan."""
-    from repro.faults import NAMED_PLANS, activate_plan, get_plan
+    from repro.faults import NAMED_PLANS, activate_plan
 
     if args.faults_cmd == "list":
         for name, plan in NAMED_PLANS.items():
@@ -430,12 +453,12 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             summary = ", ".join(f"{n}x {kind}" for kind, n in sorted(kinds.items()))
             print(f"{name:14s} seed={plan.seed:<7d} {summary}")
         return 0
+    plan = _resolve_plan(args.plan)
     if args.faults_cmd == "show":
-        print(get_plan(args.plan).to_json())
+        print(plan.to_json())
         return 0
 
     # faults run
-    plan = get_plan(args.plan)
     module = EXPERIMENTS[args.experiment]
     kwargs = QUICK_KWARGS.get(args.experiment, {}) if args.quick else {}
     from repro.telemetry import TelemetrySession
@@ -469,37 +492,22 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         print("  no fault events fired (all fault instants past the run's end?)")
 
     if args.telemetry is not None:
-        paths = session.export(args.telemetry, f"{args.experiment}-{plan.name}")
-        print(f"\n{session.render_cycle_budget()}")
-        print(f"[telemetry written to {', '.join(sorted(paths.values()))}]")
+        _export_telemetry(session, args.telemetry, f"{args.experiment}-{plan.name}")
 
-    violations = module.check_shape(result)
-    if violations:
-        # Under injected faults the paper-shape envelopes may legitimately
-        # move; report, but gate on the invariant audit only.
-        print(
-            f"\nshape check: {len(violations)} violation(s) "
-            "(informational under fault injection)"
-        )
-        for violation in violations:
-            print(f"  - {violation}")
-    else:
-        print("\nshape check: OK even under faults")
+    # Under injected faults the paper-shape envelopes may legitimately
+    # move: report the shape check, but gate on the invariant audit only.
+    print()
+    _print_check(
+        "shape check (informational under faults)",
+        module.check_shape(result),
+        "matches the paper even under faults",
+    )
 
     audit_violations = 0
-    for auditor in live:
-        auditor.finish()
-        print(auditor.render())
-        audit_violations += len(auditor.violations)
     if args.audit:
-        print(
-            f"\naudit: {len(live)} cell(s), "
-            + (
-                f"{audit_violations} violation(s)"
-                if audit_violations
-                else "all invariants hold"
-            )
-        )
+        for auditor in live:
+            auditor.finish()
+        audit_violations = _print_auditors(live)
     print(f"[{args.experiment} under '{plan.name}': {elapsed:.1f}s wall]")
     return 1 if audit_violations else 0
 
@@ -559,43 +567,42 @@ def _parse_app_mix(value: str | None) -> tuple[tuple[str, float], ...] | None:
     return tuple(pairs)
 
 
-def _resolve_trace(args: argparse.Namespace) -> tuple[Any, str | None]:
-    """``--scenario``/``--trace`` → (loaded trace, its file path).
+def _committed_trace(name: str) -> str:
+    """The committed trace file of catalog scenario ``name``.
 
-    Returns ``(None, None)`` when neither flag is set.  Every failure
-    mode — unknown scenario name, missing file, bad schema stamp,
-    corrupted events — exits with a one-line message instead of a
-    traceback (the flags are user input, not code).
+    An unknown name or a trace never generated exits with one line.
     """
-    scenario = getattr(args, "scenario", None)
-    trace_file = getattr(args, "trace", None)
-    if scenario is None and trace_file is None:
-        return None, None
-    if scenario is not None and trace_file is not None:
-        raise SystemExit("--scenario and --trace are mutually exclusive")
-    from repro.scenarios import get_scenario, load_trace, trace_path
-    from repro.telemetry.schema import SchemaMismatch
+    from repro.scenarios import get_scenario, trace_path
 
-    if scenario is not None:
-        try:
-            get_scenario(scenario)
-        except ValueError as exc:
-            raise SystemExit(f"--scenario: {exc}")
-        path = trace_path(scenario)
-        if not os.path.exists(path):
-            raise SystemExit(
-                f"--scenario: no committed trace at {path}; generate it with "
-                f"'repro scenarios gen {scenario}'"
-            )
-    else:
-        path = trace_file
     try:
-        trace = load_trace(path)
-    except FileNotFoundError:
-        raise SystemExit(f"--trace: no such file: {path}")
-    except (SchemaMismatch, ValueError) as exc:
-        raise SystemExit(f"--trace: {exc}")
-    return trace, path
+        get_scenario(name)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    path = trace_path(name)
+    if not os.path.exists(path):
+        raise SystemExit(
+            f"no committed trace for {name!r} at {path}; generate it with "
+            f"'repro scenarios gen {name}'"
+        )
+    return path
+
+
+def _resolve_trace(args: argparse.Namespace) -> Any:
+    """``--scenario``/``--trace`` → the loaded trace (None when neither is set).
+
+    The flags are user input: an unknown scenario exits in one line, and
+    a missing, malformed or tampered trace file is a ``SchemaMismatch``
+    that :func:`main` prints in one line.
+    """
+    if args.scenario is None and args.trace is None:
+        return None
+    if args.scenario is not None and args.trace is not None:
+        raise SystemExit("--scenario and --trace are mutually exclusive")
+    from repro.scenarios import load_trace
+
+    return load_trace(
+        args.trace if args.scenario is None else _committed_trace(args.scenario)
+    )
 
 
 def _replay_live_console(console: Any, obs: dict[str, Any]) -> None:
@@ -625,6 +632,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         trace_path,
         write_trace,
     )
+    from repro.telemetry.schema import SchemaMismatch
 
     if args.scenarios_cmd == "list":
         print(f"{'scenario':<14} {'arrival':<8} {'apps':<20} description")
@@ -646,13 +654,13 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             trace = generate_trace(spec)
             path = args.out if args.out is not None else trace_path(name)
             if args.check:
-                try:
-                    committed = load_trace(path)
-                except FileNotFoundError:
+                if not os.path.exists(path):
                     print(f"{name}: MISSING ({path})")
                     drifted += 1
                     continue
-                except ValueError as exc:
+                try:
+                    committed = load_trace(path)
+                except SchemaMismatch as exc:
                     print(f"{name}: INVALID ({exc})")
                     drifted += 1
                     continue
@@ -674,8 +682,9 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
     # replay
     from repro.scenarios import SCENARIO_ARTIFACT, replay_scenario
-    from repro.telemetry.schema import SchemaMismatch, write_artifact
+    from repro.telemetry.schema import write_artifact
 
+    _committed_trace(args.name)
     overrides: dict[str, Any] = {}
     if args.shards is not None:
         overrides["shards"] = args.shards
@@ -686,12 +695,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         result = replay_scenario(
             args.name, slices=args.slices, audit=args.audit, **overrides
         )
-    except FileNotFoundError as exc:
-        raise SystemExit(
-            f"no committed trace for {args.name!r} ({exc}); generate it "
-            f"with 'repro scenarios gen {args.name}'"
-        )
-    except (SchemaMismatch, ValueError) as exc:
+    except ValueError as exc:  # a SpecError from the overrides, or a bad trace
         raise SystemExit(str(exc))
     elapsed = time.monotonic() - started
     totals = result["totals"]
@@ -711,17 +715,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             f"  app {app}: {record['completed']} completed, "
             f"{record['shed']} shed, p99 {record['latency_us']['p99']:.1f} us"
         )
-    failures = 0
-    if "audit" in result:
-        audit = result["audit"]
-        if audit["ok"]:
-            print(f"  audit: OK ({len(audit['cells'])} kernel(s))")
-        else:
-            print(f"  audit: {audit['violations']} violation(s)")
-            for entry in audit["cells"]:
-                for violation in entry["violations"]:
-                    print(f"    - {violation}")
-            failures += 1
+    failures = _print_serve_audit(result)
     write_artifact(result, args.out)
     print(f"[scenario artifact written to {args.out}]")
     if args.snapshot is not None:
@@ -872,7 +866,8 @@ def _serve_bench_spec(
     All spec-combination validation (slices vs shards, autoscale vs
     fixed slices, trace vs closed loop, …) happens inside the spec
     constructors — :class:`repro.api.SpecError` is the single error
-    path, surfaced as a one-line ``SystemExit``.
+    path, surfaced as a one-line ``SystemExit``.  The fault plan is
+    resolved here too, so a bad one is refused before anything runs.
     """
     from repro.api import SPEC_ARTIFACT, AutoscaleSpec, BenchSpec, ServeSpec, SpecError
     from repro.telemetry.schema import read_artifact
@@ -897,7 +892,9 @@ def _serve_bench_spec(
             raise SystemExit(f"--spec: {exc}")
         if obs_enabled and not spec.obs:
             spec = spec.replace(obs=True)
+        _resolve_plan(spec.serve.plan)
         return spec
+    _resolve_plan(args.plan)
     autoscale = None
     if args.autoscale:
         try:
@@ -943,7 +940,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the sharded serving bench; optionally gate against a baseline."""
     from repro.api import SpecError
     from repro.serve.bench import run_bench
-    from repro.telemetry.schema import write_artifact
+    from repro.telemetry.schema import stamp, write_artifact, write_stream
 
     obs_enabled = bool(
         args.obs
@@ -972,7 +969,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     app_mix = _parse_app_mix(args.apps)
     # Early, user-friendly validation of the trace flags (unknown
     # scenario names, missing files); the loaded trace is reused below.
-    trace, _trace_file = _resolve_trace(args)
+    trace = _resolve_trace(args)
     contracts = None
     if args.contracts is not None:
         from repro.slo import load_contracts
@@ -1082,12 +1079,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     write_artifact(result, args.out)
     print(f"[serve artifact written to {args.out}]")
     if span_sink is not None:
-        from repro.slo import write_spans_jsonl
+        from repro.slo import SPANS_ARTIFACT
 
-        count = write_spans_jsonl(args.spans, span_sink)
+        count = write_stream(args.spans, stamp(SPANS_ARTIFACT), span_sink)
         print(f"[{count} span record(s) written to {args.spans}]")
     if obs_enabled and "obs" in result:
-        from repro.obs import OBS_ARTIFACT, write_html_report, write_windows_jsonl
+        from repro.obs import OBS_ARTIFACT, window_stream, write_html_report
 
         obs = result["obs"]
         print(
@@ -1112,7 +1109,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if obs_out is None:
             stem = args.out[:-5] if args.out.endswith(".json") else args.out
             obs_out = stem + ".windows.jsonl"
-        write_windows_jsonl(obs, obs_out)
+        write_stream(obs_out, *window_stream(obs))
         print(f"[window stream written to {obs_out}]")
         if args.obs_html is not None:
             write_html_report(obs, args.obs_html)
@@ -1120,27 +1117,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.obs_snapshot is not None:
             _write_snapshot(OBS_ARTIFACT, result, args.obs_snapshot)
     print(f"[serve: {elapsed:.1f}s wall]")
-    failures = 0
-    if "audit" in result:
-        audit = result["audit"]
-        if audit["ok"]:
-            print(f"audit: OK ({len(audit['cells'])} kernel(s), all invariants hold)")
-        else:
-            print(f"audit: {audit['violations']} violation(s)")
-            for entry in audit["cells"]:
-                for violation in entry["violations"]:
-                    print(f"  - {violation}")
-            failures += 1
-    if contracts is not None:
-        from repro.slo import Verdict, render_verdicts
-
-        verdicts = [
-            Verdict(**{k: v for k, v in entry.items() if k != "diff_severity"})
-            for entry in result["slo"]["verdicts"]
-        ]
-        print("\n" + render_verdicts(verdicts))
-        if result["slo"]["hard_breaches"]:
-            failures += 1
+    failures = _print_serve_audit(result)
+    if contracts is not None and _print_verdicts(result):
+        failures += 1
     if args.baseline is not None:
         failures += bool(_gate_baseline(result, args.baseline, args.threshold))
     return 1 if failures else 0
@@ -1148,17 +1127,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Profile the simulator's host-side hot paths (``profile meta``)."""
-    import json as json_mod
-
     from repro.profiler.meta import export_sched_trace, profile_storm, render_profile
+    from repro.telemetry.schema import write_artifact
 
     use_zc = args.backend == "zc"
     artifact = profile_storm(use_zc=use_zc, n_ocalls=args.ocalls, top=args.top)
     print(render_profile(artifact))
     if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_mod.dump(artifact, handle, indent=2)
-            handle.write("\n")
+        write_artifact(artifact, args.json)
         print(f"[profile artifact written to {args.json}]")
     if args.trace is not None:
         count = export_sched_trace(args.trace, use_zc=use_zc, n_ocalls=args.ocalls)
@@ -1190,15 +1166,14 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
     from repro.regress import attach_auditor
     from repro.serve.bench import run_bench
     from repro.slo import (
-        Verdict,
+        SPANS_ARTIFACT,
         build_evidence_pack,
         load_contracts,
         pack_tarball,
-        render_verdicts,
         tenant_lane_trace_events,
     )
     from repro.telemetry import TelemetrySession
-    from repro.telemetry.schema import stamp
+    from repro.telemetry.schema import render_stream, stamp
 
     tenants = _parse_tenants(args.tenants)
     contracts = load_contracts(args.contracts) if args.contracts else None
@@ -1246,13 +1221,11 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
     # Span samples as their own stamped JSONL artifact (capped: evidence
     # wants representative samples, not an unbounded transcript).
     sample = span_sink[: args.span_samples]
-    span_lines = [json.dumps(stamp("spans-jsonl"))]
-    span_lines += [json.dumps(record) for record in sample]
-    contents["spans.jsonl"] = "\n".join(span_lines) + "\n"
+    contents["spans.jsonl"] = render_stream(stamp(SPANS_ARTIFACT), sample)
     if obs_enabled and "obs" in result:
-        from repro.obs import render_windows_jsonl
+        from repro.obs import window_stream
 
-        contents["windows.jsonl"] = render_windows_jsonl(result["obs"])
+        contents["windows.jsonl"] = render_stream(*window_stream(result["obs"]))
     if len(span_sink) > len(sample):
         print(
             f"[spans.jsonl carries the first {len(sample)} of "
@@ -1260,6 +1233,7 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
         )
 
     gate_violations: list[str] = []
+    hard_breaches = 0
     if args.contracts:
         with open(args.contracts, encoding="utf-8") as handle:
             contents["contracts.json"] = handle.read()
@@ -1267,11 +1241,7 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
             "meta": stamp("slo-verdicts"),
             **result["slo"],
         }
-        verdicts = [
-            Verdict(**{k: v for k, v in entry.items() if k != "diff_severity"})
-            for entry in result["slo"]["verdicts"]
-        ]
-        print(render_verdicts(verdicts))
+        hard_breaches = _print_verdicts(result)
     if args.baseline:
         gate_violations = _gate_baseline(result, args.baseline, args.threshold)
         with open(args.baseline, encoding="utf-8") as handle:
@@ -1295,16 +1265,84 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
     if audit_violations:
         print(f"evidence: {audit_violations} invariant violation(s) — see audit.json")
         failures += 1
-    if args.contracts and result["slo"]["hard_breaches"]:
-        print(
-            f"evidence: {result['slo']['hard_breaches']} hard SLO breach(es) "
-            "— see verdicts.json"
-        )
+    if hard_breaches:
+        print(f"evidence: {hard_breaches} hard SLO breach(es) — see verdicts.json")
         failures += 1
     if gate_violations:
         print(f"evidence: baseline gate failed ({len(gate_violations)} violation(s))")
         failures += 1
     return 1 if failures else 0
+
+
+def _cmd_list(args: argparse.Namespace) -> int:
+    """List the experiments."""
+    for exp_id, module in EXPERIMENTS.items():
+        first_line = (module.__doc__ or "").strip().splitlines()[0]
+        print(f"{exp_id:8s} {first_line}")
+    return 0
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    """Run every experiment and write the markdown report."""
+    from repro.experiments.suite import render_markdown, run_suite
+
+    overrides = QUICK_KWARGS if args.quick else {}
+    cache = _make_cache(args)
+    outcomes = run_suite(overrides=overrides, jobs=args.jobs, cache=cache)
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(render_markdown(outcomes))
+    if args.csv is not None:
+        os.makedirs(args.csv, exist_ok=True)
+        for outcome in outcomes:
+            path = os.path.join(args.csv, f"{outcome.exp_id}.csv")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(to_csv(outcome.headers, outcome.rows))
+    failed = [o.exp_id for o in outcomes if not o.ok]
+    print(f"report written to {args.out}")
+    hits = sum(o.cache_hits for o in outcomes)
+    misses = sum(o.cache_misses for o in outcomes)
+    cache_note = "cache disabled" if cache is None else f"{hits} cached, {misses} run"
+    print(f"[jobs {outcomes[0].jobs if outcomes else 1} · cells: {cache_note}]")
+    if failed:
+        print(f"shape violations in: {', '.join(failed)}")
+    return 1 if failed else 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Run one experiment (or all) and shape-check it."""
+    if args.csv is not None:
+        os.makedirs(args.csv, exist_ok=True)
+    cache = _make_cache(args)
+    targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    total_violations = 0
+    for exp_id in targets:
+        print(f"\n### {exp_id} " + "#" * 50)
+        total_violations += run_experiment(
+            exp_id,
+            args.quick,
+            args.csv,
+            args.telemetry,
+            args.trace,
+            jobs=args.jobs,
+            cache=cache,
+        )
+    return 1 if total_violations else 0
+
+
+_COMMANDS = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "report": _cmd_report,
+    "baseline": _cmd_baseline,
+    "diff": _cmd_diff,
+    "audit": _cmd_audit,
+    "faults": _cmd_faults,
+    "serve": _cmd_serve,
+    "scenarios": _cmd_scenarios,
+    "autoscale": _cmd_autoscale,
+    "evidence": _cmd_evidence,
+    "profile": _cmd_profile,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1795,73 +1833,14 @@ def main(argv: list[str] | None = None) -> int:
         help="write a chrome://tracing JSON of the simulated schedule",
     )
     args = parser.parse_args(argv)
+    from repro.telemetry.schema import SchemaMismatch
 
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "scenarios":
-        return _cmd_scenarios(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "autoscale":
-        return _cmd_autoscale(args)
-    if args.command == "evidence":
-        return _cmd_evidence(args)
-    if args.command == "baseline":
-        return _cmd_baseline(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
-
-    if args.command == "list":
-        for exp_id, module in EXPERIMENTS.items():
-            first_line = (module.__doc__ or "").strip().splitlines()[0]
-            print(f"{exp_id:8s} {first_line}")
-        return 0
-
-    if args.command == "report":
-        from repro.experiments.suite import render_markdown, run_suite
-
-        overrides = QUICK_KWARGS if args.quick else {}
-        cache = _make_cache(args)
-        outcomes = run_suite(overrides=overrides, jobs=args.jobs, cache=cache)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(render_markdown(outcomes))
-        if args.csv is not None:
-            os.makedirs(args.csv, exist_ok=True)
-            for outcome in outcomes:
-                path = os.path.join(args.csv, f"{outcome.exp_id}.csv")
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(to_csv(outcome.headers, outcome.rows))
-        failed = [o.exp_id for o in outcomes if not o.ok]
-        print(f"report written to {args.out}")
-        hits = sum(o.cache_hits for o in outcomes)
-        misses = sum(o.cache_misses for o in outcomes)
-        cache_note = "cache disabled" if cache is None else f"{hits} cached, {misses} run"
-        print(f"[jobs {outcomes[0].jobs if outcomes else 1} · cells: {cache_note}]")
-        if failed:
-            print(f"shape violations in: {', '.join(failed)}")
-        return 1 if failed else 0
-
-    if args.csv is not None:
-        os.makedirs(args.csv, exist_ok=True)
-    cache = _make_cache(args)
-    targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    total_violations = 0
-    for exp_id in targets:
-        print(f"\n### {exp_id} " + "#" * 50)
-        total_violations += run_experiment(
-            exp_id,
-            args.quick,
-            args.csv,
-            args.telemetry,
-            args.trace,
-            jobs=args.jobs,
-            cache=cache,
-        )
-    return 1 if total_violations else 0
+    try:
+        return _COMMANDS[args.command](args)
+    except SchemaMismatch as exc:
+        # Every input file is read through repro.telemetry.schema, so a
+        # malformed one is refused here, in one line naming it.
+        raise SystemExit(f"repro {args.command}: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

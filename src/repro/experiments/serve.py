@@ -84,6 +84,17 @@ def run_cell(spec: CellSpec) -> dict[str, Any]:
     }
 
 
+def assemble(
+    rows: list[dict[str, Any]],
+    shard_counts: tuple[int, ...] = SHARD_COUNTS,
+    seconds: float = 0.5,
+    rate: float = 2_000.0,
+    budget: int = 8,
+) -> ServeResult:
+    """Build the structured result from rows in ``cells()`` order."""
+    return ServeResult(rows=rows, seconds=seconds, rate=rate)
+
+
 def run(
     shard_counts: tuple[int, ...] = SHARD_COUNTS,
     seconds: float = 0.5,
@@ -98,7 +109,7 @@ def run(
         jobs=jobs,
         cache=cache,
     )
-    return ServeResult(rows=rows, seconds=seconds, rate=rate)
+    return assemble(rows, seconds=seconds, rate=rate)
 
 
 def table(result: ServeResult) -> tuple[list[str], list[list]]:

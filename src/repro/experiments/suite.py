@@ -6,9 +6,9 @@ with its data table (as markdown) and its shape-check verdict.  Useful
 for verifying a changed cost model or scheduler against every figure at
 once.
 
-Experiments that expose their grid as data (``cells()`` / ``run_cell()``
-/ ``assemble()`` — all of them, see ``docs/extending.md``) are executed
-through :class:`repro.parallel.CellRunner`, which adds ``jobs=N``
+Every experiment exposes its grid as data (``cells()`` / ``run_cell()``
+/ ``assemble()``, see ``docs/extending.md``) and is executed through
+:class:`repro.parallel.CellRunner`, which adds ``jobs=N``
 process-level parallelism and content-addressed result caching while
 keeping rows bit-identical to a serial run.
 """
@@ -32,8 +32,7 @@ class ExperimentOutcome:
     rows: list[list[Any]]
     violations: list[str]
     wall_seconds: float
-    #: Wall seconds per cell, in cell order (0.0 for cache hits); empty
-    #: for experiments run through the legacy whole-run path.
+    #: Wall seconds per cell, in cell order (0.0 for cache hits).
     cell_seconds: tuple[float, ...] = ()
     cache_hits: int = 0
     cache_misses: int = 0
@@ -67,17 +66,10 @@ def run_suite(
         module = EXPERIMENTS[exp_id]
         kwargs = overrides.get(exp_id, {})
         started = time.monotonic()
-        if hasattr(module, "cells"):
-            runner = CellRunner(jobs=resolved_jobs, cache=cache)
-            cell_outcomes = runner.run(module.cells(**kwargs))
-            result = module.assemble([o.row for o in cell_outcomes], **kwargs)
-            cell_seconds = tuple(o.wall_seconds for o in cell_outcomes)
-            cache_hits = sum(1 for o in cell_outcomes if o.cached)
-            cache_misses = len(cell_outcomes) - cache_hits
-        else:
-            result = module.run(**kwargs)
-            cell_seconds = ()
-            cache_hits = cache_misses = 0
+        runner = CellRunner(jobs=resolved_jobs, cache=cache)
+        cell_outcomes = runner.run(module.cells(**kwargs))
+        result = module.assemble([o.row for o in cell_outcomes], **kwargs)
+        cache_hits = sum(1 for o in cell_outcomes if o.cached)
         wall = time.monotonic() - started
         headers, rows = module.table(result)
         outcomes.append(
@@ -87,9 +79,9 @@ def run_suite(
                 rows=rows,
                 violations=module.check_shape(result),
                 wall_seconds=wall,
-                cell_seconds=cell_seconds,
+                cell_seconds=tuple(o.wall_seconds for o in cell_outcomes),
                 cache_hits=cache_hits,
-                cache_misses=cache_misses,
+                cache_misses=len(cell_outcomes) - cache_hits,
                 jobs=resolved_jobs,
             )
         )

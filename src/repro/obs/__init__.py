@@ -24,11 +24,10 @@ from repro.obs.baseline import compare_obs_baseline, obs_snapshot
 from repro.obs.console import LiveConsole
 from repro.obs.export import (
     OBS_ARTIFACT,
-    load_windows_jsonl,
+    read_windows,
     render_html_report,
-    render_windows_jsonl,
+    window_stream,
     write_html_report,
-    write_windows_jsonl,
 )
 from repro.obs.sampler import (
     MetricSampler,
@@ -43,11 +42,10 @@ __all__ = [
     "OBS_ARTIFACT",
     "build_window_records",
     "compare_obs_baseline",
-    "load_windows_jsonl",
     "merge_raw_windows",
     "obs_snapshot",
+    "read_windows",
     "render_html_report",
-    "render_windows_jsonl",
+    "window_stream",
     "write_html_report",
-    "write_windows_jsonl",
 ]

@@ -2,22 +2,26 @@
 
 The JSONL stream is the committed artifact form: a stamped
 ``obs-windows`` header line, then one ``serve.window`` record per
-window × lane, then the ``obs.anomaly`` records.  The HTML report is
-rendered *from the same records* (inline SVG sparklines, zero external
-dependencies), so the dashboard can never disagree with the artifact.
+window × lane, then the ``obs.anomaly`` records (:func:`window_stream`
+builds it for :func:`repro.telemetry.schema.write_stream`).  The HTML
+report is rendered *from the same records* (inline SVG sparklines, zero
+external dependencies), so the dashboard can never disagree with the
+artifact.
 """
 
 from __future__ import annotations
 
 import html
-import json
 import os
 from typing import Any
 
-from repro.telemetry.schema import check_stamp, stamp
+from repro.telemetry.schema import SchemaMismatch, read_stream, stamp
 
 #: Schema-stamp artifact kind for window streams (see telemetry.schema).
 OBS_ARTIFACT = "obs-windows"
+
+#: The window-grid fields a stream's header carries.
+_GRID = ("interval_cycles", "windows", "freq_hz", "lanes")
 
 #: Metrics charted per lane in the HTML report, with display labels.
 REPORT_METRICS = (
@@ -30,64 +34,38 @@ REPORT_METRICS = (
 )
 
 
-def obs_stream_header(obs: dict[str, Any]) -> dict[str, Any]:
-    """The stamped JSONL header line for an ``obs`` result section."""
-    return {
-        **stamp(OBS_ARTIFACT),
-        "interval_cycles": obs["interval_cycles"],
-        "windows": obs["windows"],
-        "freq_hz": obs["freq_hz"],
-        "lanes": list(obs["lanes"]),
-    }
+def window_stream(obs: dict[str, Any]) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """An ``obs`` result section as a stamped stream: ``(header, records)``.
+
+    The header carries the stamp and the window grid; the records are the
+    ``serve.window`` records, then the ``obs.anomaly`` records.  Write it
+    with :func:`repro.telemetry.schema.write_stream`.
+    """
+    header = {**stamp(OBS_ARTIFACT), **{key: obs[key] for key in _GRID}}
+    return header, [*obs["records"], *obs.get("anomalies", [])]
 
 
-def render_windows_jsonl(obs: dict[str, Any]) -> str:
-    """Render an ``obs`` section as the stamped JSONL window stream."""
-    lines = [json.dumps(obs_stream_header(obs), sort_keys=True)]
-    for record in obs["records"]:
-        lines.append(json.dumps(record, sort_keys=True))
-    for anomaly in obs.get("anomalies", []):
-        lines.append(json.dumps(anomaly, sort_keys=True))
-    return "\n".join(lines) + "\n"
+def read_windows(path: str) -> dict[str, Any]:
+    """Read a window stream back into an ``obs``-shaped section.
 
-
-def write_windows_jsonl(obs: dict[str, Any], path: str) -> str:
-    """Write the JSONL window stream; returns the path."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_windows_jsonl(obs))
-    return path
-
-
-def load_windows_jsonl(path: str) -> dict[str, Any]:
-    """Load a JSONL window stream back into an ``obs``-shaped section."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty window stream")
-    header = json.loads(lines[0])
-    check_stamp(header, OBS_ARTIFACT, source=path)
-    records: list[dict[str, Any]] = []
-    anomalies: list[dict[str, Any]] = []
-    for line in lines[1:]:
-        doc = json.loads(line)
-        kind = doc.get("record")
-        if kind == "serve.window":
-            records.append(doc)
-        elif kind == "obs.anomaly":
-            anomalies.append(doc)
-        else:
-            raise ValueError(f"{path}: unknown record kind {kind!r}")
-    return {
-        "interval_cycles": header["interval_cycles"],
-        "windows": header["windows"],
-        "freq_hz": header["freq_hz"],
-        "lanes": header["lanes"],
-        "records": records,
-        "anomalies": anomalies,
-    }
+    Besides every :func:`~repro.telemetry.schema.read_stream` refusal, a
+    header without its window grid and a record that is neither
+    ``serve.window`` nor ``obs.anomaly`` raise
+    :class:`~repro.telemetry.schema.SchemaMismatch`.
+    """
+    header, records = read_stream(path, OBS_ARTIFACT)
+    missing = [key for key in _GRID if key not in header]
+    if missing:
+        raise SchemaMismatch(f"{path}: header lacks {missing}")
+    obs: dict[str, Any] = {key: header[key] for key in _GRID}
+    obs["records"], obs["anomalies"] = [], []
+    sections = {"serve.window": obs["records"], "obs.anomaly": obs["anomalies"]}
+    for record in records:
+        section = sections.get(record.get("record"))
+        if section is None:
+            raise SchemaMismatch(f"{path}: unknown record kind {record.get('record')!r}")
+        section.append(record)
+    return obs
 
 
 # ----------------------------------------------------------------------

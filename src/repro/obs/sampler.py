@@ -399,11 +399,6 @@ class _SamplerBus:
 
     __slots__ = ("_kernel", "_sampler")
 
-    #: Flag surface some emit sites consult before building call/sched
-    #: event payloads — always off here (the sampler ignores both).
-    capture_calls = False
-    capture_sched = False
-
     def __init__(self, kernel: Any, sampler: "MetricSampler") -> None:
         self._kernel = kernel
         self._sampler = sampler

@@ -30,6 +30,8 @@ import io
 import pstats
 from typing import Any
 
+from repro.telemetry.schema import stamp
+
 #: Default ocall count — matches ``benchmarks/bench_meta_simulator.py``.
 DEFAULT_OCALLS = 3_000
 
@@ -103,6 +105,7 @@ def profile_storm(
         )
     rows.sort(key=lambda row: row["tottime_s"], reverse=True)
     return {
+        **stamp("meta-profile"),
         "backend": "zc" if use_zc else "regular",
         "n_ocalls": n_ocalls,
         "events_processed": kernel.events_processed,

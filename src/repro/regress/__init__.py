@@ -41,7 +41,7 @@ from repro.regress.audit import (
 )
 from repro.regress.diff import DiffEntry, DiffReport, bootstrap_rel_delta, diff_snapshots
 from repro.regress.replay import audit_jsonl, read_events_jsonl
-from repro.regress.snapshot import capture_run, load_snapshot, save_snapshot
+from repro.regress.snapshot import capture_run, load_snapshot
 
 __all__ = [
     "ArgminChecker",
@@ -67,5 +67,4 @@ __all__ = [
     "diff_snapshots",
     "load_snapshot",
     "read_events_jsonl",
-    "save_snapshot",
 ]

@@ -3,22 +3,21 @@
 The JSONL exporter writes one schema-stamp line, then every bus event
 (plus synthesized ``ocall.complete`` lines) tagged with its cell, then
 one ``telemetry.meta`` line per cell carrying the machine context.  This
-module reads that artifact back into per-cell
-:class:`~repro.telemetry.events.TelemetryEvent` streams — refusing
-unstamped or version-mismatched files — and runs the audit checkers over
-them, so an invariant violation can be diagnosed from a CI artifact long
-after the run that produced it.
+module groups that artifact back into per-cell
+:class:`~repro.telemetry.events.TelemetryEvent` streams and runs the
+audit checkers over them, so an invariant violation can be diagnosed
+from a CI artifact long after the run that produced it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.regress.audit import Checker, InvariantAuditor
 from repro.telemetry.events import TelemetryEvent
-from repro.telemetry.schema import SchemaMismatch, check_stamp
+from repro.telemetry.exporters import EVENTS_ARTIFACT
+from repro.telemetry.schema import read_stream
 
 
 @dataclass
@@ -42,47 +41,29 @@ class CellStream:
 
 
 def read_events_jsonl(path: str) -> dict[str, CellStream]:
-    """Parse an exported event log into per-cell streams, in file order.
+    """Group an exported event log into per-cell streams, in file order.
 
-    Raises :class:`~repro.telemetry.schema.SchemaMismatch` when the file
-    is missing its leading ``telemetry.schema`` stamp or was written by an
-    incompatible schema version.
+    The file is read through :func:`~repro.telemetry.schema.read_stream`:
+    a missing, unstamped, version-mismatched or malformed log raises one
+    :class:`~repro.telemetry.schema.SchemaMismatch` naming it.
     """
     cells: dict[str, CellStream] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-        try:
-            header = json.loads(first) if first.strip() else {}
-        except json.JSONDecodeError:
-            header = {}
-        if header.get("event") != "telemetry.schema":
-            raise SchemaMismatch(
-                f"{path}: no telemetry.schema stamp on line 1 "
-                "(unstamped artifacts predate the regression schema; re-export)"
-            )
-        check_stamp(header, "events-jsonl", source=path)
-        for line in handle:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            name = record.get("event", "")
-            if name == "telemetry.schema":
-                continue
-            label = record.get("cell", "")
-            stream = cells.get(label)
-            if stream is None:
-                stream = cells[label] = CellStream(label)
-            if name == "telemetry.meta":
-                stream.meta = record
-                continue
-            fields = {
-                key: value
-                for key, value in record.items()
-                if key not in ("t_cycles", "cell", "event")
-            }
-            stream.events.append(
-                TelemetryEvent(record.get("t_cycles", 0.0), name, fields)
-            )
+    _, records = read_stream(path, EVENTS_ARTIFACT)
+    for record in records:
+        label = record.get("cell", "")
+        stream = cells.get(label)
+        if stream is None:
+            stream = cells[label] = CellStream(label)
+        name = record.get("event", "")
+        if name == "telemetry.meta":
+            stream.meta = record
+            continue
+        fields = {
+            key: value
+            for key, value in record.items()
+            if key not in ("t_cycles", "cell", "event")
+        }
+        stream.events.append(TelemetryEvent(record.get("t_cycles", 0.0), name, fields))
     return cells
 
 

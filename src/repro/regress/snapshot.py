@@ -10,7 +10,8 @@ and collects, per repeat:
 - the experiment's metrics registry (counters, gauges, histogram
   quantiles), flattened to ``name{label=value,...}`` keys;
 - the experiment's shape-check verdicts (the paper-shape violations);
-- optionally an existing ``BENCH_meta.json``, embedded for trajectory
+- optionally an existing ``BENCH_meta.json`` (read through
+  :func:`~repro.telemetry.schema.read_artifact`), embedded for trajectory
   tracking (host-throughput numbers are machine-dependent, so the diff
   treats them as informational).
 
@@ -18,14 +19,14 @@ Repeats are the bootstrap resampling unit: the simulator is
 deterministic per parameter set, so repeated identical runs give
 zero-width confidence intervals, while perturbed runs (different seeds /
 parameters) widen them honestly.  Snapshots are stamped with the
-artifact schema version and refuse to diff against mismatched inputs.
+artifact schema version, written by
+:func:`~repro.telemetry.schema.write_artifact` and read back by
+:func:`load_snapshot`, which refuses mismatched inputs.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
-import os
 import time
 from typing import Any, Mapping, Sequence
 
@@ -38,9 +39,6 @@ from repro.telemetry.session import TelemetrySession
 
 #: Artifact kind recorded in every snapshot's stamp.
 SNAPSHOT_ARTIFACT = "run-snapshot"
-
-#: Default location of committed baselines.
-DEFAULT_BASELINE_DIR = "baselines"
 
 
 def _labels_key(name: str, labels: Sequence[tuple[str, str]], suffix: str = "") -> str:
@@ -97,6 +95,12 @@ def capture_run(
     cells keep the injected schedule deterministic.
     """
     ids = list(experiment_ids) if experiment_ids is not None else list(EXPERIMENTS)
+    # Read the input before anything runs: a bad file is refused up front.
+    bench_meta = (
+        read_artifact(bench_meta_path, ("bench-meta",))
+        if bench_meta_path is not None
+        else None
+    )
     if fault_plan is not None:
         jobs = 1
     overrides = overrides or {}
@@ -146,11 +150,6 @@ def capture_run(
                     )
             _merge_samples(record["metrics"], _registry_values(session.registry))
 
-    bench_meta = None
-    if bench_meta_path is not None:
-        with open(bench_meta_path, "r", encoding="utf-8") as handle:
-            bench_meta = json.load(handle)
-
     return {
         **stamp(SNAPSHOT_ARTIFACT),
         "name": name,
@@ -162,17 +161,6 @@ def capture_run(
         "bench_meta": bench_meta,
         "fault_plan": fault_plan.to_dict() if fault_plan is not None else None,
     }
-
-
-def save_snapshot(snapshot: Mapping[str, Any], path: str) -> str:
-    """Write a snapshot document as pretty-printed JSON; returns ``path``."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(snapshot, handle, indent=1, sort_keys=False)
-        handle.write("\n")
-    return path
 
 
 def load_snapshot(path: str) -> dict[str, Any]:

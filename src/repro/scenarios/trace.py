@@ -8,7 +8,8 @@ A trace file is one header line plus one line per request arrival:
   was produced from, the event count, and a SHA-256 digest over the
   exact event lines.  :func:`load_trace` refuses files whose stamp,
   count or digest disagree — a committed eval trace either replays the
-  bytes it was reviewed with, or not at all.
+  bytes it was reviewed with, or not at all.  Both directions go through
+  the stamped-stream pair of :mod:`repro.telemetry.schema`.
 - **Events** — ``{"t": <seconds since trace start>, "app": ..., "op":
   ..., "key": <hex>, "tenant": ...}`` plus ``"value": <hex>`` on
   payload-carrying ops.  Events are sorted by ``t`` and serialized with
@@ -23,12 +24,16 @@ Keys are the serve layer's fixed-width 8-byte big-endian integers (see
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.telemetry.schema import check_stamp, stamp
+from repro.telemetry.schema import (
+    SchemaMismatch,
+    encode_line,
+    read_stream,
+    stamp,
+    write_stream,
+)
 
 #: Artifact kind of a trace file's header stamp.
 TRACE_ARTIFACT = "scenario-trace"
@@ -45,8 +50,8 @@ class TraceEvent:
     tenant: str = ""
     value: bytes | None = None
 
-    def to_json(self) -> str:
-        """The event's canonical serialized form (digest input)."""
+    def to_record(self) -> dict[str, Any]:
+        """The event as a stream record (hex-encoded key and value)."""
         record: dict[str, Any] = {
             "t": self.t,
             "app": self.app,
@@ -56,12 +61,15 @@ class TraceEvent:
         }
         if self.value is not None:
             record["value"] = self.value.hex()
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+        return record
+
+    def to_json(self) -> str:
+        """The event's canonical serialized line (digest input)."""
+        return encode_line(self.to_record())
 
     @classmethod
-    def from_json(cls, line: str) -> "TraceEvent":
-        """Parse one serialized event line."""
-        record = json.loads(line)
+    def from_record(cls, record: dict[str, Any]) -> "TraceEvent":
+        """Inverse of :meth:`to_record`."""
         value = record.get("value")
         return cls(
             t=float(record["t"]),
@@ -128,66 +136,52 @@ def trace_digest(events: tuple[TraceEvent, ...]) -> str:
 
 
 def write_trace(trace: ScenarioTrace, path: str) -> str:
-    """Write ``trace`` as schema-stamped JSONL; returns the path.
+    """Write ``trace`` as a schema-stamped stream; returns the path.
 
     The byte layout is canonical (sorted keys, compact separators, one
     trailing newline), so writing the same trace twice produces the same
     file — the determinism tests hash the bytes.
     """
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    header = json.dumps(trace.header(), sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        fh.write("\n")
-        for event in trace.events:
-            fh.write(event.to_json())
-            fh.write("\n")
+    write_stream(path, trace.header(), (event.to_record() for event in trace.events))
     return path
 
 
 def load_trace(path: str) -> ScenarioTrace:
     """Load and verify one trace file.
 
-    Raises :class:`repro.telemetry.schema.SchemaMismatch` on a bad or
-    missing stamp, and :class:`ValueError` when the event count or
-    digest disagree with the header (a corrupted or hand-edited trace).
+    Raises :class:`repro.telemetry.schema.SchemaMismatch` naming ``path``
+    on every :func:`~repro.telemetry.schema.read_stream` refusal, on an
+    event or header field that does not parse, and when the event count
+    or digest disagree with the header (a corrupted or hand-edited trace).
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty trace file")
+    header, records = read_stream(path, TRACE_ARTIFACT)
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: unparsable trace header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: trace header is not an object")
-    check_stamp(header, TRACE_ARTIFACT, source=path)
-    try:
-        events = tuple(TraceEvent.from_json(line) for line in lines[1:])
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: unparsable trace event: {exc}") from exc
-    declared = header.get("events")
-    if declared != len(events):
-        raise ValueError(
-            f"{path}: header declares {declared} events, file has {len(events)}"
+        events = tuple(TraceEvent.from_record(record) for record in records)
+        declared = header.get("events")
+        if declared != len(events):
+            raise SchemaMismatch(
+                f"{path}: header declares {declared} events, file has {len(events)}"
+            )
+        digest = trace_digest(events)
+        if header.get("sha256") != digest:
+            raise SchemaMismatch(
+                f"{path}: event digest {digest[:12]}… does not match the header "
+                f"({str(header.get('sha256'))[:12]}…) — the trace was modified"
+            )
+        tenants = header.get("tenants")
+        return ScenarioTrace(
+            name=header["name"],
+            seed=int(header["seed"]),
+            duration_s=float(header["duration_s"]),
+            keyspace=int(header["keyspace"]),
+            apps=tuple(header["apps"]),
+            tenants=dict(tenants) if tenants else None,
+            generator=dict(header.get("generator") or {}),
+            events=events,
         )
-    digest = trace_digest(events)
-    if header.get("sha256") != digest:
-        raise ValueError(
-            f"{path}: event digest {digest[:12]}… does not match the header "
-            f"({str(header.get('sha256'))[:12]}…) — the trace was modified"
-        )
-    tenants = header.get("tenants")
-    return ScenarioTrace(
-        name=header["name"],
-        seed=int(header["seed"]),
-        duration_s=float(header["duration_s"]),
-        keyspace=int(header["keyspace"]),
-        apps=tuple(header["apps"]),
-        tenants=dict(tenants) if tenants else None,
-        generator=dict(header.get("generator") or {}),
-        events=events,
-    )
+    except SchemaMismatch:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(
+            f"{path}: malformed trace ({type(exc).__name__}: {exc})"
+        ) from None

@@ -286,19 +286,6 @@ class Enclave:
         self.stats.record(request, self.kernel.now)
         for hook in self.completion_hooks:
             hook(request, self.kernel.now)
-        # Per-call completions go on the bus only when explicitly asked
-        # for: the call tracer records every call anyway, and an emit per
-        # ocall is the single largest host-time cost of telemetry.
-        bus = self.kernel.bus
-        if bus is not None and bus.capture_calls:
-            bus.emit(
-                "ocall.complete",
-                name=request.name,
-                mode=request.mode,
-                latency_cycles=self.kernel.now - request.issued_at,
-                in_bytes=request.in_bytes,
-                out_bytes=request.out_bytes,
-            )
         if isinstance(result, HostFault):
             raise result.exception
         return result
@@ -338,17 +325,6 @@ class Enclave:
         self.stats.record(request, self.kernel.now)
         for hook in self.completion_hooks:
             hook(request, self.kernel.now)
-        # See ocall(): per-call bus events are opt-in via capture_calls.
-        bus = self.kernel.bus
-        if bus is not None and bus.capture_calls:
-            bus.emit(
-                "ocall.complete",
-                name=request.name,
-                mode=request.mode,
-                latency_cycles=self.kernel.now - request.issued_at,
-                in_bytes=request.in_bytes,
-                out_bytes=request.out_bytes,
-            )
         if isinstance(result, HostFault):
             raise result.exception
         return result

@@ -305,8 +305,8 @@ class Kernel:
         #: Optional telemetry hooks (see :mod:`repro.telemetry`); all stay
         #: None unless a TelemetrySession attaches.  ``bus`` is read by
         #: runtime components (router, backends, enclaves) that gate their
-        #: own emits on it.  ``sched_bus`` is the bus again iff
-        #: ``bus.capture_sched`` — pre-resolved by whoever attaches.
+        #: own emits on it.  ``sched_bus`` is the bus again iff the session
+        #: captures scheduler events — pre-resolved by whoever attaches.
         #: ``sched_bus``/``ledger``/``trace`` are properties: assigning
         #: them rebinds the kernel's hot functions, so the detached path
         #: carries no telemetry branches at all (see _bind_hot_paths).

@@ -4,9 +4,9 @@ Three pieces, one observability story (see the "Spans, SLOs, and
 evidence packs" section of ``docs/observability.md``):
 
 - :mod:`repro.slo.trace` — per-request span trees built from the
-  router's trace boundaries (live, from the bus, or from an exported
-  JSONL event log), with an exact root-equals-children conservation
-  property and a tenant-lane Chrome-trace exporter;
+  router's trace boundaries (live or from the bus), with an exact
+  root-equals-children conservation property and a tenant-lane
+  Chrome-trace exporter;
 - :mod:`repro.slo.contract` — per-tenant SLO contracts (tail-latency
   ceilings, throughput floors, shed-rate and recovery-deadline bounds)
   evaluated into hard (gating) vs diagnostic verdicts over a serve-bench
@@ -35,22 +35,21 @@ from repro.slo.evidence import (
     verify_evidence_pack,
 )
 from repro.slo.trace import (
+    SPANS_ARTIFACT,
     Span,
     SpanTree,
     build_span_tree,
     build_span_trees,
-    read_spans_jsonl,
     reconcile_with_latency,
     span_conservation_errors,
     spans_from_events,
-    spans_from_jsonl,
     tenant_lane_trace_events,
     write_span_chrome_trace,
-    write_spans_jsonl,
 )
 
 __all__ = [
     "SEVERITY_CHOICES",
+    "SPANS_ARTIFACT",
     "SloContract",
     "Span",
     "SpanTree",
@@ -64,16 +63,13 @@ __all__ = [
     "hard_breaches",
     "load_contracts",
     "pack_tarball",
-    "read_spans_jsonl",
     "reconcile_with_latency",
     "render_verdicts",
     "save_contracts",
     "span_conservation_errors",
     "spans_from_events",
-    "spans_from_jsonl",
     "tenant_lane_trace_events",
     "verdicts_summary",
     "verify_evidence_pack",
     "write_span_chrome_trace",
-    "write_spans_jsonl",
 ]

@@ -25,12 +25,14 @@ set lives in ``contracts/quick.json``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from repro.analysis.metrics import LatencyRecorder
-from repro.telemetry.schema import check_stamp, stamp
+from repro.telemetry.schema import SchemaMismatch, read_artifact, stamp, write_artifact
+
+#: Stamp of a contract-set file.
+CONTRACTS_ARTIFACT = "slo-contracts"
 
 #: Contract severities, in gating order.
 SEVERITY_CHOICES = ("hard", "diagnostic")
@@ -149,29 +151,33 @@ class Verdict:
 def contracts_to_document(contracts: Sequence[SloContract]) -> dict[str, Any]:
     """The stamped JSON document form of a contract set."""
     return {
-        "meta": stamp("slo-contracts"),
+        "meta": stamp(CONTRACTS_ARTIFACT),
         "contracts": [contract.to_dict() for contract in contracts],
     }
 
 
 def save_contracts(contracts: Sequence[SloContract], path: str) -> str:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(contracts_to_document(contracts), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    """Write a contract set as a stamped JSON artifact; returns ``path``."""
+    return write_artifact(contracts_to_document(contracts), path)
 
 
 def load_contracts(path: str) -> list[SloContract]:
-    """Load a stamped contract file; refuses schema mismatches."""
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    check_stamp(document.get("meta", {}), "slo-contracts", source=path)
-    contracts = [
-        SloContract.from_dict(entry) for entry in document.get("contracts", [])
-    ]
+    """Load a stamped contract file.
+
+    Every way the file can be wrong — the :func:`read_artifact`
+    refusals, a contract that does not validate, a tenant contracted
+    twice — raises one :class:`SchemaMismatch` naming ``path``.
+    """
+    document = read_artifact(path, (CONTRACTS_ARTIFACT,))
+    try:
+        contracts = [
+            SloContract.from_dict(entry) for entry in document.get("contracts", [])
+        ]
+    except (TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"{path}: bad contract ({exc})") from None
     tenants = [contract.tenant for contract in contracts]
     if len(set(tenants)) != len(tenants):
-        raise ValueError(f"{path}: duplicate tenant contract(s)")
+        raise SchemaMismatch(f"{path}: duplicate tenant contract(s)")
     return contracts
 
 

@@ -17,16 +17,18 @@ re-checks one (directory or tarball) long after the run.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tarfile
 import tempfile
 from typing import Any, Mapping
 
-from repro.telemetry.schema import SchemaMismatch, check_stamp, stamp
+from repro.telemetry.schema import SchemaMismatch, read_artifact, stamp, write_artifact
 
 #: The manifest's own filename (never listed inside itself).
 MANIFEST_NAME = "manifest.json"
+
+#: Stamp of a pack's manifest.
+PACK_ARTIFACT = "evidence-pack"
 
 
 def file_sha256(path: str) -> str:
@@ -45,10 +47,8 @@ def _write_entry(path: str, content: Any) -> None:
     elif isinstance(content, str):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(content)
-    else:  # JSON-serialisable document
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(content, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    else:  # JSON document
+        write_artifact(content, path)
 
 
 def build_evidence_pack(
@@ -57,8 +57,9 @@ def build_evidence_pack(
     """Write ``contents`` into ``out_dir`` and manifest every byte.
 
     ``contents`` maps pack-relative filenames to file bodies: ``bytes``
-    are written raw, ``str`` as UTF-8 text, anything else as indented
-    JSON.  Returns the manifest document (already written as
+    are written raw, ``str`` as UTF-8 text (JSONL streams arrive as
+    :func:`~repro.telemetry.schema.render_stream` text), anything else
+    through :func:`~repro.telemetry.schema.write_artifact`.  Returns the manifest document (already written as
     ``manifest.json``).
     """
     if not contents:
@@ -76,7 +77,7 @@ def build_evidence_pack(
             os.makedirs(directory, exist_ok=True)
         _write_entry(path, content)
         files[name] = {"sha256": file_sha256(path), "bytes": os.path.getsize(path)}
-    manifest = {"meta": stamp("evidence-pack"), "files": files}
+    manifest = {"meta": stamp(PACK_ARTIFACT), "files": files}
     _write_entry(os.path.join(out_dir, MANIFEST_NAME), manifest)
     return manifest
 
@@ -95,11 +96,9 @@ def _verify_dir(pack_dir: str) -> list[str]:
     manifest_path = os.path.join(pack_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         return [f"{pack_dir}: no {MANIFEST_NAME} — not an evidence pack"]
-    with open(manifest_path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    # Schema refusal is a raise, not an error entry: a pack from another
-    # schema version must not be half-verified.
-    check_stamp(manifest.get("meta", {}), "evidence-pack", source=manifest_path)
+    # Refusal is a raise, not an error entry: a pack whose manifest is
+    # malformed or from another schema version must not be half-verified.
+    manifest = read_artifact(manifest_path, (PACK_ARTIFACT,))
     errors: list[str] = []
     files = manifest.get("files", {})
     for name, expected in sorted(files.items()):
@@ -130,14 +129,15 @@ def verify_evidence_pack(path: str) -> list[str]:
 
     Empty list = every manifested file present and hash-identical, and
     nothing unmanifested smuggled in.  Raises
-    :class:`~repro.telemetry.schema.SchemaMismatch` when the manifest
-    stamp is missing or from an incompatible schema version —
-    verification refuses to even start on such packs.
+    :class:`~repro.telemetry.schema.SchemaMismatch` when ``path`` does
+    not exist or the manifest is malformed, unstamped or from an
+    incompatible schema version — verification refuses to even start on
+    such packs.
     """
     if os.path.isdir(path):
         return _verify_dir(path)
     if not os.path.exists(path):
-        raise FileNotFoundError(path)
+        raise SchemaMismatch(f"{path}: no such file or directory")
     with tempfile.TemporaryDirectory(prefix="evidence-verify-") as scratch:
         with tarfile.open(path, "r:*") as archive:
             for member in archive.getmembers():

@@ -18,25 +18,26 @@ the bit, not to a tolerance.  Requests that never reach a boundary
 (shed at admission, evicted from a queue) simply have fewer children:
 the phase that *was* in progress absorbs the time up to completion.
 
-Three sources produce the same records:
+Two sources produce the same records:
 
 - live: ``router.spans`` after a run (works without any telemetry bus);
-- bus: :func:`spans_from_events` over captured telemetry events;
-- offline: :func:`spans_from_jsonl` over an exported ``*.events.jsonl``.
+- bus: :func:`spans_from_events` over captured telemetry events.
 
-Exports: :func:`write_spans_jsonl` (stamped, one record per line) and
+Exports: a ``spans-jsonl`` stream (one record per line, written and read
+by :func:`repro.telemetry.schema.write_stream` / ``read_stream``) and
 :func:`write_span_chrome_trace` (Perfetto-loadable; one *process lane
 per tenant*, requests as async begin/end pairs keyed by request id).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.telemetry.events import TelemetryEvent
-from repro.telemetry.schema import SchemaMismatch, check_stamp, stamp
+
+#: Stamp of the span-record stream.
+SPANS_ARTIFACT = "spans-jsonl"
 
 #: Boundary fields in request order, each starting the named child phase.
 CHECKPOINTS: tuple[tuple[str, str], ...] = (
@@ -210,48 +211,9 @@ def spans_from_events(events: Iterable[TelemetryEvent]) -> list[dict[str, Any]]:
     ]
 
 
-def spans_from_jsonl(path: str) -> list[dict[str, Any]]:
-    """Span records from an exported ``*.events.jsonl`` (all cells).
-
-    Refuses unstamped or version-mismatched files, like every other
-    replay consumer.
-    """
-    from repro.regress.replay import read_events_jsonl
-
-    records: list[dict[str, Any]] = []
-    for stream in read_events_jsonl(path).values():
-        records.extend(spans_from_events(stream.events))
-    return records
-
-
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
-def write_spans_jsonl(path: str, records: Sequence[Mapping[str, Any]]) -> int:
-    """Write span records one per line under a ``spans-jsonl`` stamp."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(stamp("spans-jsonl")) + "\n")
-        for record in records:
-            handle.write(json.dumps(dict(record)) + "\n")
-    return len(records)
-
-
-def read_spans_jsonl(path: str) -> list[dict[str, Any]]:
-    """Read a :func:`write_spans_jsonl` artifact back (stamp-checked)."""
-    records: list[dict[str, Any]] = []
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-        try:
-            header = json.loads(first) if first.strip() else {}
-        except json.JSONDecodeError as exc:
-            raise SchemaMismatch(f"{path}: line 1 is not JSON") from exc
-        check_stamp(header, "spans-jsonl", source=path)
-        for line in handle:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
-
-
 def tenant_lane_trace_events(
     records: Sequence[Mapping[str, Any]], freq_hz: float
 ) -> list[dict[str, Any]]:

@@ -4,14 +4,12 @@ Every instrumented layer publishes to the bus installed on its simulation
 kernel (``kernel.bus``):
 
 - :mod:`repro.sim.kernel` — scheduler events (``sched.dispatch``,
-  ``sched.preempt``, ``sched.park``, ``sched.finish``), gated behind
-  :attr:`EventBus.capture_sched` because of their volume;
+  ``sched.preempt``, ``sched.park``, ``sched.finish``), published only
+  under ``TelemetrySession(capture_sched=True)`` because of their volume;
 - :mod:`repro.sgx.enclave` — ``ecall.complete`` with the execution mode
-  the backend chose, and (only when :attr:`EventBus.capture_calls` is
-  set) a per-call ``ocall.complete``.  By default the dense per-ocall
-  record lives in :class:`repro.profiler.tracer.CallTracer` instead; the
-  JSONL exporter synthesizes ``ocall.complete`` lines from the tracer so
-  the artifact is the same either way;
+  the backend chose.  The dense per-ocall record lives in
+  :class:`repro.profiler.tracer.CallTracer` instead; the JSONL exporter
+  synthesizes ``ocall.complete`` lines from the tracer;
 - :mod:`repro.switchless` — ``intel.fallback`` (with the reason: full
   pool vs. exhausted retry budget) and worker sleep/wake transitions;
 - :mod:`repro.core` — ``zc.fallback`` / ``zc.pool_realloc`` /
@@ -55,21 +53,11 @@ class EventBus:
         max_events: Retention bound; once reached, *new* events are counted
             in :attr:`dropped` instead of stored (subscribers still see
             them).  0 means unbounded.
-        capture_sched: Whether the kernel publishes its per-dispatch
-            scheduler events.  Off by default — they are high-volume and
-            :class:`repro.sim.kernel.SchedTrace` already records the same
-            information for the CPU lanes of the Chrome trace.
-        capture_calls: Whether the enclave publishes a per-call
-            ``ocall.complete``.  Off by default for the same reason: the
-            call tracer already records every call, and an emit per ocall
-            dominates telemetry's host-time cost.
     """
 
     __slots__ = (
         "clock",
         "max_events",
-        "capture_sched",
-        "capture_calls",
         "events",
         "dropped",
         "_subscribers",
@@ -79,15 +67,11 @@ class EventBus:
         self,
         clock: Callable[[], float] | None = None,
         max_events: int = 200_000,
-        capture_sched: bool = False,
-        capture_calls: bool = False,
     ) -> None:
         if max_events < 0:
             raise ValueError("max_events must be >= 0")
         self.clock = clock
         self.max_events = max_events
-        self.capture_sched = capture_sched
-        self.capture_calls = capture_calls
         self.events: list[TelemetryEvent] = []
         self.dropped = 0
         # A tuple, not a list: emit iterates the immutable snapshot it

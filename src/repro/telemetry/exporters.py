@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.analysis.report import format_cycle_budget
 from repro.profiler.chrometrace import (
@@ -30,7 +30,7 @@ from repro.profiler.chrometrace import (
 )
 from repro.telemetry.ledger import CATEGORIES
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.schema import SCHEMA_VERSION, stamp
+from repro.telemetry.schema import SCHEMA_VERSION, stamp, write_stream
 
 from repro import __version__
 
@@ -49,6 +49,9 @@ _INSTANT_EVENTS = frozenset(
     }
 )
 
+#: Stamp of the JSONL event log.
+EVENTS_ARTIFACT = "events-jsonl"
+
 #: Synthetic tids for the non-CPU lanes of each cell's trace process.
 _OCALL_TID = 100
 _EVENT_TID = 101
@@ -57,85 +60,67 @@ _EVENT_TID = 101
 # ----------------------------------------------------------------------
 # JSONL event log
 # ----------------------------------------------------------------------
-def _synthesized_ocall_records(capture: "CellCapture") -> list[tuple[float, dict]]:
-    """Per-ocall ``ocall.complete`` records built from the call tracer.
+def _event_records(captures: Sequence["CellCapture"]) -> Iterator[dict]:
+    """Per capture: its bus events merged in time order with one
+    ``ocall.complete`` line per traced call, then a ``telemetry.meta`` line.
 
-    The enclave only publishes ``ocall.complete`` on the bus when
-    ``capture_calls`` is set (an emit per call is telemetry's dominant
-    host-time cost); the tracer records every call regardless, so the
-    JSONL artifact carries the same lines either way.
+    The enclave publishes no per-call event on the bus (an emit per call
+    would be telemetry's dominant host-time cost); the call tracer
+    records every call, so the lines are synthesized from it.
     """
-    if not capture.call_events or (capture.bus is not None and capture.bus.capture_calls):
-        return []
-    label = capture.label
-    return [
-        (
-            event.completed_at_cycles,
-            {
-                "t_cycles": event.completed_at_cycles,
-                "cell": label,
-                "event": "ocall.complete",
-                "name": event.name,
-                "mode": event.mode,
-                "latency_cycles": event.latency_cycles,
-                "in_bytes": event.in_bytes,
-                "out_bytes": event.out_bytes,
-            },
+    for capture in captures:
+        label = capture.label
+        bus_records = (
+            (event.t_cycles, dict({"t_cycles": event.t_cycles, "cell": label, "event": event.name}, **event.fields))
+            for event in capture.events
         )
-        for event in capture.call_events
-    ]
+        call_records = (
+            (
+                call.completed_at_cycles,
+                {
+                    "t_cycles": call.completed_at_cycles,
+                    "cell": label,
+                    "event": "ocall.complete",
+                    "name": call.name,
+                    "mode": call.mode,
+                    "latency_cycles": call.latency_cycles,
+                    "in_bytes": call.in_bytes,
+                    "out_bytes": call.out_bytes,
+                },
+            )
+            for call in capture.call_events
+        )
+        for _, record in heapq.merge(bus_records, call_records, key=lambda item: item[0]):
+            yield record
+        snapshot = capture.snapshot
+        yield {
+            "t_cycles": capture.now_cycles,
+            "cell": label,
+            "event": "telemetry.meta",
+            "events_stored": len(capture.events),
+            "events_dropped": capture.events_dropped,
+            "event_counts": capture.event_counts,
+            "call_events": len(capture.call_events),
+            "n_cpus": snapshot.n_cpus if snapshot is not None else None,
+            "freq_hz": capture.freq_hz,
+            "backend_stats": capture.backend_stats,
+        }
 
 
 def write_events_jsonl(path: str, captures: Sequence["CellCapture"]) -> int:
-    """Write every captured bus event as one JSON line; returns the count.
+    """Write every captured bus event as one JSON line; returns the line count.
 
-    Line schema: ``{"t_cycles": ..., "cell": ..., "event": ..., <fields>}``.
-    The first line is a ``telemetry.schema`` stamp (schema version + repro
-    version) so replay tooling can refuse incompatible files.  Per-call
-    ``ocall.complete`` lines are synthesized from the call tracer when the
-    bus did not capture them itself (the default).  A trailing ``meta``
-    line per cell records drop counters and the cell's machine context
+    Record schema: ``{"t_cycles": ..., "cell": ..., "event": ..., <fields>}``.
+    Line 1 is the ``events-jsonl`` stamp (in the same record shape, as a
+    ``telemetry.schema`` event), so replay tooling can refuse
+    incompatible files.  Per-call ``ocall.complete`` lines are
+    synthesized from the call tracer.  A trailing ``telemetry.meta`` line
+    per cell records drop counters and the cell's machine context
     (``n_cpus``, ``freq_hz``, backend stats) so truncated captures are
     visible — and replayable — from the artifact alone.
     """
-    written = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(
-            json.dumps(
-                {"t_cycles": 0.0, "cell": "", "event": "telemetry.schema", **stamp("events-jsonl")}
-            )
-            + "\n"
-        )
-        written += 1
-        for capture in captures:
-            bus_records = (
-                (event.t_cycles, dict({"t_cycles": event.t_cycles, "cell": capture.label, "event": event.name}, **event.fields))
-                for event in capture.events
-            )
-            call_records = _synthesized_ocall_records(capture)
-            for _, record in heapq.merge(bus_records, call_records, key=lambda item: item[0]):
-                handle.write(json.dumps(record, default=str) + "\n")
-                written += 1
-            snapshot = capture.snapshot
-            handle.write(
-                json.dumps(
-                    {
-                        "t_cycles": capture.now_cycles,
-                        "cell": capture.label,
-                        "event": "telemetry.meta",
-                        "events_stored": len(capture.events),
-                        "events_dropped": capture.events_dropped,
-                        "event_counts": capture.event_counts,
-                        "call_events": len(capture.call_events),
-                        "n_cpus": snapshot.n_cpus if snapshot is not None else None,
-                        "freq_hz": capture.freq_hz,
-                        "backend_stats": capture.backend_stats,
-                    }
-                )
-                + "\n"
-            )
-            written += 1
-    return written
+    header = {"t_cycles": 0.0, "cell": "", "event": "telemetry.schema", **stamp(EVENTS_ARTIFACT)}
+    return 1 + write_stream(path, header, _event_records(captures))
 
 
 # ----------------------------------------------------------------------

@@ -69,7 +69,6 @@ class CapturePayload:
     snapshot: LedgerSnapshot | None
     worker_timeline: list[tuple[float, float]]
     backend_stats: dict[str, Any]
-    capture_calls: bool
 
 
 @dataclass
@@ -78,21 +77,6 @@ class SessionPayload:
 
     captures: list[CapturePayload] = field(default_factory=list)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-
-
-class _BusFlags:
-    """Stands in for the event bus on a frozen capture.
-
-    The exporters only ask a finalized capture's bus one question —
-    ``capture_calls`` (whether ``ocall.complete`` lines are already on the
-    bus or must be synthesized from the tracer) — so a frozen capture
-    carries just that flag.
-    """
-
-    __slots__ = ("capture_calls",)
-
-    def __init__(self, capture_calls: bool) -> None:
-        self.capture_calls = capture_calls
 
 
 class FrozenCapture:
@@ -109,7 +93,6 @@ class FrozenCapture:
         self.label = label
         self.freq_hz = payload.freq_hz
         self.kernel = None
-        self.bus = _BusFlags(payload.capture_calls)
         self.events = payload.events
         self.events_dropped = payload.events_dropped
         self.event_counts = payload.event_counts
@@ -158,13 +141,11 @@ class CellCapture:
         self.bus = EventBus(
             clock=lambda: kernel.now,
             max_events=session.max_events_per_cell,
-            capture_sched=session.capture_sched,
-            capture_calls=session.capture_calls,
         )
         self.ledger = CycleLedger()
         kernel.bus = self.bus
         # The kernel's dispatch path reads the pre-resolved ``sched_bus``
-        # instead of checking ``bus.capture_sched`` per dispatch.
+        # instead of checking a capture flag per dispatch.
         kernel.sched_bus = self.bus if session.capture_sched else None
         kernel.ledger = self.ledger
         if kernel.trace is None:
@@ -360,7 +341,6 @@ class CellCapture:
             snapshot=self.snapshot,
             worker_timeline=self.worker_timeline,
             backend_stats=self.backend_stats,
-            capture_calls=self.bus.capture_calls,
         )
 
 
@@ -371,9 +351,6 @@ class TelemetrySession:
         capture_sched: Also publish per-dispatch scheduler events on the
             bus (high volume; the sched trace covers the Chrome trace's
             needs without it).
-        capture_calls: Also publish per-call ``ocall.complete`` events on
-            the bus (high volume; the call tracer records every call
-            anyway and the JSONL exporter synthesizes the same lines).
         max_events_per_cell: Event-bus retention bound per cell.
         sched_trace_entries: Ring size of the per-kernel scheduler trace.
         tracer_max_events: Ring size of the per-enclave call tracer.
@@ -387,14 +364,12 @@ class TelemetrySession:
     def __init__(
         self,
         capture_sched: bool = False,
-        capture_calls: bool = False,
         max_events_per_cell: int = 200_000,
         sched_trace_entries: int = 100_000,
         tracer_max_events: int = 100_000,
         on_attach: "Callable[[CellCapture], None] | None" = None,
     ) -> None:
         self.capture_sched = capture_sched
-        self.capture_calls = capture_calls
         self.max_events_per_cell = max_events_per_cell
         self.sched_trace_entries = sched_trace_entries
         self.tracer_max_events = tracer_max_events
@@ -446,7 +421,6 @@ class TelemetrySession:
         """
         return {
             "capture_sched": self.capture_sched,
-            "capture_calls": self.capture_calls,
             "max_events_per_cell": self.max_events_per_cell,
             "sched_trace_entries": self.sched_trace_entries,
             "tracer_max_events": self.tracer_max_events,

@@ -1,5 +1,9 @@
 """Tests for the suite runner and markdown report generator."""
 
+import pytest
+
+from repro.cli import QUICK_KWARGS
+from repro.experiments import EXPERIMENTS
 from repro.experiments.suite import (
     ExperimentOutcome,
     _markdown_table,
@@ -9,6 +13,18 @@ from repro.experiments.suite import (
 
 
 class TestRunSuite:
+    @pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
+    def test_every_experiment_exposes_the_cell_surface(self, exp_id):
+        # run_suite drives every experiment through cells()/assemble().
+        module = EXPERIMENTS[exp_id]
+        for name in ("cells", "run_cell", "assemble", "table", "report", "check_shape"):
+            assert callable(getattr(module, name, None)), f"{exp_id} lacks {name}()"
+
+    def test_serve_runs_through_the_suite(self):
+        (outcome,) = run_suite(["serve"], overrides=QUICK_KWARGS)
+        assert outcome.ok, outcome.violations
+        assert len(outcome.cell_seconds) == len(outcome.rows) == 2
+
     def test_subset_with_overrides(self):
         outcomes = run_suite(
             ["fig7", "sec5d"],

@@ -1,19 +1,18 @@
-"""Tests for the JSONL window-stream and HTML dashboard exports."""
+"""Tests for the window stream (header + record kinds) and HTML dashboard."""
 
 import json
 
 import pytest
 
 from repro.obs import (
-    load_windows_jsonl,
+    read_windows,
     render_html_report,
-    render_windows_jsonl,
+    window_stream,
     write_html_report,
-    write_windows_jsonl,
 )
 from repro.api import BenchSpec, ServeSpec
 from repro.serve.bench import run_bench
-from repro.telemetry.schema import SchemaMismatch
+from repro.telemetry.schema import SchemaMismatch, render_stream, write_stream
 
 SCENARIO = BenchSpec(
     serve=ServeSpec(
@@ -36,15 +35,15 @@ def obs():
 class TestJsonl:
     def test_roundtrip(self, obs, tmp_path):
         path = tmp_path / "stream.windows.jsonl"
-        write_windows_jsonl(obs, str(path))
-        loaded = load_windows_jsonl(str(path))
+        write_stream(str(path), *window_stream(obs))
+        loaded = read_windows(str(path))
         assert loaded["records"] == obs["records"]
         assert loaded["anomalies"] == obs["anomalies"]
         assert loaded["lanes"] == obs["lanes"]
         assert loaded["interval_cycles"] == obs["interval_cycles"]
 
     def test_stream_is_stamped_and_line_oriented(self, obs):
-        lines = render_windows_jsonl(obs).strip().splitlines()
+        lines = render_stream(*window_stream(obs)).strip().splitlines()
         header = json.loads(lines[0])
         assert header["artifact"] == "obs-windows"
         kinds = {json.loads(line)["record"] for line in lines[1:]}
@@ -57,7 +56,7 @@ class TestJsonl:
             json.dumps({"artifact": "spans-jsonl", "schema_version": 1}) + "\n"
         )
         with pytest.raises(SchemaMismatch):
-            load_windows_jsonl(str(path))
+            read_windows(str(path))
 
 
 class TestHtml:

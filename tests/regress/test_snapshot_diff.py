@@ -14,10 +14,9 @@ from repro.regress import (
     capture_run,
     diff_snapshots,
     load_snapshot,
-    save_snapshot,
 )
 from repro.sgx.costmodel import SgxCostModel
-from repro.telemetry.schema import SchemaMismatch
+from repro.telemetry.schema import SchemaMismatch, write_artifact
 
 #: One small experiment, scaled down further than --quick: these tests
 #: exercise the snapshot/diff machinery, not the figure.
@@ -72,12 +71,12 @@ class TestSnapshot:
         assert cell["now_cycles"][0] == cell["now_cycles"][1]
 
     def test_save_load_round_trip(self, baseline, tmp_path):
-        path = save_snapshot(baseline, str(tmp_path / "b.json"))
+        path = write_artifact(baseline, str(tmp_path / "b.json"))
         assert load_snapshot(path) == baseline
 
     def test_load_refuses_tampered_version(self, baseline, tmp_path):
         bad = dict(baseline, schema_version=baseline["schema_version"] + 1)
-        path = save_snapshot(bad, str(tmp_path / "bad.json"))
+        path = write_artifact(bad, str(tmp_path / "bad.json"))
         with pytest.raises(SchemaMismatch):
             load_snapshot(path)
 

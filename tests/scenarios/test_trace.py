@@ -41,12 +41,12 @@ class TestEventSerialization:
             t=0.0125, app="crypto", op="set", key=b"\x02" * 8,
             tenant="silver", value=b"\xff" * 4,
         )
-        assert TraceEvent.from_json(event.to_json()) == event
+        assert TraceEvent.from_record(json.loads(event.to_json())) == event
 
     def test_valueless_event_omits_the_value_field(self):
         event = TraceEvent(t=0.1, app="kv", op="get", key=b"k" * 8)
         assert "value" not in json.loads(event.to_json())
-        assert TraceEvent.from_json(event.to_json()).value is None
+        assert TraceEvent.from_record(json.loads(event.to_json())).value is None
 
     def test_serialization_is_canonical(self):
         # Sorted keys, compact separators: the digest depends on it.
@@ -97,7 +97,7 @@ class TestTamperEvidence:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(SchemaMismatch, match="empty"):
             load_trace(str(path))
 
     def test_missing_stamp_rejected(self, tmp_path):
@@ -109,7 +109,7 @@ class TestTamperEvidence:
     def test_unparsable_header_rejected(self, tmp_path):
         path = tmp_path / "garbage.jsonl"
         path.write_text("not json at all\n")
-        with pytest.raises(ValueError, match="unparsable trace header"):
+        with pytest.raises(SchemaMismatch, match="line 1 is not JSON"):
             load_trace(str(path))
 
     def test_dropped_event_caught_by_the_count(self, tmp_path):
@@ -117,7 +117,7 @@ class TestTamperEvidence:
         path = write_trace(trace, str(tmp_path / "t.jsonl"))
         lines = open(path, encoding="utf-8").read().splitlines()
         open(path, "w", encoding="utf-8").write("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="declares"):
+        with pytest.raises(SchemaMismatch, match="declares"):
             load_trace(str(path))
 
     def test_edited_event_caught_by_the_digest(self, tmp_path):
@@ -128,7 +128,7 @@ class TestTamperEvidence:
         record["op"] = "delete"
         lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
         open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="modified"):
+        with pytest.raises(SchemaMismatch, match="modified"):
             load_trace(str(path))
 
     def test_corrupt_event_line_rejected(self, tmp_path):
@@ -136,5 +136,5 @@ class TestTamperEvidence:
         path = write_trace(trace, str(tmp_path / "t.jsonl"))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{broken\n")
-        with pytest.raises(ValueError, match="unparsable trace event"):
+        with pytest.raises(SchemaMismatch, match=r"line \d+ is not JSON"):
             load_trace(str(path))

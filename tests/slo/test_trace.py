@@ -10,16 +10,13 @@ from repro.serve.loadgen import LoadGenerator, LoadSpec
 from repro.slo import (
     build_span_tree,
     build_span_trees,
-    read_spans_jsonl,
     reconcile_with_latency,
     span_conservation_errors,
     spans_from_events,
     tenant_lane_trace_events,
     write_span_chrome_trace,
-    write_spans_jsonl,
 )
 from repro.telemetry.events import TelemetryEvent
-from repro.telemetry.schema import SchemaMismatch
 
 
 def record(request_id=1, tenant="gold", status="ok", **overrides):
@@ -161,18 +158,6 @@ class TestEventSources:
         assert len(extracted) == 1
         assert extracted[0]["request_id"] == span["request_id"]
         assert extracted[0]["t_complete"] == span["t_complete"]
-
-    def test_jsonl_round_trip(self, tmp_path):
-        path = str(tmp_path / "spans.jsonl")
-        records = [record(request_id=i) for i in range(1, 4)]
-        assert write_spans_jsonl(path, records) == 3
-        assert read_spans_jsonl(path) == records
-
-    def test_jsonl_refuses_unstamped_files(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        path.write_text(json.dumps(record()) + "\n")
-        with pytest.raises(SchemaMismatch):
-            read_spans_jsonl(str(path))
 
 
 class TestChromeTrace:

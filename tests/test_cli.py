@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -241,7 +242,7 @@ class TestScenarioFlags:
     def test_corrupt_trace_fails_cleanly(self, tmp_path):
         trace = tmp_path / "garbage.jsonl"
         trace.write_text("not json\n")
-        with pytest.raises(SystemExit, match="unparsable"):
+        with pytest.raises(SystemExit, match="line 1 is not JSON"):
             main([*self.QUICK, "--trace", str(trace)])
 
     def test_missing_trace_file_fails_cleanly(self, tmp_path):
@@ -393,3 +394,99 @@ class TestBaselineFiles:
         out = str(tmp_path / "serve.json")
         with pytest.raises(SystemExit, match="--baseline: .*not JSON"):
             main([*self.SERVE, "--out", out, "--baseline", str(bad)])
+
+
+class TestMalformedInputs:
+    """Every malformed input file or bad value is refused in one line that
+    names it — never a traceback, and before anything runs."""
+
+    SERVE = ["serve", "bench", "--shards", "1", "--seconds", "0.005"]
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        """Malformed inputs by name (``missing`` is never created)."""
+        from repro.telemetry.schema import stamp
+
+        paths = {
+            name: tmp_path / name
+            for name in ("missing", "not-json", "unstamped", "bad-line-2", "bad-plan")
+        }
+        paths["not-json"].write_text("not json\n")
+        paths["unstamped"].write_text(
+            '{"t_cycles": 0, "cell": "x", "event": "zc.fallback"}\n'
+        )
+        paths["bad-line-2"].write_text(
+            json.dumps(stamp("events-jsonl")) + "\nnot json\n"
+        )
+        paths["bad-plan"].write_text('{"name": "x", "bogus": 1}\n')
+        return {name: str(path) for name, path in paths.items()}
+
+    def refusal(self, argv, capsys):
+        """Run the CLI; return its refusal line (it must fail)."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code, text = exc.code, str(exc.code)
+        else:
+            text = capsys.readouterr().out.strip()
+        assert code not in (0, None)
+        assert text and "\n" not in text
+        return text
+
+    @pytest.mark.parametrize("name", ["missing", "unstamped", "bad-line-2"])
+    def test_audit_events(self, files, capsys, name):
+        text = self.refusal(["audit", "--events", files[name]], capsys)
+        assert files[name] in text
+        if name == "bad-line-2":
+            assert "line 2" in text
+
+    @pytest.mark.parametrize("name", ["missing", "not-json"])
+    @pytest.mark.parametrize("command", ["serve", "evidence"])
+    def test_contracts(self, files, tmp_path, capsys, command, name):
+        argv = (
+            [*self.SERVE, "--out", str(tmp_path / "b.json")]
+            if command == "serve"
+            else ["evidence", "build", "--out", str(tmp_path / "pack"),
+                  "--shards", "1", "--seconds", "0.005"]
+        )
+        text = self.refusal([*argv, "--contracts", files[name]], capsys)
+        assert files[name] in text
+
+    def test_trace_directory(self, tmp_path, capsys):
+        argv = [*self.SERVE, "--out", str(tmp_path / "b.json"), "--trace", str(tmp_path)]
+        assert str(tmp_path) in self.refusal(argv, capsys)
+
+    def test_evidence_manifest_not_json(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text("not json\n")
+        text = self.refusal(["evidence", "verify", str(tmp_path)], capsys)
+        assert str(tmp_path / "manifest.json") in text
+
+    def test_evidence_missing_pack(self, files, capsys):
+        assert files["missing"] in self.refusal(
+            ["evidence", "verify", files["missing"]], capsys
+        )
+
+    def test_baseline_bench_meta_not_json(self, files, tmp_path, capsys):
+        argv = ["baseline", "--quick", "--experiments", "fig13",
+                "--out", str(tmp_path / "b.json"), "--bench-meta", files["not-json"]]
+        assert files["not-json"] in self.refusal(argv, capsys)
+
+    @pytest.mark.parametrize("plan", ["unknown-name", "not-json", "bad-plan"])
+    @pytest.mark.parametrize(
+        "command", ["serve", "evidence", "baseline", "diff", "faults-run", "faults-show"]
+    )
+    def test_fault_plan(self, files, tmp_path, capsys, command, plan):
+        value = "nope" if plan == "unknown-name" else files[plan]
+        out = str(tmp_path / "out")
+        argv = {
+            "serve": [*self.SERVE, "--out", out, "--plan", value],
+            "evidence": ["evidence", "build", "--out", out, "--shards", "1",
+                         "--seconds", "0.005", "--plan", value],
+            "baseline": ["baseline", "--quick", "--experiments", "fig13",
+                         "--out", out, "--plan", value],
+            "diff": ["diff", os.path.join(BASELINES_DIR, "quick.json"), "--plan", value],
+            "faults-run": ["faults", "run", "fig13", "--quick", "--plan", value],
+            "faults-show": ["faults", "show", value],
+        }[command]
+        assert value in self.refusal(argv, capsys)
+        assert not os.path.exists(out)
