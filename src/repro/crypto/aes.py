@@ -1,21 +1,43 @@
-"""The AES block cipher (FIPS-197), pure Python.
+"""The AES block cipher (FIPS-197), pure Python, table-driven.
 
-A straightforward byte-oriented implementation: S-box substitution, row
-shifts, GF(2^8) column mixing and the Rijndael key schedule, supporting
-128-, 192- and 256-bit keys.  It is written for clarity and testability,
-not speed — the simulated pipeline prices cipher work with a cycle model
-and only runs the real cipher where correctness matters.
+The state is four big-endian 32-bit column words.  Each inner round is
+the standard T-table form: sixteen lookups in ``Te0..Te3`` (decryption:
+``Td0..Td3``), which fold SubBytes, ShiftRows and MixColumns into one
+256-entry word table per row, XORed with four round-key words.  The
+final round substitutes from ``SBOX``/``INV_SBOX`` directly.
+Decryption is FIPS-197 §5.3.5's equivalent inverse cipher, so its
+round keys carry InvMixColumns, folded in once per key.
+
+Every table is built at import from the GF(2^8) exp/log tables; both key
+schedules are built once per :class:`AES`.  128-, 192- and 256-bit keys
+are supported.  :meth:`AES.encrypt_words`/:meth:`AES.decrypt_words` are
+the one round implementation: the block methods and the CBC loop in
+:mod:`repro.crypto.cbc` both run them.
 """
 
 from __future__ import annotations
+
+import struct
 
 BLOCK_SIZE = 16
 
 _ROUNDS_BY_KEYLEN = {16: 10, 24: 12, 32: 14}
 
+#: Key-schedule round constants x^(i-1) in GF(2^8) (FIPS-197 §5.2).
+_RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
-def _build_sbox() -> tuple[bytes, bytes]:
-    """Construct the AES S-box and its inverse from first principles."""
+_BLOCK = struct.Struct(">4I")
+
+_Tables = tuple[tuple[int, ...], ...]
+
+
+def _build_tables() -> tuple[bytes, bytes, _Tables, _Tables]:
+    """Construct the S-box, its inverse, ``Te0..Te3`` and ``Td0..Td3``.
+
+    ``Te0[x]`` is the MixColumns column of ``S[x]`` (2·S ‖ S ‖ S ‖ 3·S);
+    ``Td0[x]`` is the InvMixColumns column of ``S⁻¹[x]``
+    (14·S⁻¹ ‖ 9·S⁻¹ ‖ 13·S⁻¹ ‖ 11·S⁻¹).
+    """
     # Multiplicative inverses in GF(2^8) via exp/log tables (generator 3).
     exp = [0] * 512
     log = [0] * 256
@@ -28,6 +50,9 @@ def _build_sbox() -> tuple[bytes, bytes]:
     for i in range(255, 512):
         exp[i] = exp[i - 255]
 
+    def mul(a: int, b: int) -> int:
+        return exp[log[a] + log[b]] if a and b else 0
+
     sbox = bytearray(256)
     inv = bytearray(256)
     for value in range(256):
@@ -39,29 +64,40 @@ def _build_sbox() -> tuple[bytes, bytes]:
             result ^= rotated
         sbox[value] = result
         inv[result] = value
-    return bytes(sbox), bytes(inv)
+    te0 = [mul(s, 2) << 24 | s << 16 | s << 8 | mul(s, 3) for s in sbox]
+    td0 = [mul(s, 14) << 24 | mul(s, 9) << 16 | mul(s, 13) << 8 | mul(s, 11) for s in inv]
+    return bytes(sbox), bytes(inv), _rotations(te0), _rotations(td0)
 
 
-SBOX, INV_SBOX = _build_sbox()
+def _rotations(table0: list[int]) -> _Tables:
+    """``T0..T3``: ``T(r+1)`` is ``Tr`` rotated right by one byte."""
+    tables = [tuple(table0)]
+    for _ in range(3):
+        tables.append(tuple((w >> 8) | (w & 0xFF) << 24 for w in tables[-1]))
+    return tuple(tables)
 
 
-def _xtime(value: int) -> int:
-    """Multiply by x in GF(2^8)."""
-    value <<= 1
-    if value & 0x100:
-        value ^= 0x11B
-    return value & 0xFF
+SBOX, INV_SBOX, (Te0, Te1, Te2, Te3), (Td0, Td1, Td2, Td3) = _build_tables()
 
 
-def _gmul(a: int, b: int) -> int:
-    """GF(2^8) multiplication (schoolbook)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
+def _sub_word(w: int) -> int:
+    """SubWord: the S-box applied to each byte of a word."""
+    return (
+        SBOX[w >> 24] << 24
+        | SBOX[w >> 16 & 0xFF] << 16
+        | SBOX[w >> 8 & 0xFF] << 8
+        | SBOX[w & 0xFF]
+    )
+
+
+def _inv_mix_word(w: int) -> int:
+    """InvMixColumns of one column word (``Td`` undoes the S-box it looks up)."""
+    return (
+        Td0[SBOX[w >> 24]]
+        ^ Td1[SBOX[w >> 16 & 0xFF]]
+        ^ Td2[SBOX[w >> 8 & 0xFF]]
+        ^ Td3[SBOX[w & 0xFF]]
+    )
 
 
 class AES:
@@ -76,74 +112,88 @@ class AES:
             raise ValueError(f"key must be 16/24/32 bytes, got {len(key)}")
         self.key = bytes(key)
         self.rounds = _ROUNDS_BY_KEYLEN[len(key)]
-        self._round_keys = self._expand_key(self.key)
+        words = self._expand_key(self.key)
+        enc = [tuple(words[4 * r : 4 * r + 4]) for r in range(self.rounds + 1)]
+        # Equivalent inverse cipher: round keys in reverse order, with
+        # InvMixColumns applied to every one but the first and last.
+        dec = [enc[self.rounds]]
+        dec += [tuple(_inv_mix_word(w) for w in rk) for rk in reversed(enc[1:-1])]
+        dec.append(enc[0])
+        self._enc_keys = enc
+        self._dec_keys = dec
 
-    # ------------------------------------------------------------------
-    # Key schedule
-    # ------------------------------------------------------------------
-    def _expand_key(self, key: bytes) -> list[list[int]]:
-        """Rijndael key schedule: one 16-byte round key per round + 1."""
+    def _expand_key(self, key: bytes) -> list[int]:
+        """Rijndael key schedule: 4 × (rounds + 1) big-endian words."""
         nk = len(key) // 4
-        words = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
-        rcon = 1
-        total_words = 4 * (self.rounds + 1)
-        for i in range(nk, total_words):
-            word = list(words[i - 1])
+        words = list(struct.unpack(f">{nk}I", key))
+        for i in range(nk, 4 * (self.rounds + 1)):
+            word = words[i - 1]
             if i % nk == 0:
-                word = word[1:] + word[:1]  # RotWord
-                word = [SBOX[b] for b in word]  # SubWord
-                word[0] ^= rcon
-                rcon = _xtime(rcon)
+                word = (word << 8 & 0xFFFFFFFF) | word >> 24  # RotWord
+                word = _sub_word(word) ^ _RCON[i // nk - 1] << 24
             elif nk > 6 and i % nk == 4:
-                word = [SBOX[b] for b in word]
-            words.append([w ^ p for w, p in zip(word, words[i - nk])])
-        return [
-            [b for word in words[4 * r : 4 * r + 4] for b in word]
-            for r in range(self.rounds + 1)
-        ]
+                word = _sub_word(word)
+            words.append(words[i - nk] ^ word)
+        return words
 
     # ------------------------------------------------------------------
-    # Round operations (state is a flat 16-byte column-major list)
+    # Rounds on the four column words
     # ------------------------------------------------------------------
-    @staticmethod
-    def _shift_rows(state: list[int]) -> list[int]:
-        return [
-            state[0], state[5], state[10], state[15],
-            state[4], state[9], state[14], state[3],
-            state[8], state[13], state[2], state[7],
-            state[12], state[1], state[6], state[11],
-        ]
+    def encrypt_words(self, s0: int, s1: int, s2: int, s3: int) -> tuple[int, int, int, int]:
+        """Encrypt one block given as four big-endian column words."""
+        te0, te1, te2, te3, sbox = Te0, Te1, Te2, Te3, SBOX
+        keys = self._enc_keys
+        k0, k1, k2, k3 = keys[0]
+        s0 ^= k0
+        s1 ^= k1
+        s2 ^= k2
+        s3 ^= k3
+        for k0, k1, k2, k3 in keys[1:-1]:
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[s1 >> 16 & 255] ^ te2[s2 >> 8 & 255] ^ te3[s3 & 255] ^ k0,
+                te0[s1 >> 24] ^ te1[s2 >> 16 & 255] ^ te2[s3 >> 8 & 255] ^ te3[s0 & 255] ^ k1,
+                te0[s2 >> 24] ^ te1[s3 >> 16 & 255] ^ te2[s0 >> 8 & 255] ^ te3[s1 & 255] ^ k2,
+                te0[s3 >> 24] ^ te1[s0 >> 16 & 255] ^ te2[s1 >> 8 & 255] ^ te3[s2 & 255] ^ k3,
+            )
+        k0, k1, k2, k3 = keys[-1]
+        return (
+            (sbox[s0 >> 24] << 24 | sbox[s1 >> 16 & 255] << 16
+             | sbox[s2 >> 8 & 255] << 8 | sbox[s3 & 255]) ^ k0,
+            (sbox[s1 >> 24] << 24 | sbox[s2 >> 16 & 255] << 16
+             | sbox[s3 >> 8 & 255] << 8 | sbox[s0 & 255]) ^ k1,
+            (sbox[s2 >> 24] << 24 | sbox[s3 >> 16 & 255] << 16
+             | sbox[s0 >> 8 & 255] << 8 | sbox[s1 & 255]) ^ k2,
+            (sbox[s3 >> 24] << 24 | sbox[s0 >> 16 & 255] << 16
+             | sbox[s1 >> 8 & 255] << 8 | sbox[s2 & 255]) ^ k3,
+        )
 
-    @staticmethod
-    def _inv_shift_rows(state: list[int]) -> list[int]:
-        return [
-            state[0], state[13], state[10], state[7],
-            state[4], state[1], state[14], state[11],
-            state[8], state[5], state[2], state[15],
-            state[12], state[9], state[6], state[3],
-        ]
-
-    @staticmethod
-    def _mix_columns(state: list[int]) -> list[int]:
-        out = [0] * 16
-        for c in range(4):
-            a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
-            out[4 * c + 0] = _xtime(a0) ^ (_xtime(a1) ^ a1) ^ a2 ^ a3
-            out[4 * c + 1] = a0 ^ _xtime(a1) ^ (_xtime(a2) ^ a2) ^ a3
-            out[4 * c + 2] = a0 ^ a1 ^ _xtime(a2) ^ (_xtime(a3) ^ a3)
-            out[4 * c + 3] = (_xtime(a0) ^ a0) ^ a1 ^ a2 ^ _xtime(a3)
-        return out
-
-    @staticmethod
-    def _inv_mix_columns(state: list[int]) -> list[int]:
-        out = [0] * 16
-        for c in range(4):
-            a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
-            out[4 * c + 0] = _gmul(a0, 14) ^ _gmul(a1, 11) ^ _gmul(a2, 13) ^ _gmul(a3, 9)
-            out[4 * c + 1] = _gmul(a0, 9) ^ _gmul(a1, 14) ^ _gmul(a2, 11) ^ _gmul(a3, 13)
-            out[4 * c + 2] = _gmul(a0, 13) ^ _gmul(a1, 9) ^ _gmul(a2, 14) ^ _gmul(a3, 11)
-            out[4 * c + 3] = _gmul(a0, 11) ^ _gmul(a1, 13) ^ _gmul(a2, 9) ^ _gmul(a3, 14)
-        return out
+    def decrypt_words(self, s0: int, s1: int, s2: int, s3: int) -> tuple[int, int, int, int]:
+        """Decrypt one block given as four big-endian column words."""
+        td0, td1, td2, td3, inv = Td0, Td1, Td2, Td3, INV_SBOX
+        keys = self._dec_keys
+        k0, k1, k2, k3 = keys[0]
+        s0 ^= k0
+        s1 ^= k1
+        s2 ^= k2
+        s3 ^= k3
+        for k0, k1, k2, k3 in keys[1:-1]:
+            s0, s1, s2, s3 = (
+                td0[s0 >> 24] ^ td1[s3 >> 16 & 255] ^ td2[s2 >> 8 & 255] ^ td3[s1 & 255] ^ k0,
+                td0[s1 >> 24] ^ td1[s0 >> 16 & 255] ^ td2[s3 >> 8 & 255] ^ td3[s2 & 255] ^ k1,
+                td0[s2 >> 24] ^ td1[s1 >> 16 & 255] ^ td2[s0 >> 8 & 255] ^ td3[s3 & 255] ^ k2,
+                td0[s3 >> 24] ^ td1[s2 >> 16 & 255] ^ td2[s1 >> 8 & 255] ^ td3[s0 & 255] ^ k3,
+            )
+        k0, k1, k2, k3 = keys[-1]
+        return (
+            (inv[s0 >> 24] << 24 | inv[s3 >> 16 & 255] << 16
+             | inv[s2 >> 8 & 255] << 8 | inv[s1 & 255]) ^ k0,
+            (inv[s1 >> 24] << 24 | inv[s0 >> 16 & 255] << 16
+             | inv[s3 >> 8 & 255] << 8 | inv[s2 & 255]) ^ k1,
+            (inv[s2 >> 24] << 24 | inv[s1 >> 16 & 255] << 16
+             | inv[s0 >> 8 & 255] << 8 | inv[s3 & 255]) ^ k2,
+            (inv[s3 >> 24] << 24 | inv[s2 >> 16 & 255] << 16
+             | inv[s1 >> 8 & 255] << 8 | inv[s0 & 255]) ^ k3,
+        )
 
     # ------------------------------------------------------------------
     # Block operations
@@ -152,28 +202,10 @@ class AES:
         """Encrypt exactly one 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise ValueError("block must be 16 bytes")
-        state = [b ^ k for b, k in zip(block, self._round_keys[0])]
-        for rnd in range(1, self.rounds):
-            state = [SBOX[b] for b in state]
-            state = self._shift_rows(state)
-            state = self._mix_columns(state)
-            state = [b ^ k for b, k in zip(state, self._round_keys[rnd])]
-        state = [SBOX[b] for b in state]
-        state = self._shift_rows(state)
-        state = [b ^ k for b, k in zip(state, self._round_keys[self.rounds])]
-        return bytes(state)
+        return _BLOCK.pack(*self.encrypt_words(*_BLOCK.unpack(block)))
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise ValueError("block must be 16 bytes")
-        state = [b ^ k for b, k in zip(block, self._round_keys[self.rounds])]
-        state = self._inv_shift_rows(state)
-        state = [INV_SBOX[b] for b in state]
-        for rnd in range(self.rounds - 1, 0, -1):
-            state = [b ^ k for b, k in zip(state, self._round_keys[rnd])]
-            state = self._inv_mix_columns(state)
-            state = self._inv_shift_rows(state)
-            state = [INV_SBOX[b] for b in state]
-        state = [b ^ k for b, k in zip(state, self._round_keys[0])]
-        return bytes(state)
+        return _BLOCK.pack(*self.decrypt_words(*_BLOCK.unpack(block)))

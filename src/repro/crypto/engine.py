@@ -5,19 +5,21 @@ The pipeline charges in-enclave cipher work through
 on the paper's CPU).  Two data transforms implement the actual bytes:
 
 - :class:`RealAesCbcEngine` — the genuine AES-256-CBC from
-  :mod:`repro.crypto.cbc`.  Used in examples and correctness tests.
+  :mod:`repro.crypto.cbc`.  Used in examples, correctness tests and the
+  ``aes-file`` benchmark workload.
 - :class:`FastXorEngine` — a length- and padding-faithful stand-in
-  (keystream XOR + PKCS#7) that is invertible and fast enough to stream
-  megabytes through the benchmark harness.  The *simulated* cycle cost is
-  identical to the real engine's; only the host-Python cost differs.
+  (keystream XOR + PKCS#7) that is invertible and a few hundred times
+  cheaper per chunk.  fig. 10 and the serve crypto app use it.  The
+  *simulated* cycle cost is identical to the real engine's; only the
+  host-Python cost differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.aes import BLOCK_SIZE
-from repro.crypto.cbc import cbc_decrypt, cbc_encrypt, pkcs7_pad, pkcs7_unpad
+from repro.crypto.aes import AES, BLOCK_SIZE
+from repro.crypto.cbc import cbc_decrypt_with, cbc_encrypt_with, pkcs7_pad, pkcs7_unpad
 
 
 @dataclass(frozen=True)
@@ -46,21 +48,24 @@ class CryptoCostModel:
 
 
 class RealAesCbcEngine:
-    """The genuine AES-256-CBC transform."""
+    """The genuine AES-256-CBC transform; the key is expanded once per engine."""
 
     def __init__(self, key: bytes, iv: bytes) -> None:
         if len(key) != 32:
             raise ValueError("AES-256 key must be 32 bytes")
+        if len(iv) != BLOCK_SIZE:
+            raise ValueError("iv must be 16 bytes")
         self.key = key
         self.iv = iv
+        self._cipher = AES(key)
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """AES-256-CBC encrypt with PKCS#7 padding."""
-        return cbc_encrypt(self.key, self.iv, plaintext)
+        return cbc_encrypt_with(self._cipher, self.iv, plaintext)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """AES-256-CBC decrypt, stripping PKCS#7 padding."""
-        return cbc_decrypt(self.key, self.iv, ciphertext)
+        return cbc_decrypt_with(self._cipher, self.iv, ciphertext)
 
 
 class FastXorEngine:
@@ -69,8 +74,19 @@ class FastXorEngine:
     Applies PKCS#7 padding and XORs with a key-derived 256-byte repeating
     keystream.  Ciphertext length matches the real engine exactly
     (``len(pkcs7_pad(plaintext))``), decryption round-trips, and malformed
-    "ciphertext" fails unpadding — enough fidelity for the I/O pipeline,
-    at hundreds of MB/s of host-Python throughput.
+    "ciphertext" fails unpadding — enough fidelity for the I/O pipeline.
+
+    It stays because even the table-driven real cipher is too slow for
+    the serve and fig. 10 paths.  Measured on one x86-64 core under
+    CPython 3.11, per chunk encrypted or decrypted:
+
+    - a 512-byte serve chunk costs ~1 ms in :class:`RealAesCbcEngine`
+      and 3-5 µs here;
+    - a 4 KiB fig. 10 chunk costs 5-6 ms there and 15-20 µs here.
+
+    The ``serve-zc-mixed`` benchmark workload moves 330 such 512-byte
+    chunks, so the real cipher would add about 0.3 s to a run of about
+    1.2 s.
     """
 
     def __init__(self, key: bytes, iv: bytes) -> None:
@@ -90,10 +106,9 @@ class FastXorEngine:
         self._pad = bytes(stream[:256])
 
     def _xor(self, data: bytes) -> bytes:
-        pad = (self._pad * (len(data) // 256 + 1))[: len(data)]
-        return bytes(a ^ b for a, b in zip(data, pad)) if len(data) < 4096 else (
-            int.from_bytes(data, "big") ^ int.from_bytes(pad, "big")
-        ).to_bytes(len(data), "big")
+        size = len(data)
+        pad = (self._pad * (size // 256 + 1))[:size]
+        return (int.from_bytes(data, "big") ^ int.from_bytes(pad, "big")).to_bytes(size, "big")
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Pad then XOR-transform (length-faithful stand-in)."""

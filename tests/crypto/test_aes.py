@@ -6,6 +6,10 @@ from hypothesis import strategies as st
 
 from repro.crypto import AES
 from repro.crypto.aes import INV_SBOX, SBOX
+from tests.crypto import schoolbook_aes
+
+#: Random AES-128/192/256 keys.
+KEYS = st.sampled_from([16, 24, 32]).flatmap(lambda n: st.binary(min_size=n, max_size=n))
 
 
 class TestFips197Vectors:
@@ -36,6 +40,26 @@ class TestFips197Vectors:
         plaintext = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
         expected = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
         assert AES(key).encrypt_block(plaintext) == expected
+
+    @pytest.mark.parametrize(
+        "key,ciphertext",
+        [
+            ("000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"),
+            (
+                "000102030405060708090a0b0c0d0e0f1011121314151617",
+                "dda97ca4864cdfe06eaf70a0ec0d7191",
+            ),
+            (
+                "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+                "8ea2b7ca516745bfeafc49904b496089",
+            ),
+        ],
+        ids=["aes128", "aes192", "aes256"],
+    )
+    def test_decrypt_appendix_c(self, key, ciphertext):
+        """The inverse-cipher halves of Appendix C.1-C.3."""
+        cipher = AES(bytes.fromhex(key))
+        assert cipher.decrypt_block(bytes.fromhex(ciphertext)) == self.PLAINTEXT
 
     @pytest.mark.parametrize("keylen", [16, 24, 32])
     def test_decrypt_inverts_encrypt_on_vectors(self, keylen):
@@ -91,3 +115,12 @@ def test_encryption_changes_data(key, block):
     assert len(encrypted) == 16
     # Deterministic under the same key.
     assert AES(key).encrypt_block(block) == encrypted
+
+
+@given(key=KEYS, block=st.binary(min_size=16, max_size=16))
+def test_matches_schoolbook_reference(key, block):
+    """The table-driven rounds equal the byte-oriented cipher on every key
+    size; decryption exercises the folded inverse-cipher round keys."""
+    cipher, reference = AES(key), schoolbook_aes.AES(key)
+    assert cipher.encrypt_block(block) == reference.encrypt_block(block)
+    assert cipher.decrypt_block(block) == reference.decrypt_block(block)

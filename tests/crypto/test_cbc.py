@@ -1,11 +1,12 @@
 """CBC mode tests against NIST SP 800-38A, plus padding properties."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.crypto import cbc_decrypt, cbc_encrypt, pkcs7_pad, pkcs7_unpad
 from repro.crypto.cbc import PaddingError
+from tests.crypto import schoolbook_aes
 
 # NIST SP 800-38A F.2.5 (CBC-AES256.Encrypt)
 NIST_KEY = bytes.fromhex(
@@ -98,3 +99,18 @@ def test_cbc_roundtrip_property(key, iv, plaintext):
 def test_ciphertext_length_is_padded_length(key, iv, plaintext):
     ciphertext = cbc_encrypt(key, iv, plaintext)
     assert len(ciphertext) == (len(plaintext) // 16 + 1) * 16
+
+
+@given(
+    key=st.sampled_from([16, 24, 32]).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+    iv=st.binary(min_size=16, max_size=16),
+    plaintext=st.binary(min_size=0, max_size=100),
+)
+@example(key=bytes(32), iv=bytes(16), plaintext=b"")
+@example(key=NIST_KEY, iv=NIST_IV, plaintext=bytes(range(256)) * 2)
+def test_cbc_matches_schoolbook_reference(key, iv, plaintext):
+    """The word-level CBC loop equals CBC built block by block on the
+    byte-oriented reference cipher, for empty and multi-block inputs."""
+    ciphertext = cbc_encrypt(key, iv, plaintext)
+    assert ciphertext == schoolbook_aes.cbc_encrypt(key, iv, plaintext)
+    assert cbc_decrypt(key, iv, ciphertext) == schoolbook_aes.cbc_decrypt(key, iv, ciphertext)

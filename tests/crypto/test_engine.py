@@ -33,6 +33,12 @@ class TestRealEngine:
         with pytest.raises(ValueError):
             RealAesCbcEngine(bytes(16), bytes(16))
 
+    def test_rejects_malformed_iv_at_construction(self):
+        """A bad IV fails where the engine is built, not at the first
+        encrypt inside a running enclave thread."""
+        with pytest.raises(ValueError, match="iv must be 16 bytes"):
+            RealAesCbcEngine(bytes(32), b"short")
+
 
 class TestFastEngine:
     def test_roundtrip(self):
@@ -55,6 +61,14 @@ class TestFastEngine:
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
             FastXorEngine(b"", bytes(16))
+
+    @pytest.mark.parametrize("size", [0, 1, 15, 16, 255, 256, 257, 512, 4095, 4096, 4097])
+    def test_xor_is_per_byte_keystream_xor(self, size):
+        """Every length XORs byte i with keystream byte i mod 256."""
+        engine = FastXorEngine(b"key-material", bytes(16))
+        data = bytes((7 * i + 3) % 256 for i in range(size))
+        expected = bytes(b ^ engine._pad[i % 256] for i, b in enumerate(data))
+        assert engine._xor(data) == expected
 
 
 @given(data=st.binary(min_size=0, max_size=10_000))

@@ -1,8 +1,9 @@
 """Smoke tests for the runnable examples.
 
 Each example must run to completion and print its headline result.  The
-heavier scripts (real pure-Python AES, 200k-call square waves) are
-exercised here through their fast entry points only.
+heavier scripts (200k-call square waves) are exercised here through
+their fast entry points only.  The file-encryption example runs the real
+table-driven AES-256-CBC in full; it takes a few seconds.
 """
 
 import subprocess
