@@ -37,14 +37,21 @@ over one, :class:`AutoscaleSpec` enables the elastic control plane, and
 live cluster or a finished artifact.  Every spec validates its field
 combinations centrally in one error path (:class:`SpecError`) and
 round-trips through JSON with a schema stamp, so evidence packs and
-scenario baselines record the complete serve configuration.
+scenario baselines record the complete serve configuration.  Each
+field is declared once: :func:`flag` marks the ones the CLI sets, and
+the flags, the flag→spec fold and the JSON form are all derived from
+the dataclass fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+import functools
+import importlib
+import types
+import typing
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator, TypeVar
 
 from repro.core.backend import ZcSwitchlessBackend
 from repro.core.config import ZcConfig
@@ -78,8 +85,14 @@ __all__ = [
     "SpecError",
     "SwitchlessConfig",
     "ZcConfig",
+    "base_type",
+    "flag",
+    "flag_choices",
     "make_backend",
     "normalize_backend",
+    "parse_pairs",
+    "spec_fields",
+    "spec_flags",
 ]
 
 #: The canonical backend vocabulary (the CLI's ``--backend`` choices).
@@ -157,6 +170,76 @@ class SpecError(ValueError):
     """
 
 
+def flag(
+    default: Any, help: str, *, metavar: str | None = None, choices: Any = None
+) -> Any:
+    """Declare a spec field that the serve-family CLI sets with a flag.
+
+    The flag is ``--`` plus the field name with ``_`` replaced by ``-``;
+    its default is ``default`` and its type follows the field's type
+    hint.  ``choices`` (a tuple, or a callable returning one) bound the
+    flag and the field alike.
+    """
+    meta = {"help": help, "metavar": metavar, "choices": choices}
+    return field(default=default, metadata=meta)
+
+
+def _serve_choices(module: str, name: str) -> Callable[[], tuple[str, ...]]:
+    """Choices defined in :mod:`repro.serve`, which imports this module:
+    looked up once, when first needed."""
+    return functools.cache(lambda: getattr(importlib.import_module(module), name))
+
+
+def flag_choices(spec_field: dataclasses.Field) -> tuple[str, ...] | None:
+    """The choices a :func:`flag` field declares (None when unbounded)."""
+    choices = spec_field.metadata.get("choices")
+    return choices() if callable(choices) else choices
+
+
+@functools.cache
+def spec_fields(cls: type) -> tuple[tuple[dataclasses.Field, Any], ...]:
+    """The fields of ``cls`` with their type hints, resolved once per class
+    (``typing.get_type_hints`` costs more than a whole ``from_json``)."""
+    hints = typing.get_type_hints(cls)
+    return tuple((spec_field, hints[spec_field.name]) for spec_field in fields(cls))
+
+
+@functools.cache
+def base_type(hint: Any) -> Any:
+    """A type hint with ``None`` dropped: ``int | None`` → ``int``."""
+    args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return args[0] if isinstance(hint, types.UnionType) and len(args) == 1 else hint
+
+
+def spec_flags(cls: type) -> Iterator[tuple[dataclasses.Field, Any]]:
+    """Every :func:`flag` field of ``cls`` and of the specs nested in it,
+    in declaration order, with its :func:`base_type`."""
+    for spec_field, hint in spec_fields(cls):
+        base = base_type(hint)
+        if "help" in spec_field.metadata:
+            yield spec_field, base
+        if dataclasses.is_dataclass(base):
+            yield from spec_flags(base)
+
+
+def parse_pairs(text: str, what: str) -> tuple[tuple[str, float], ...]:
+    """``"gold:3,bronze"`` → ``(("gold", 3.0), ("bronze", 1.0))``.
+
+    Only the syntax is checked here; the spec that receives the pairs
+    validates names, uniqueness and weights.
+    """
+    pairs = []
+    for part in filter(None, (part.strip() for part in text.split(","))):
+        name, _, weight = (item.strip() for item in part.partition(":"))
+        if not name:
+            raise SpecError(f"{what}: empty name in {text!r}")
+        try:
+            pairs.append((name, float(weight) if weight else 1.0))
+        except ValueError:
+            raise SpecError(f"{what}: bad weight for {name!r} in {text!r}") from None
+    return tuple(pairs)
+
+
 def _check_pairs(
     pairs: "tuple[tuple[str, float], ...] | None", what: str
 ) -> None:
@@ -166,28 +249,103 @@ def _check_pairs(
     if not pairs:
         raise SpecError(f"{what} needs at least one (name, weight) pair")
     names = [name for name, _ in pairs]
-    if len(set(names)) != len(names):
-        raise SpecError(f"{what} names must be unique")
+    duplicates = ", ".join(sorted({n for n in names if names.count(n) > 1}))
+    if duplicates:
+        raise SpecError(f"{what} names must be unique; duplicate {duplicates}")
     if any(weight <= 0 for _, weight in pairs):
         raise SpecError(f"{what} weights must be positive")
 
 
-def _pairs_to_json(
-    pairs: "tuple[tuple[str, float], ...] | None",
-) -> "list[list[Any]] | None":
-    return [list(pair) for pair in pairs] if pairs is not None else None
+def _to_plain(value: Any) -> Any:
+    """One field value as JSON data: nested specs and tuples recurse."""
+    if isinstance(value, _Spec):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_to_plain(item) for item in value]
+    return value
 
 
-def _pairs_from_json(
-    pairs: "list[list[Any]] | None",
-) -> "tuple[tuple[str, float], ...] | None":
-    if pairs is None:
+def _from_plain(hint: Any, value: Any, where: str) -> Any:
+    """One JSON value rebuilt as the field's type ``hint`` describes."""
+    base = base_type(hint)
+    if value is None and base is not hint:
         return None
-    return tuple((str(name), float(weight)) for name, weight in pairs)
+    if typing.get_origin(base) is tuple:
+        items = typing.get_args(base)
+        if items[-1] is Ellipsis and isinstance(value, list):
+            items = items[:1] * len(value)
+        if not isinstance(value, list) or len(value) != len(items):
+            raise SpecError(f"{where}: expected {len(items)} item(s), found {value!r}")
+        return tuple(_from_plain(item, v, where) for item, v in zip(items, value))
+    if issubclass(base, _Spec):
+        return base.from_json(value)
+    try:
+        return base(value)
+    except (TypeError, ValueError):
+        expected = base.__name__
+        raise SpecError(f"{where}: expected {expected}, found {value!r}") from None
+
+
+_S = TypeVar("_S", bound="_Spec")
+
+
+class _Spec:
+    """What a spec dataclass derives from its field declarations: the
+    JSON form (from the fields and their type hints, so a new field
+    round-trips with no code; nested specs are written as their own
+    documents, tuples as lists) and the choices check."""
+
+    #: ``meta.kind`` of the stamped form; None writes no stamp (a spec
+    #: that only travels nested inside another).
+    JSON_KIND: ClassVar[str | None] = None
+
+    def to_json(self) -> dict[str, Any]:
+        """Plain-data form; round-trips via :meth:`from_json`."""
+        doc: dict[str, Any] = {}
+        if self.JSON_KIND is not None:
+            doc["meta"] = {**stamp(SPEC_ARTIFACT), "kind": self.JSON_KIND}
+        for spec_field, _ in spec_fields(type(self)):
+            doc[spec_field.name] = _to_plain(getattr(self, spec_field.name))
+        return doc
+
+    @classmethod
+    def from_json(cls: type[_S], data: Any) -> _S:
+        """Rebuild a spec from :meth:`to_json` output (stamp-checked).
+
+        Unknown and missing keys are refused at every nesting level, in
+        one :class:`SpecError` naming the class and the keys.
+        """
+        name = cls.__name__
+        if not isinstance(data, dict):
+            raise SpecError(f"{name}: expected a JSON object, found {data!r}")
+        keys = set(data)
+        if cls.JSON_KIND is not None:
+            check_stamp(data.get("meta", {}), SPEC_ARTIFACT, source=name)
+            keys.discard("meta")
+        hints = spec_fields(cls)
+        names = {f.name for f, _ in hints}
+        for problem, found in (("unknown", keys - names), ("missing", names - keys)):
+            if found:
+                found_text = ", ".join(sorted(found))
+                raise SpecError(f"{name}: {problem} field(s) {found_text}")
+        return cls(
+            **{
+                f.name: _from_plain(hint, data[f.name], f"{name}.{f.name}")
+                for f, hint in hints
+            }
+        )
+
+    def _check_choices(self) -> None:
+        """Refuse any field value outside its flag's declared choices."""
+        for spec_field in fields(self):  # type: ignore[arg-type]
+            choices = flag_choices(spec_field)
+            value = getattr(self, spec_field.name)
+            if choices is not None and value not in choices:
+                raise SpecError(f"{spec_field.name} must be one of {choices}")
 
 
 @dataclass(frozen=True)
-class AutoscaleSpec:
+class AutoscaleSpec(_Spec):
     """Configuration of the elastic control plane (:mod:`repro.autoscale`).
 
     The controller watches the obs window stream, forecasts per-lane
@@ -209,8 +367,8 @@ class AutoscaleSpec:
             grants before shedding (≥ 1; higher sheds later).
     """
 
-    min_shards: int = 1
-    max_shards: int = 8
+    min_shards: int = flag(1, "autoscale floor on the fleet size (default 1)")
+    max_shards: int = flag(8, "autoscale ceiling on the fleet size (default 8)")
     worker_options: tuple[int, ...] = (1, 2, 4)
     batch_options: tuple[int, ...] = (1, 2, 4)
     alpha: float = 0.5
@@ -222,9 +380,8 @@ class AutoscaleSpec:
         if self.max_shards < self.min_shards:
             raise SpecError("autoscale max_shards must be >= min_shards")
         for name in ("worker_options", "batch_options"):
-            options = getattr(self, name)
-            object.__setattr__(self, name, tuple(options))
-            options = getattr(self, name)
+            options = tuple(getattr(self, name))
+            object.__setattr__(self, name, options)
             if not options:
                 raise SpecError(f"autoscale {name} must not be empty")
             if any(int(opt) != opt or opt < 1 for opt in options):
@@ -238,32 +395,9 @@ class AutoscaleSpec:
         if self.headroom < 1.0:
             raise SpecError("autoscale headroom must be >= 1")
 
-    def to_json(self) -> dict[str, Any]:
-        """Plain-data form (nested inside a stamped spec)."""
-        return {
-            "min_shards": self.min_shards,
-            "max_shards": self.max_shards,
-            "worker_options": list(self.worker_options),
-            "batch_options": list(self.batch_options),
-            "alpha": self.alpha,
-            "headroom": self.headroom,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "AutoscaleSpec":
-        """Rebuild from :meth:`to_json` output."""
-        return cls(
-            min_shards=int(data["min_shards"]),
-            max_shards=int(data["max_shards"]),
-            worker_options=tuple(int(v) for v in data["worker_options"]),
-            batch_options=tuple(int(v) for v in data["batch_options"]),
-            alpha=float(data["alpha"]),
-            headroom=float(data["headroom"]),
-        )
-
 
 @dataclass(frozen=True)
-class ServeSpec:
+class ServeSpec(_Spec):
     """Declarative description of one serving cluster.
 
     The single source of truth for cluster topology — what used to be
@@ -294,40 +428,68 @@ class ServeSpec:
             burst (0 disables the dispatch cost model).
         apps: Weighted served-app mix as ``(name, weight)`` pairs; None
             keeps the classic single-app KV shard.
-        tenants: Weighted tenant mix as ``(name, weight)`` pairs; also
-            switches the router to weighted-fair shedding.
+        tenants: Weighted tenant mix as ``(name, weight)`` pairs, kept
+            sorted by name; also switches the router to weighted-fair
+            shedding.
         plan: Fault-plan name to attach (None = ambient plan, if any).
         fault_shard: Global index of the shard the plan attaches to.
         autoscale: Elastic control-plane configuration (None = static).
     """
 
-    shards: int = 2
-    backend: str = "zc"
-    policy: str = "hash"
-    admission: str = "shed"
-    queue_capacity: int = 64
-    servers_per_shard: int = 2
-    budget: int | None = None
+    JSON_KIND = "serve"
+
+    shards: int = flag(2, "enclave shards (default 2)")
+    backend: str = flag(
+        "zc", "call backend per shard (default zc)", choices=BACKEND_CHOICES
+    )
+    policy: str = flag(
+        "hash",
+        "request placement (default hash = rendezvous)",
+        choices=_serve_choices("repro.serve.router", "POLICY_CHOICES"),
+    )
+    admission: str = flag(
+        "shed",
+        "full-queue behaviour (default shed)",
+        choices=_serve_choices("repro.serve.router", "ADMISSION_CHOICES"),
+    )
+    queue_capacity: int = flag(64, "per-shard queue bound (default 64)")
+    servers_per_shard: int = flag(
+        2, "untrusted server threads per shard (default 2)"
+    )
+    budget: int | None = flag(
+        None, "global switchless-worker cap across all shards (default uncapped)"
+    )
     batch: int = 1
     dispatch_cycles: float = 0.0
-    apps: tuple[tuple[str, float], ...] | None = None
-    tenants: tuple[tuple[str, float], ...] | None = None
-    plan: str | None = None
-    fault_shard: int = 0
-    autoscale: AutoscaleSpec | None = None
+    apps: tuple[tuple[str, float], ...] | None = flag(
+        None,
+        "weighted served-app mix, e.g. 'kv:6,session:3,crypto:1' "
+        "(installs every named app on every shard; first = default)",
+        metavar="MIX",
+    )
+    tenants: tuple[tuple[str, float], ...] | None = flag(
+        None,
+        "weighted tenant mix, e.g. 'gold:3,bronze:1' "
+        "(enables weighted-fair shedding and per-tenant stats)",
+        metavar="MIX",
+    )
+    plan: str | None = flag(
+        None,
+        "fault plan (name or JSON file) injected into one shard",
+        metavar="PLAN",
+    )
+    fault_shard: int = flag(0, "shard the fault plan targets (default 0)")
+    autoscale: AutoscaleSpec | None = flag(
+        None,
+        "run the elastic control plane (repro.autoscale): spawn/retire "
+        "shards, retune the worker cap and gate admission per obs window",
+    )
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise SpecError("shards must be >= 1")
         object.__setattr__(self, "backend", normalize_backend(self.backend))
-        # Deferred imports: the serve modules import this one at load
-        # time; by spec-construction time they are always importable.
-        from repro.serve.router import ADMISSION_CHOICES, POLICY_CHOICES
-
-        if self.policy not in POLICY_CHOICES:
-            raise SpecError(f"policy must be one of {POLICY_CHOICES}")
-        if self.admission not in ADMISSION_CHOICES:
-            raise SpecError(f"admission must be one of {ADMISSION_CHOICES}")
+        self._check_choices()
         if self.queue_capacity < 1:
             raise SpecError("queue_capacity must be >= 1")
         if self.servers_per_shard < 1:
@@ -343,6 +505,8 @@ class ServeSpec:
                 self, "apps", tuple(tuple(pair) for pair in self.apps)
             )
             _check_pairs(self.apps, "apps")
+            # Deferred import: the serve modules import this one at load
+            # time; by spec-construction time they are always importable.
             from repro.serve.apps import APP_CHOICES
 
             unknown = [n for n, _ in self.apps if n not in APP_CHOICES]
@@ -351,9 +515,12 @@ class ServeSpec:
                     f"unknown apps {unknown}; choices: {', '.join(APP_CHOICES)}"
                 )
         if self.tenants is not None:
-            object.__setattr__(
-                self, "tenants", tuple(tuple(pair) for pair in self.tenants)
+            # Sorted by name: the load generator's RNG stream follows the
+            # mix order, which must not depend on how the mix was spelled.
+            tenants = sorted(
+                (tuple(pair) for pair in self.tenants), key=lambda pair: pair[0]
             )
+            object.__setattr__(self, "tenants", tuple(tenants))
             _check_pairs(self.tenants, "tenants")
         if not 0 <= self.fault_shard < self.shards:
             raise SpecError(
@@ -397,57 +564,9 @@ class ServeSpec:
             return None
         return dict(self.tenants)
 
-    def to_json(self) -> dict[str, Any]:
-        """Stamped plain-data form; round-trips via :meth:`from_json`."""
-        return {
-            "meta": {**stamp(SPEC_ARTIFACT), "kind": "serve"},
-            "shards": self.shards,
-            "backend": self.backend,
-            "policy": self.policy,
-            "admission": self.admission,
-            "queue_capacity": self.queue_capacity,
-            "servers_per_shard": self.servers_per_shard,
-            "budget": self.budget,
-            "batch": self.batch,
-            "dispatch_cycles": self.dispatch_cycles,
-            "apps": _pairs_to_json(self.apps),
-            "tenants": _pairs_to_json(self.tenants),
-            "plan": self.plan,
-            "fault_shard": self.fault_shard,
-            "autoscale": (
-                self.autoscale.to_json() if self.autoscale is not None else None
-            ),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ServeSpec":
-        """Rebuild a spec from :meth:`to_json` output (stamp-checked)."""
-        check_stamp(data.get("meta", {}), SPEC_ARTIFACT, source="ServeSpec")
-        autoscale = data.get("autoscale")
-        return cls(
-            shards=int(data["shards"]),
-            backend=data["backend"],
-            policy=data["policy"],
-            admission=data["admission"],
-            queue_capacity=int(data["queue_capacity"]),
-            servers_per_shard=int(data["servers_per_shard"]),
-            budget=None if data["budget"] is None else int(data["budget"]),
-            batch=int(data.get("batch", 1)),
-            dispatch_cycles=float(data.get("dispatch_cycles", 0.0)),
-            apps=_pairs_from_json(data.get("apps")),
-            tenants=_pairs_from_json(data.get("tenants")),
-            plan=data.get("plan"),
-            fault_shard=int(data.get("fault_shard", 0)),
-            autoscale=(
-                AutoscaleSpec.from_json(autoscale)
-                if autoscale is not None
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class BenchSpec:
+class BenchSpec(_Spec):
     """Declarative description of one serve benchmark run.
 
     A :class:`ServeSpec` plus the offered load, observation windows and
@@ -465,8 +584,8 @@ class BenchSpec:
         serve: The cluster under test.
         seconds: Offered-load duration in simulated seconds (a trace
             overrides it with its own declared duration).
-        rate: Open-loop Poisson arrival rate in requests/s (the default
-            loop; ignored when ``clients`` selects the closed loop).
+        rate: Open-loop Poisson arrival rate in requests/s (None under
+            the closed loop, which has no offered rate).
         clients: Closed-loop request threads (None = open loop).
         requests_per_client: Closed-loop per-thread request budget.
         keydist: Key distribution (``uniform`` | ``zipf`` | ``seq``).
@@ -480,38 +599,79 @@ class BenchSpec:
         obs_interval: Window width in simulated cycles (None = duration
             split into the default window count; setting it implies
             ``obs``).
-        contracts: Path to an SLO contracts JSON file to evaluate.
+        contracts: Path to an SLO contracts JSON file to evaluate; it is
+            read before the cluster is built.
     """
 
+    JSON_KIND = "bench"
+
     serve: ServeSpec = field(default_factory=ServeSpec)
-    seconds: float = 2.0
-    rate: float | None = 2_000.0
-    clients: int | None = None
-    requests_per_client: int | None = None
-    keydist: str = "uniform"
+    seconds: float = flag(
+        2.0, "simulated run length in seconds (default %(default)s)"
+    )
+    rate: float | None = flag(
+        2_000.0, "open-loop offered load in rps (default 2000)"
+    )
+    clients: int | None = flag(
+        None, "switch to a closed loop with N client threads"
+    )
+    requests_per_client: int | None = flag(
+        None, "closed-loop bound on requests per client"
+    )
+    keydist: str = flag(
+        "uniform",
+        "client key distribution (default uniform)",
+        choices=_serve_choices("repro.serve.loadgen", "KEYDIST_CHOICES"),
+    )
     keyspace: int = 256
     set_fraction: float = 1.0 / 3.0
-    seed: int = 0
-    scenario: str | None = None
-    trace: str | None = None
-    slices: int = 1
-    obs: bool = False
-    obs_interval: float | None = None
-    contracts: str | None = None
+    seed: int = flag(0, "load-generator seed (default 0)")
+    scenario: str | None = flag(
+        None,
+        "replay a catalog scenario's committed trace instead of "
+        "synthetic load (see 'repro scenarios list')",
+        metavar="NAME",
+    )
+    trace: str | None = flag(
+        None,
+        "replay a scenario trace file instead of synthetic load",
+        metavar="FILE",
+    )
+    slices: int = flag(
+        1,
+        "partition the shards across N slice processes, each simulating "
+        "its subset, and merge deterministically (open loop only; "
+        "default 1 = single process)",
+    )
+    obs: bool = flag(
+        False,
+        "attach the windowed metric sampler + anomaly detector; "
+        "the window stream is written as stamped JSONL",
+    )
+    obs_interval: float | None = flag(
+        None,
+        "window length in simulated cycles (implies --obs; default: "
+        "the run split into 10 windows)",
+        metavar="CYCLES",
+    )
+    contracts: str | None = flag(
+        None,
+        "evaluate per-tenant SLO contracts; hard breaches exit 1",
+        metavar="FILE",
+    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.serve, ServeSpec):
             raise SpecError("serve must be a ServeSpec")
-        from repro.serve.loadgen import KEYDIST_CHOICES
-
-        if self.keydist not in KEYDIST_CHOICES:
-            raise SpecError(f"keydist must be one of {KEYDIST_CHOICES}")
+        self._check_choices()
         if self.seconds <= 0:
             raise SpecError("seconds must be > 0")
+        if self.clients is not None:
+            if self.clients < 1:
+                raise SpecError("clients must be >= 1 (or None for the open loop)")
+            object.__setattr__(self, "rate", None)
         if self.rate is not None and self.rate <= 0:
             raise SpecError("rate must be > 0 (or None for the closed loop)")
-        if self.clients is not None and self.clients < 1:
-            raise SpecError("clients must be >= 1 (or None for the open loop)")
         if self.requests_per_client is not None and self.clients is None:
             raise SpecError("requests_per_client needs clients (closed loop)")
         if self.keyspace < 1:
@@ -519,7 +679,7 @@ class BenchSpec:
         if not 0.0 <= self.set_fraction <= 1.0:
             raise SpecError("set_fraction must be in [0, 1]")
         if self.scenario is not None and self.trace is not None:
-            raise SpecError("scenario and trace are exclusive — pick one")
+            raise SpecError("scenario and trace are mutually exclusive — pick one")
         if self.replays_trace() and self.clients is not None:
             raise SpecError("trace replay is open-loop; drop clients")
         if self.slices < 1:
@@ -556,53 +716,6 @@ class BenchSpec:
     def replays_trace(self) -> bool:
         """True when the load comes from a committed/explicit trace."""
         return self.scenario is not None or self.trace is not None
-
-    def to_json(self) -> dict[str, Any]:
-        """Stamped plain-data form; round-trips via :meth:`from_json`."""
-        return {
-            "meta": {**stamp(SPEC_ARTIFACT), "kind": "bench"},
-            "serve": self.serve.to_json(),
-            "seconds": self.seconds,
-            "rate": self.rate,
-            "clients": self.clients,
-            "requests_per_client": self.requests_per_client,
-            "keydist": self.keydist,
-            "keyspace": self.keyspace,
-            "set_fraction": self.set_fraction,
-            "seed": self.seed,
-            "scenario": self.scenario,
-            "trace": self.trace,
-            "slices": self.slices,
-            "obs": self.obs,
-            "obs_interval": self.obs_interval,
-            "contracts": self.contracts,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "BenchSpec":
-        """Rebuild a spec from :meth:`to_json` output (stamp-checked)."""
-        check_stamp(data.get("meta", {}), SPEC_ARTIFACT, source="BenchSpec")
-        return cls(
-            serve=ServeSpec.from_json(data["serve"]),
-            seconds=float(data["seconds"]),
-            rate=None if data["rate"] is None else float(data["rate"]),
-            clients=None if data["clients"] is None else int(data["clients"]),
-            requests_per_client=(
-                None
-                if data["requests_per_client"] is None
-                else int(data["requests_per_client"])
-            ),
-            keydist=data["keydist"],
-            keyspace=int(data["keyspace"]),
-            set_fraction=float(data["set_fraction"]),
-            seed=int(data["seed"]),
-            scenario=data.get("scenario"),
-            trace=data.get("trace"),
-            slices=int(data.get("slices", 1)),
-            obs=bool(data.get("obs", False)),
-            obs_interval=data.get("obs_interval"),
-            contracts=data.get("contracts"),
-        )
 
     def replace(self, **changes: Any) -> "BenchSpec":
         """A copy with ``changes`` applied (re-validated on construction)."""

@@ -66,6 +66,7 @@ packs" section of ``docs/observability.md``):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -512,61 +513,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 1 if audit_violations else 0
 
 
-def _parse_tenants(value: str | None) -> dict[str, float] | None:
-    """``--tenants "gold:3,bronze:1"`` → weight dict (None when unset)."""
-    if value is None:
-        return None
-    mix: dict[str, float] = {}
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, weight = part.partition(":")
-        if not name:
-            raise SystemExit(f"--tenants: empty tenant name in {value!r}")
-        try:
-            mix[name.strip()] = float(weight) if weight else 1.0
-        except ValueError:
-            raise SystemExit(f"--tenants: bad weight for {name!r} in {value!r}")
-    if not mix:
-        raise SystemExit("--tenants given but names no tenants")
-    return mix
-
-
-def _parse_app_mix(value: str | None) -> tuple[tuple[str, float], ...] | None:
-    """``--apps "kv:6,session:3,crypto:1"`` → weighted pairs (None unset).
-
-    Order is preserved: the first app is the shard default/probe app.
-    Unknown app names fail here, before any cluster is built.
-    """
-    if value is None:
-        return None
-    from repro.serve.apps import APP_CHOICES
-
-    pairs: list[tuple[str, float]] = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, weight = part.partition(":")
-        name = name.strip()
-        if not name:
-            raise SystemExit(f"--apps: empty app name in {value!r}")
-        if name not in APP_CHOICES:
-            raise SystemExit(
-                f"--apps: unknown app {name!r}; choices: {', '.join(APP_CHOICES)}"
-            )
-        if any(existing == name for existing, _ in pairs):
-            raise SystemExit(f"--apps: duplicate app {name!r} in {value!r}")
-        try:
-            pairs.append((name, float(weight) if weight else 1.0))
-        except ValueError:
-            raise SystemExit(f"--apps: bad weight for {name!r} in {value!r}")
-    if not pairs:
-        raise SystemExit("--apps given but names no apps")
-    return tuple(pairs)
-
-
 def _committed_trace(name: str) -> str:
     """The committed trace file of catalog scenario ``name``.
 
@@ -587,21 +533,19 @@ def _committed_trace(name: str) -> str:
     return path
 
 
-def _resolve_trace(args: argparse.Namespace) -> Any:
-    """``--scenario``/``--trace`` → the loaded trace (None when neither is set).
+def _resolve_trace(spec: Any) -> Any:
+    """The trace a ``BenchSpec`` replays, loaded (None for synthetic load).
 
-    The flags are user input: an unknown scenario exits in one line, and
-    a missing, malformed or tampered trace file is a ``SchemaMismatch``
-    that :func:`main` prints in one line.
+    The scenario and trace fields are user input: an unknown scenario
+    exits in one line, and a missing, malformed or tampered trace file
+    is a ``SchemaMismatch`` that :func:`main` prints in one line.
     """
-    if args.scenario is None and args.trace is None:
+    if not spec.replays_trace():
         return None
-    if args.scenario is not None and args.trace is not None:
-        raise SystemExit("--scenario and --trace are mutually exclusive")
     from repro.scenarios import load_trace
 
     return load_trace(
-        args.trace if args.scenario is None else _committed_trace(args.scenario)
+        spec.trace if spec.scenario is None else _committed_trace(spec.scenario)
     )
 
 
@@ -726,106 +670,56 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _add_serve_flags(parser: argparse.ArgumentParser, *, seconds: float) -> None:
-    """The serve-bench flags ``serve bench`` and ``evidence build`` share.
+def _option(name: str) -> str:
+    """The flag of spec field ``name``: ``queue_capacity`` → ``--queue-capacity``."""
+    return "--" + name.replace("_", "-")
 
-    :func:`_serve_bench_spec` folds them into one ``BenchSpec``.
+
+def _is_switch(base: Any) -> bool:
+    """A ``bool`` field, or a nested spec, is set by a ``store_true`` switch."""
+    return base is bool or dataclasses.is_dataclass(base)
+
+
+def _add_spec_flags(
+    parser: argparse.ArgumentParser, *, omit: Sequence[str] = (), **defaults: Any
+) -> None:
+    """One flag per :func:`repro.api.flag` field of ``BenchSpec`` and of
+    the specs nested in it (``serve bench`` and ``evidence build``).
+
+    Name, help, metavar, choices and default come from the field, the
+    type from its type hint: ``int`` and ``float`` parse as such, a
+    ``bool`` or a nested spec is a switch, anything else stays text.
+    ``defaults`` overrides field defaults; ``omit`` leaves fields out.
+    :func:`_spec_from_flags` folds the parsed flags back into a spec.
     """
-    from repro.api import BACKEND_CHOICES
-    from repro.serve import ADMISSION_CHOICES, KEYDIST_CHOICES, POLICY_CHOICES
+    from repro.api import BenchSpec, flag_choices, spec_flags
 
+    for spec_field, base in spec_flags(BenchSpec):
+        if spec_field.name in omit:
+            continue
+        meta = spec_field.metadata
+        if _is_switch(base):
+            parser.add_argument(
+                _option(spec_field.name), action="store_true", help=meta["help"]
+            )
+            continue
+        parser.add_argument(
+            _option(spec_field.name),
+            type=base if base in (int, float) else None,
+            default=defaults.get(spec_field.name, spec_field.default),
+            choices=flag_choices(spec_field),
+            metavar=meta["metavar"],
+            help=meta["help"],
+        )
+
+
+def _add_gate_flags(
+    parser: argparse.ArgumentParser,
+    gates: str = "the run against a committed baseline (see baselines/README.md)",
+) -> None:
+    """The ``--baseline``/``--threshold`` pair of every gated command."""
     parser.add_argument(
-        "--shards", type=int, default=2, help="enclave shards (default 2)"
-    )
-    parser.add_argument(
-        "--seconds",
-        type=float,
-        default=seconds,
-        help=f"simulated run length in seconds (default {seconds})",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="zc",
-        help="call backend per shard (default zc)",
-    )
-    parser.add_argument(
-        "--rate",
-        type=float,
-        default=2_000.0,
-        help="open-loop offered load in rps (default 2000)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=POLICY_CHOICES,
-        default="hash",
-        help="request placement (default hash = rendezvous)",
-    )
-    parser.add_argument(
-        "--admission",
-        choices=ADMISSION_CHOICES,
-        default="shed",
-        help="full-queue behaviour (default shed)",
-    )
-    parser.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=64,
-        help="per-shard queue bound (default 64)",
-    )
-    parser.add_argument(
-        "--servers-per-shard",
-        type=int,
-        default=2,
-        help="untrusted server threads per shard (default 2)",
-    )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="global switchless-worker cap across all shards (default uncapped)",
-    )
-    parser.add_argument(
-        "--plan",
-        default=None,
-        metavar="PLAN",
-        help="fault plan (name or JSON file) injected into one shard",
-    )
-    parser.add_argument(
-        "--fault-shard",
-        type=int,
-        default=0,
-        help="shard the fault plan targets (default 0)",
-    )
-    parser.add_argument(
-        "--keydist",
-        choices=KEYDIST_CHOICES,
-        default="uniform",
-        help="client key distribution (default uniform)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="load-generator seed (default 0)"
-    )
-    parser.add_argument(
-        "--tenants",
-        default=None,
-        metavar="MIX",
-        help=(
-            "weighted tenant mix, e.g. 'gold:3,bronze:1' "
-            "(enables weighted-fair shedding and per-tenant stats)"
-        ),
-    )
-    parser.add_argument(
-        "--contracts",
-        default=None,
-        metavar="FILE",
-        help="evaluate per-tenant SLO contracts; hard breaches exit 1",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="gate the run against a committed baseline (see baselines/README.md)",
+        "--baseline", default=None, metavar="FILE", help=f"gate {gates}"
     )
     parser.add_argument(
         "--threshold",
@@ -833,107 +727,90 @@ def _add_serve_flags(parser: argparse.ArgumentParser, *, seconds: float) -> None
         default=0.1,
         help="relative drift the baseline gate tolerates (default 0.1)",
     )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help=(
-            "attach the windowed metric sampler + anomaly detector; "
-            "the window stream is written as stamped JSONL"
-        ),
-    )
-    parser.add_argument(
-        "--obs-interval",
-        type=float,
-        default=None,
-        metavar="CYCLES",
-        help=(
-            "window length in simulated cycles (implies --obs; default: "
-            "the run split into 10 windows)"
-        ),
-    )
 
 
-def _serve_bench_spec(
-    args: argparse.Namespace,
-    *,
-    tenants: dict[str, float] | None,
-    app_mix: tuple[tuple[str, float], ...] | None,
-    obs_enabled: bool,
-) -> Any:
-    """The serve flags (:func:`_add_serve_flags`) folded into one
-    validated ``BenchSpec``.
+def _given_flags(cls: type, args: argparse.Namespace) -> list[str]:
+    """The spec flags of ``cls`` (nested specs included) whose parsed
+    values differ from their field defaults."""
+    from repro.api import spec_flags
 
-    All spec-combination validation (slices vs shards, autoscale vs
-    fixed slices, trace vs closed loop, …) happens inside the spec
-    constructors — :class:`repro.api.SpecError` is the single error
-    path, surfaced as a one-line ``SystemExit``.  The fault plan is
-    resolved here too, so a bad one is refused before anything runs.
+    return [
+        _option(spec_field.name)
+        for spec_field, base in spec_flags(cls)
+        if hasattr(args, spec_field.name)
+        and getattr(args, spec_field.name)
+        != (False if _is_switch(base) else spec_field.default)
+    ]
+
+
+def _fold(cls: type, args: argparse.Namespace) -> Any:
+    """Spec class ``cls`` built from the parsed flags of its fields.
+
+    A nested spec without a flag is always built; one with a switch is
+    built when the switch is on, and its flags are refused when it is
+    off.  A field this parser omits keeps its default.
     """
-    from repro.api import SPEC_ARTIFACT, AutoscaleSpec, BenchSpec, ServeSpec, SpecError
+    from repro.api import base_type, parse_pairs, spec_fields
+
+    kwargs: dict[str, Any] = {}
+    for spec_field, hint in spec_fields(cls):
+        base, name = base_type(hint), spec_field.name
+        if "help" not in spec_field.metadata:
+            if dataclasses.is_dataclass(base):
+                kwargs[name] = _fold(base, args)
+            continue
+        if not hasattr(args, name):
+            continue
+        value = getattr(args, name)
+        if dataclasses.is_dataclass(base):
+            orphans = ", ".join([] if value else _given_flags(base, args))
+            if orphans:
+                raise SystemExit(f"{orphans} only apply with {_option(name)}")
+            value = _fold(base, args) if value else None
+        elif isinstance(value, str) and base is not str:
+            value = parse_pairs(value, _option(name))
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
+def _spec_from_flags(args: argparse.Namespace, **implied: bool) -> Any:
+    """The spec flags (:func:`_add_spec_flags`) folded into one validated
+    ``BenchSpec``, or the spec file ``--spec`` names.
+
+    A flag counts as given when its value differs from its field's
+    default.  A given flag that could not take effect is refused in one
+    line naming it: any spec flag beside ``--spec``, and a nested spec's
+    flags (``--min-shards``) without its switch (``--autoscale``).
+    ``implied`` turns on fields that other flags imply (``obs`` for
+    ``--live``); those are allowed beside ``--spec``.  Field checks are
+    the spec constructors' :class:`repro.api.SpecError`, surfaced in one
+    line; a bad fault plan is refused here too, before anything runs.
+    """
+    from repro.api import SPEC_ARTIFACT, BenchSpec, SpecError
     from repro.telemetry.schema import read_artifact
 
-    if args.spec is not None:
-        conflicting = [
-            flag
-            for flag, given in (
-                ("--scenario", args.scenario is not None),
-                ("--trace", args.trace is not None),
-                ("--autoscale", args.autoscale),
-            )
-            if given
-        ]
-        if conflicting:
-            raise SystemExit(
-                f"--spec carries the full bench config; drop {conflicting}"
-            )
-        try:
-            spec = BenchSpec.from_json(read_artifact(args.spec, (SPEC_ARTIFACT,)))
-        except (KeyError, TypeError, ValueError) as exc:  # incl. SpecError
-            raise SystemExit(f"--spec: {exc}")
-        if obs_enabled and not spec.obs:
-            spec = spec.replace(obs=True)
-        _resolve_plan(spec.serve.plan)
-        return spec
-    _resolve_plan(args.plan)
-    autoscale = None
-    if args.autoscale:
-        try:
-            autoscale = AutoscaleSpec(
-                min_shards=args.min_shards, max_shards=args.max_shards
-            )
-        except SpecError as exc:
-            raise SystemExit(str(exc))
+    spec_file = getattr(args, "spec", None)
     try:
-        serve = ServeSpec(
-            shards=args.shards,
-            backend=args.backend,
-            policy=args.policy,
-            admission=args.admission,
-            queue_capacity=args.queue_capacity,
-            servers_per_shard=args.servers_per_shard,
-            budget=args.budget,
-            apps=app_mix,
-            tenants=tuple(sorted(tenants.items())) if tenants else None,
-            plan=args.plan,
-            fault_shard=args.fault_shard,
-            autoscale=autoscale,
-        )
-        return BenchSpec(
-            serve=serve,
-            seconds=args.seconds,
-            rate=None if args.clients is not None else args.rate,
-            clients=args.clients,
-            requests_per_client=args.requests_per_client,
-            keydist=args.keydist,
-            seed=args.seed,
-            scenario=args.scenario,
-            trace=args.trace,
-            slices=args.slices,
-            obs=obs_enabled,
-            obs_interval=args.obs_interval,
-        )
+        if spec_file is None:
+            spec = _fold(BenchSpec, args)
+        else:
+            exempt = {_option(name) for name in implied}
+            given = [f for f in _given_flags(BenchSpec, args) if f not in exempt]
+            if given:
+                raise SystemExit(
+                    f"--spec carries the full bench config; drop {', '.join(given)}"
+                )
+            try:
+                spec = BenchSpec.from_json(read_artifact(spec_file, (SPEC_ARTIFACT,)))
+            except ValueError as exc:  # a SchemaMismatch or a SpecError
+                raise SystemExit(f"--spec: {exc}")
+        switched_on = {name: on for name, on in implied.items() if on}
+        if switched_on:
+            spec = spec.replace(**switched_on)
     except SpecError as exc:
         raise SystemExit(str(exc))
+    _resolve_plan(spec.serve.plan)
+    return spec
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -942,21 +819,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.bench import run_bench
     from repro.telemetry.schema import stamp, write_artifact, write_stream
 
-    obs_enabled = bool(
-        args.obs
-        or args.live
-        or args.obs_interval is not None
-        or args.obs_out is not None
-        or args.obs_html is not None
-        or args.obs_snapshot is not None
+    obs_outputs = (args.obs_out, args.obs_html, args.obs_snapshot)
+    spec = _spec_from_flags(
+        args,
+        obs=args.obs or args.live or any(path is not None for path in obs_outputs),
     )
+    # Early, user-friendly validation of the trace (unknown scenario
+    # names, missing files); the loaded trace is reused below.
+    trace = _resolve_trace(spec)
+    # Slice-parallel path: shards partitioned across processes, merged
+    # deterministically (repro.serve.slices).  --audit rides this path
+    # even with one slice so the live checkers run in a child kernel.
+    sliced = spec.slices > 1 or args.audit
     console = None
     obs_on_window = None
     if args.live:
         from repro.obs import LiveConsole
 
         console = LiveConsole()
-        if args.slices > 1 or args.audit:
+        if sliced:
             # Slice kernels run in child processes; the merged stream is
             # only available at the end, so replay it then.
             print(
@@ -965,27 +846,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         else:
             obs_on_window = console.on_window
-    tenants = _parse_tenants(args.tenants)
-    app_mix = _parse_app_mix(args.apps)
-    # Early, user-friendly validation of the trace flags (unknown
-    # scenario names, missing files); the loaded trace is reused below.
-    trace = _resolve_trace(args)
-    contracts = None
-    if args.contracts is not None:
-        from repro.slo import load_contracts
-
-        contracts = load_contracts(args.contracts)
     span_sink: list | None = [] if args.spans is not None else None
-    spec = _serve_bench_spec(
-        args, tenants=tenants, app_mix=app_mix, obs_enabled=obs_enabled
-    )
     started = time.monotonic()
     try:
-        if args.slices > 1 or args.audit:
-            # Slice-parallel path: shards partitioned across processes,
-            # merged deterministically (repro.serve.slices).  --audit
-            # rides this path even with one slice so the live checkers
-            # run in a child kernel.
+        if sliced:
             from repro.serve.slices import run_slice_bench
 
             if args.spans is not None:
@@ -997,17 +861,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 raise SystemExit(
                     "--slices/--audit require the open loop (no --clients)"
                 )
-            result = run_slice_bench(
-                spec,
-                audit=args.audit,
-                jobs=args.jobs,
-                contracts=contracts,
-            )
+            result = run_slice_bench(spec, audit=args.audit, jobs=args.jobs)
         else:
             result = run_bench(
                 spec,
                 telemetry=False,
-                contracts=contracts,
                 span_sink=span_sink,
                 obs_on_window=obs_on_window,
                 trace=trace,
@@ -1083,7 +941,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         count = write_stream(args.spans, stamp(SPANS_ARTIFACT), span_sink)
         print(f"[{count} span record(s) written to {args.spans}]")
-    if obs_enabled and "obs" in result:
+    if "obs" in result:
         from repro.obs import OBS_ARTIFACT, window_stream, write_html_report
 
         obs = result["obs"]
@@ -1118,7 +976,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             _write_snapshot(OBS_ARTIFACT, result, args.obs_snapshot)
     print(f"[serve: {elapsed:.1f}s wall]")
     failures = _print_serve_audit(result)
-    if contracts is not None and _print_verdicts(result):
+    if "slo" in result and _print_verdicts(result):
         failures += 1
     if args.baseline is not None:
         failures += bool(_gate_baseline(result, args.baseline, args.threshold))
@@ -1168,31 +1026,20 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
     from repro.slo import (
         SPANS_ARTIFACT,
         build_evidence_pack,
-        load_contracts,
         pack_tarball,
         tenant_lane_trace_events,
     )
     from repro.telemetry import TelemetrySession
     from repro.telemetry.schema import render_stream, stamp
 
-    tenants = _parse_tenants(args.tenants)
-    contracts = load_contracts(args.contracts) if args.contracts else None
-    obs_enabled = bool(args.obs or args.obs_interval is not None)
-    spec = _serve_bench_spec(
-        args, tenants=tenants, app_mix=None, obs_enabled=obs_enabled
-    )
+    spec = _spec_from_flags(args)
     span_sink: list = []
     auditors: list[Any] = []
     started = time.monotonic()
     with TelemetrySession(
         on_attach=lambda capture: auditors.append(attach_auditor(capture))
     ) as session:
-        result = run_bench(
-            spec,
-            contracts=contracts,
-            span_sink=span_sink,
-            telemetry=session,
-        )
+        result = run_bench(spec, span_sink=span_sink, telemetry=session)
     freq_hz = session.captures[0].freq_hz if session.captures else 1e9
     for auditor in auditors:
         auditor.finish()
@@ -1222,7 +1069,7 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
     # wants representative samples, not an unbounded transcript).
     sample = span_sink[: args.span_samples]
     contents["spans.jsonl"] = render_stream(stamp(SPANS_ARTIFACT), sample)
-    if obs_enabled and "obs" in result:
+    if "obs" in result:
         from repro.obs import window_stream
 
         contents["windows.jsonl"] = render_stream(*window_stream(result["obs"]))
@@ -1234,8 +1081,8 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
 
     gate_violations: list[str] = []
     hard_breaches = 0
-    if args.contracts:
-        with open(args.contracts, encoding="utf-8") as handle:
+    if spec.contracts:
+        with open(spec.contracts, encoding="utf-8") as handle:
             contents["contracts.json"] = handle.read()
         contents["verdicts.json"] = {
             "meta": stamp("slo-verdicts"),
@@ -1345,8 +1192,8 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce figures of 'SGX Switchless Calls Made Configless'",
@@ -1513,21 +1360,8 @@ def main(argv: list[str] | None = None) -> int:
     serve_bench = serve_sub.add_parser(
         "bench", help="run the serving bench and write BENCH_serve.json"
     )
-    from repro.api import BACKEND_CHOICES
-
-    _add_serve_flags(serve_bench, seconds=2.0)
-    serve_bench.add_argument(
-        "--clients",
-        type=int,
-        default=None,
-        help="switch to a closed loop with N client threads",
-    )
-    serve_bench.add_argument(
-        "--requests-per-client",
-        type=int,
-        default=None,
-        help="closed-loop bound on requests per client",
-    )
+    _add_spec_flags(serve_bench)
+    _add_gate_flags(serve_bench)
     serve_bench.add_argument(
         "--out",
         default="BENCH_serve.json",
@@ -1535,44 +1369,10 @@ def main(argv: list[str] | None = None) -> int:
         help="artifact output path (default BENCH_serve.json)",
     )
     serve_bench.add_argument(
-        "--apps",
-        default=None,
-        metavar="MIX",
-        help=(
-            "weighted served-app mix, e.g. 'kv:6,session:3,crypto:1' "
-            "(installs every named app on every shard; first = default)"
-        ),
-    )
-    serve_bench.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME",
-        help=(
-            "replay a catalog scenario's committed trace instead of "
-            "synthetic load (see 'repro scenarios list')"
-        ),
-    )
-    serve_bench.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="replay a scenario trace file instead of synthetic load",
-    )
-    serve_bench.add_argument(
         "--spans",
         default=None,
         metavar="FILE",
         help="write per-request span records as stamped JSONL",
-    )
-    serve_bench.add_argument(
-        "--slices",
-        type=int,
-        default=1,
-        help=(
-            "partition the shards across N slice processes, each simulating "
-            "its subset, and merge deterministically (open loop only; "
-            "default 1 = single process)"
-        ),
     )
     serve_bench.add_argument(
         "--jobs",
@@ -1629,26 +1429,6 @@ def main(argv: list[str] | None = None) -> int:
             "(BenchSpec.to_json; replaces the topology/load flags)"
         ),
     )
-    serve_bench.add_argument(
-        "--autoscale",
-        action="store_true",
-        help=(
-            "run the elastic control plane (repro.autoscale): spawn/retire "
-            "shards, retune the worker cap and gate admission per obs window"
-        ),
-    )
-    serve_bench.add_argument(
-        "--min-shards",
-        type=int,
-        default=1,
-        help="autoscale floor on the fleet size (default 1)",
-    )
-    serve_bench.add_argument(
-        "--max-shards",
-        type=int,
-        default=8,
-        help="autoscale ceiling on the fleet size (default 8)",
-    )
 
     scenarios_parser = sub.add_parser(
         "scenarios", help="trace-driven scenario library (list/gen/replay)"
@@ -1693,6 +1473,8 @@ def main(argv: list[str] | None = None) -> int:
     scen_replay.add_argument(
         "--shards", type=int, default=None, help="override the catalog cluster"
     )
+    from repro.api import BACKEND_CHOICES
+
     scen_replay.add_argument(
         "--backend", choices=BACKEND_CHOICES, default=None
     )
@@ -1703,23 +1485,12 @@ def main(argv: list[str] | None = None) -> int:
         help="artifact output path (default BENCH_scenario.json)",
     )
     scen_replay.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="gate the replay against a committed scenario baseline",
-    )
-    scen_replay.add_argument(
         "--snapshot",
         default=None,
         metavar="FILE",
         help="write a scenario-bench baseline snapshot for 'repro diff'",
     )
-    scen_replay.add_argument(
-        "--threshold",
-        type=float,
-        default=0.1,
-        help="relative drift the baseline gate tolerates (default 0.1)",
-    )
+    _add_gate_flags(scen_replay, "the replay against a committed scenario baseline")
 
     autoscale_parser = sub.add_parser(
         "autoscale", help="elastic control-plane acceptance sweep"
@@ -1748,18 +1519,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FILE",
         help="write a sweep baseline snapshot for 'repro diff'",
     )
-    autoscale_sweep.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="gate the sweep against a committed sweep baseline",
-    )
-    autoscale_sweep.add_argument(
-        "--threshold",
-        type=float,
-        default=0.1,
-        help="relative drift the baseline gate tolerates (default 0.1)",
-    )
+    _add_gate_flags(autoscale_sweep, "the sweep against a committed sweep baseline")
 
     evidence_parser = sub.add_parser(
         "evidence", help="build or verify a hash-manifested evidence pack"
@@ -1782,18 +1542,18 @@ def main(argv: list[str] | None = None) -> int:
         default=2_000,
         help="span records included in spans.jsonl (default 2000)",
     )
-    _add_serve_flags(evidence_build, seconds=0.5)
-    # Evidence runs the synthetic open loop on one process: the serve
-    # bench's load-source flags are fixed, not offered.
-    evidence_build.set_defaults(
-        spec=None,
-        scenario=None,
-        trace=None,
-        autoscale=False,
-        clients=None,
-        requests_per_client=None,
-        slices=1,
+    # Evidence runs the synthetic open loop on one process with the
+    # default app: the load-source, app and topology-changing fields
+    # are fixed, not offered.
+    _add_spec_flags(
+        evidence_build,
+        omit=(
+            "apps", "clients", "requests_per_client", "scenario", "trace",
+            "slices", "autoscale", "min_shards", "max_shards",
+        ),
+        seconds=0.5,
     )
+    _add_gate_flags(evidence_build)
     evidence_verify = evidence_sub.add_parser(
         "verify", help="re-hash a pack (directory or tarball) against its manifest"
     )
@@ -1832,7 +1592,12 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FILE",
         help="write a chrome://tracing JSON of the simulated schedule",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns the process exit code."""
+    args = build_parser().parse_args(argv)
     from repro.telemetry.schema import SchemaMismatch
 
     try:

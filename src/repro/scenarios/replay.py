@@ -153,7 +153,7 @@ def replay_spec(
     if isinstance(autoscale, dict):
         serve_kwargs["autoscale"] = AutoscaleSpec(**autoscale)
     if isinstance(serve_kwargs.get("tenants"), dict):
-        serve_kwargs["tenants"] = tuple(sorted(serve_kwargs["tenants"].items()))
+        serve_kwargs["tenants"] = tuple(serve_kwargs["tenants"].items())
     return BenchSpec(
         serve=ServeSpec(**serve_kwargs),
         scenario=None if trace_file is not None else name,

@@ -251,7 +251,6 @@ def run_bench(
     root: str = ".",
     audit: bool = False,
     plan: FaultPlan | str | None = None,
-    contracts: list | None = None,
     trace: Any = None,
     span_sink: list | None = None,
     shard_ids: tuple[int, ...] | None = None,
@@ -270,8 +269,7 @@ def run_bench(
       :class:`repro.scenarios.ScenarioTrace` or path) overrides the
       spec's trace selection with an already-loaded one.
     - ``plan`` overrides ``spec.plan`` with a live
-      :class:`repro.faults.FaultPlan` (or name); ``contracts`` overrides
-      ``spec.contracts`` with loaded contract objects.
+      :class:`repro.faults.FaultPlan` (or name).
     - ``shard_ids``/``admit``/``raw_sink`` serve the slice-parallel
       runner (:mod:`repro.serve.slices`): instantiate only the named
       global shard indices, gate open-loop arrivals through the
@@ -315,16 +313,25 @@ def run_bench(
     elif trace is None and spec.trace is not None:
         trace = spec.trace
 
+    contracts = None
+    if spec.contracts is not None:  # refused before anything is built
+        # Local import: repro.slo consumes serve artifacts; importing it
+        # eagerly here would make the dependency circular.
+        from repro.slo import load_contracts
+
+        contracts = load_contracts(spec.contracts)
     app_mix = serve.apps
-    tenants = serve.tenant_weights()
     seconds = spec.seconds
+    overrides: dict[str, Any] = {}
     if trace is not None:
         from repro.scenarios.trace import ScenarioTrace, load_trace
 
         if not isinstance(trace, ScenarioTrace):
             trace = load_trace(trace)
-        if trace.tenants and tenants is None:
-            tenants = dict(trace.tenants)
+        if trace.tenants and serve.tenants is None:
+            # Trace-declared tenant weights switch the router to
+            # weighted-fair shedding, exactly as spec-declared ones do.
+            overrides["tenants"] = tuple(trace.tenants.items())
         if app_mix is None:
             installed_apps: tuple[str, ...] | None = trace.apps
         else:
@@ -343,15 +350,10 @@ def run_bench(
     else:
         installed_apps = serve.app_names()
 
-    overrides: dict[str, Any] = {}
     if serve.apps is None and installed_apps is not None:
         # A trace's app set installs on every shard without becoming a
         # synthetic load mix.
         overrides["apps"] = tuple((name, 1.0) for name in installed_apps)
-    if serve.tenants is None and tenants:
-        # Trace-declared tenant weights switch the router to
-        # weighted-fair shedding, exactly as spec-declared ones do.
-        overrides["tenants"] = tuple(sorted(tenants.items()))
     build_spec = (
         dataclasses.replace(serve, **overrides) if overrides else serve
     )
@@ -363,9 +365,9 @@ def run_bench(
         plan=resolved_plan,
     )
     kernel = cluster.kernel
-    # Sorted pairs: dict order is insertion order, and the artifact (and
-    # the RNG stream behind rng.choices) must not depend on it.
-    tenant_mix = tuple(sorted(tenants.items())) if tenants else None
+    # The spec keeps tenants sorted by name: the artifact (and the RNG
+    # stream behind rng.choices) must not depend on how they were listed.
+    tenant_mix = build_spec.tenants
     # A single-app "mix" is no mix at all: passing it to the LoadSpec
     # would consume an RNG draw per request and shift the seeded streams
     # of every pre-existing single-app run.
@@ -583,13 +585,7 @@ def run_bench(
         }
     if controller is not None:
         result["autoscale"] = controller.report()
-    if contracts is None and spec.contracts is not None:
-        from repro.slo import load_contracts
-
-        contracts = load_contracts(spec.contracts)
     if contracts:
-        # Local import: repro.slo consumes serve artifacts; importing it
-        # eagerly here would make the dependency circular.
         from repro.slo.contract import evaluate_contracts, verdicts_summary
 
         result["slo"] = verdicts_summary(evaluate_contracts(result, contracts))

@@ -228,7 +228,6 @@ def run_slice_bench(
     root: str = ".",
     audit: bool = False,
     jobs: int | str | None = None,
-    contracts: list | None = None,
 ) -> dict[str, Any]:
     """Run the serve bench slice-parallel; returns one merged artifact.
 
@@ -240,14 +239,15 @@ def run_slice_bench(
     ``audit=True`` — an ``audit`` section aggregating every slice's live
     invariant verdicts.
     """
+    contracts = None
+    if spec.contracts is not None:  # refused before any slice runs
+        from repro.slo import load_contracts
+
+        contracts = load_contracts(spec.contracts)
     specs = slice_cells(spec, root=root, audit=audit)
     runner = CellRunner(jobs="auto" if jobs is None else jobs)
     rows = [outcome.row for outcome in runner.run(specs)]
     spec_machine = machine if machine is not None else server_machine()
-    if contracts is None and spec.contracts is not None:
-        from repro.slo import load_contracts
-
-        contracts = load_contracts(spec.contracts)
     return merge_slice_results(rows, spec_machine, contracts=contracts, spec=spec)
 
 

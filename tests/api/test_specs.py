@@ -7,9 +7,12 @@ serve configuration.
 """
 
 import json
+import os
 
 import pytest
 
+import repro.serve.bench
+import repro.serve.slices
 from repro.api import (
     AutoscaleSpec,
     BenchSpec,
@@ -17,7 +20,11 @@ from repro.api import (
     ServeSpec,
     SpecError,
 )
-from repro.telemetry.schema import SchemaMismatch
+from repro.telemetry.schema import SchemaMismatch, read_artifact
+
+BASELINES_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "..", "baselines"
+)
 
 
 class TestServeSpecValidation:
@@ -61,6 +68,11 @@ class TestServeSpecValidation:
     def test_autoscale_band_must_contain_initial_shards(self):
         with pytest.raises(SpecError, match="band"):
             ServeSpec(shards=9, autoscale=AutoscaleSpec(max_shards=8))
+
+    def test_tenants_are_kept_sorted_by_name(self):
+        # The load generator's RNG stream follows the mix order.
+        spec = ServeSpec(tenants=(("gold", 3.0), ("bronze", 1.0)))
+        assert spec.tenants == (("bronze", 1.0), ("gold", 3.0))
 
 
 class TestAutoscaleSpecValidation:
@@ -202,6 +214,44 @@ class TestJsonRoundTrip:
         with pytest.raises(SpecError, match="must not exceed"):
             BenchSpec.from_json(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            (None, "seedd", 9, "BenchSpec: unknown field(s) seedd"),
+            ("serve", "budgett", 3, "ServeSpec: unknown field(s) budgett"),
+            ("autoscale", "alphaa", 0.1, "AutoscaleSpec: unknown field(s) alphaa"),
+            (None, "keyspace", None, "BenchSpec: missing field(s) keyspace"),
+            ("serve", "batch", None, "ServeSpec: missing field(s) batch"),
+            ("autoscale", "headroom", None, "AutoscaleSpec: missing field(s) headroom"),
+        ],
+        ids=["unknown", "unknown-nested", "unknown-autoscale",
+             "missing", "missing-nested", "missing-autoscale"],
+    )
+    def test_from_json_refuses_unknown_and_missing_keys(
+        self, section, key, value, message
+    ):
+        doc = FULL.to_json()
+        target = {
+            None: doc, "serve": doc["serve"], "autoscale": doc["serve"]["autoscale"]
+        }[section]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(SpecError) as excinfo:
+            BenchSpec.from_json(doc)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "name",
+        ["serve-quick", "obs-quick", "scenario-diurnal-kv", "scenario-flash-crowd",
+         "scenario-hotkey-shift", "scenario-multiapp-soak", "scenario-steady-mixed"],
+    )
+    def test_every_committed_embedded_spec_reads_back(self, name):
+        doc = read_artifact(os.path.join(BASELINES_DIR, f"{name}.json"))
+        spec = BenchSpec.from_json(doc["spec"])  # no key unknown or missing
+        assert BenchSpec.from_json(spec.to_json()) == spec
+
 
 class TestRuntimeServe:
     def test_serve_spec_builds_a_live_cluster(self):
@@ -222,3 +272,21 @@ class TestRuntimeServe:
     def test_anything_else_is_refused(self):
         with pytest.raises(SpecError, match="ServeSpec or BenchSpec"):
             Runtime.serve({"shards": 2})
+
+    @pytest.mark.parametrize("slices", [1, 2])
+    def test_bad_contracts_are_refused_before_the_run(
+        self, tmp_path, monkeypatch, slices
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(repro.serve.bench, "build_cluster", never)
+        monkeypatch.setattr(repro.serve.slices, "CellRunner", never)
+        bad = tmp_path / "contracts.json"
+        bad.write_text("not json\n")
+        spec = BenchSpec(
+            serve=ServeSpec(shards=2), seconds=0.005, slices=slices,
+            contracts=str(bad),
+        )
+        with pytest.raises(SchemaMismatch, match="not JSON"):
+            Runtime.serve(spec, telemetry=False)

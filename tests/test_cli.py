@@ -1,14 +1,19 @@
 """Tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import json
 import os
 
 import pytest
 
-from repro.cli import QUICK_KWARGS, main, run_experiment
+from repro.api import AutoscaleSpec, BenchSpec, ServeSpec
+from repro.cli import QUICK_KWARGS, build_parser, main, run_experiment
 from repro.experiments import EXPERIMENTS
+from repro.telemetry.schema import read_artifact, write_artifact
 
 BASELINES_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "baselines")
+CONTRACTS = os.path.join(BASELINES_DIR, "..", "contracts", "quick.json")
 
 
 class TestCli:
@@ -490,3 +495,192 @@ class TestMalformedInputs:
         }[command]
         assert value in self.refusal(argv, capsys)
         assert not os.path.exists(out)
+
+
+def _subparser(*path):
+    """The parser of subcommand ``path`` (e.g. ``serve bench``)."""
+    parser = build_parser()
+    for name in path:
+        subparsers = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        parser = subparsers.choices[name]
+    return parser
+
+
+class TestParserSurface:
+    """The spec flags are generated from the spec fields; the surface the
+    hand-written parsers had is pinned here, action by action:
+    option strings → (dest, default, type, choices, action class)."""
+
+    PINNED = {
+        "serve bench": {
+            ("--admission",): ("admission", "shed", None, ("shed", "block"), "_StoreAction"),
+            ("--apps",): ("apps", None, None, None, "_StoreAction"),
+            ("--audit",): ("audit", False, None, None, "_StoreTrueAction"),
+            ("--autoscale",): ("autoscale", False, None, None, "_StoreTrueAction"),
+            ("--backend",): ("backend", "zc", None, ("zc", "intel", "baseline"), "_StoreAction"),
+            ("--baseline",): ("baseline", None, None, None, "_StoreAction"),
+            ("--budget",): ("budget", None, int, None, "_StoreAction"),
+            ("--clients",): ("clients", None, int, None, "_StoreAction"),
+            ("--contracts",): ("contracts", None, None, None, "_StoreAction"),
+            ("--fault-shard",): ("fault_shard", 0, int, None, "_StoreAction"),
+            ("--jobs",): ("jobs", None, None, None, "_StoreAction"),
+            ("--keydist",): ("keydist", "uniform", None, ("uniform", "zipf", "seq"), "_StoreAction"),
+            ("--live",): ("live", False, None, None, "_StoreTrueAction"),
+            ("--max-shards",): ("max_shards", 8, int, None, "_StoreAction"),
+            ("--min-shards",): ("min_shards", 1, int, None, "_StoreAction"),
+            ("--obs",): ("obs", False, None, None, "_StoreTrueAction"),
+            ("--obs-html",): ("obs_html", None, None, None, "_StoreAction"),
+            ("--obs-interval",): ("obs_interval", None, float, None, "_StoreAction"),
+            ("--obs-out",): ("obs_out", None, None, None, "_StoreAction"),
+            ("--obs-snapshot",): ("obs_snapshot", None, None, None, "_StoreAction"),
+            ("--out",): ("out", "BENCH_serve.json", None, None, "_StoreAction"),
+            ("--plan",): ("plan", None, None, None, "_StoreAction"),
+            ("--policy",): ("policy", "hash", None, ("hash", "round-robin"), "_StoreAction"),
+            ("--queue-capacity",): ("queue_capacity", 64, int, None, "_StoreAction"),
+            ("--rate",): ("rate", 2000.0, float, None, "_StoreAction"),
+            ("--requests-per-client",): ("requests_per_client", None, int, None, "_StoreAction"),
+            ("--scenario",): ("scenario", None, None, None, "_StoreAction"),
+            ("--seconds",): ("seconds", 2.0, float, None, "_StoreAction"),
+            ("--seed",): ("seed", 0, int, None, "_StoreAction"),
+            ("--servers-per-shard",): ("servers_per_shard", 2, int, None, "_StoreAction"),
+            ("--shards",): ("shards", 2, int, None, "_StoreAction"),
+            ("--slices",): ("slices", 1, int, None, "_StoreAction"),
+            ("--spans",): ("spans", None, None, None, "_StoreAction"),
+            ("--spec",): ("spec", None, None, None, "_StoreAction"),
+            ("--tenants",): ("tenants", None, None, None, "_StoreAction"),
+            ("--threshold",): ("threshold", 0.1, float, None, "_StoreAction"),
+            ("--trace",): ("trace", None, None, None, "_StoreAction"),
+            ("-h", "--help"): ("help", "==SUPPRESS==", None, None, "_HelpAction"),
+        },
+        "evidence build": {
+            ("--admission",): ("admission", "shed", None, ("shed", "block"), "_StoreAction"),
+            ("--backend",): ("backend", "zc", None, ("zc", "intel", "baseline"), "_StoreAction"),
+            ("--baseline",): ("baseline", None, None, None, "_StoreAction"),
+            ("--budget",): ("budget", None, int, None, "_StoreAction"),
+            ("--contracts",): ("contracts", None, None, None, "_StoreAction"),
+            ("--fault-shard",): ("fault_shard", 0, int, None, "_StoreAction"),
+            ("--keydist",): ("keydist", "uniform", None, ("uniform", "zipf", "seq"), "_StoreAction"),
+            ("--obs",): ("obs", False, None, None, "_StoreTrueAction"),
+            ("--obs-interval",): ("obs_interval", None, float, None, "_StoreAction"),
+            ("--out",): ("out", "evidence", None, None, "_StoreAction"),
+            ("--plan",): ("plan", None, None, None, "_StoreAction"),
+            ("--policy",): ("policy", "hash", None, ("hash", "round-robin"), "_StoreAction"),
+            ("--queue-capacity",): ("queue_capacity", 64, int, None, "_StoreAction"),
+            ("--rate",): ("rate", 2000.0, float, None, "_StoreAction"),
+            ("--seconds",): ("seconds", 0.5, float, None, "_StoreAction"),
+            ("--seed",): ("seed", 0, int, None, "_StoreAction"),
+            ("--servers-per-shard",): ("servers_per_shard", 2, int, None, "_StoreAction"),
+            ("--shards",): ("shards", 2, int, None, "_StoreAction"),
+            ("--span-samples",): ("span_samples", 2000, int, None, "_StoreAction"),
+            ("--tar",): ("tar", None, None, None, "_StoreAction"),
+            ("--tenants",): ("tenants", None, None, None, "_StoreAction"),
+            ("--threshold",): ("threshold", 0.1, float, None, "_StoreAction"),
+            ("-h", "--help"): ("help", "==SUPPRESS==", None, None, "_HelpAction"),
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(PINNED))
+    def test_surface_is_pinned(self, command):
+        surface = {
+            tuple(action.option_strings): (
+                action.dest,
+                action.default,
+                action.type,
+                tuple(action.choices) if action.choices is not None else None,
+                type(action).__name__,
+            )
+            for action in _subparser(*command.split())._actions
+        }
+        assert surface == self.PINNED[command]
+
+    def test_every_flagged_field_has_exactly_one_flag(self):
+        options = [
+            option
+            for action in _subparser("serve", "bench")._actions
+            for option in action.option_strings
+        ]
+        flagged = [
+            spec_field.name
+            for cls in (ServeSpec, BenchSpec, AutoscaleSpec)
+            for spec_field in dataclasses.fields(cls)
+            if "help" in spec_field.metadata
+        ]
+        assert len(flagged) == 26
+        for name in flagged:
+            assert options.count("--" + name.replace("_", "-")) == 1, name
+
+
+class TestSpecFlags:
+    """A spec flag that cannot take effect, or a spec file that would be
+    half-read, is refused in one line before anything runs."""
+
+    SERVE = ["serve", "bench", "--shards", "1", "--seconds", "0.005"]
+
+    @pytest.fixture()
+    def spec_file(self, tmp_path):
+        path = str(tmp_path / "spec.json")
+        write_artifact(BenchSpec(serve=ServeSpec(shards=1), seconds=0.005).to_json(), path)
+        return path
+
+    def refused(self, argv, message, tmp_path):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--out", str(out)])
+        assert str(excinfo.value) == message
+        assert not out.exists()
+
+    def test_spec_flags_beside_spec_are_refused(self, spec_file, tmp_path):
+        argv = ["serve", "bench", "--spec", spec_file, "--shards", "4", "--seed", "9"]
+        self.refused(
+            argv, "--spec carries the full bench config; drop --shards, --seed", tmp_path
+        )
+
+    def test_obs_stays_allowed_beside_spec(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["serve", "bench", "--spec", spec_file, "--obs", "--out", str(out)]) == 0
+        assert read_artifact(str(out))["spec"]["obs"] is True
+
+    def test_autoscale_flags_need_the_switch(self, tmp_path):
+        argv = [*self.SERVE, "--min-shards", "3", "--max-shards", "2"]
+        self.refused(argv, "--min-shards, --max-shards only apply with --autoscale", tmp_path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: doc.update(seedd=9), "BenchSpec: unknown field(s) seedd"),
+            (lambda doc: doc["serve"].update(budgett=3), "ServeSpec: unknown field(s) budgett"),
+            (lambda doc: doc.pop("keyspace"), "BenchSpec: missing field(s) keyspace"),
+        ],
+        ids=["unknown", "unknown-nested", "missing"],
+    )
+    def test_spec_file_is_never_half_read(self, spec_file, tmp_path, change, message):
+        doc = read_artifact(spec_file)
+        change(doc)
+        write_artifact(doc, spec_file)
+        self.refused(["serve", "bench", "--spec", spec_file], f"--spec: {message}", tmp_path)
+
+    @pytest.mark.parametrize("command", ["serve", "evidence"])
+    def test_duplicate_tenants_are_refused(self, tmp_path, command):
+        argv = self.SERVE if command == "serve" else [
+            "evidence", "build", "--shards", "1", "--seconds", "0.005"
+        ]
+        self.refused(
+            [*argv, "--tenants", "gold:1,gold:3"],
+            "tenants names must be unique; duplicate gold",
+            tmp_path,
+        )
+
+    def test_contracts_run_reruns_from_its_embedded_spec(self, tmp_path, capsys):
+        first, second, spec = (
+            str(tmp_path / name) for name in ("first.json", "second.json", "spec.json")
+        )
+        argv = [*self.SERVE, "--tenants", "gold:3,bronze:1", "--contracts", CONTRACTS]
+        code = main([*argv, "--out", first])
+        write_artifact(read_artifact(first)["spec"], spec)
+        assert main(["serve", "bench", "--spec", spec, "--out", second]) == code
+        rerun = read_artifact(second)
+        assert "slo" in rerun
+        assert rerun == read_artifact(first)
