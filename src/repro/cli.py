@@ -827,10 +827,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Early, user-friendly validation of the trace (unknown scenario
     # names, missing files); the loaded trace is reused below.
     trace = _resolve_trace(spec)
-    # Slice-parallel path: shards partitioned across processes, merged
-    # deterministically (repro.serve.slices).  --audit rides this path
-    # even with one slice so the live checkers run in a child kernel.
-    sliced = spec.slices > 1 or args.audit
+    # Slice-parallel runs (repro.serve.slices) simulate every slice in
+    # its own process: in-process plumbing reaches one kernel only.
+    sliced = spec.slices > 1
+    if sliced and args.spans is not None:
+        raise SystemExit(
+            "--spans is unavailable with --slices "
+            "(span records stay in the slice processes)"
+        )
     console = None
     obs_on_window = None
     if args.live:
@@ -849,27 +853,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     span_sink: list | None = [] if args.spans is not None else None
     started = time.monotonic()
     try:
-        if sliced:
-            from repro.serve.slices import run_slice_bench
-
-            if args.spans is not None:
-                raise SystemExit(
-                    "--spans is unavailable with --slices/--audit "
-                    "(span records stay in the slice processes)"
-                )
-            if spec.clients is not None:
-                raise SystemExit(
-                    "--slices/--audit require the open loop (no --clients)"
-                )
-            result = run_slice_bench(spec, audit=args.audit, jobs=args.jobs)
-        else:
-            result = run_bench(
-                spec,
-                telemetry=False,
-                span_sink=span_sink,
-                obs_on_window=obs_on_window,
-                trace=trace,
-            )
+        result = run_bench(
+            spec,
+            telemetry=False,
+            audit=args.audit,
+            jobs=args.jobs,
+            span_sink=span_sink,
+            obs_on_window=obs_on_window,
+            trace=None if sliced else trace,
+        )
     except SpecError as exc:
         raise SystemExit(str(exc))
     if console is not None and obs_on_window is None and "obs" in result:
@@ -1019,50 +1011,33 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
         print(f"evidence verify: OK ({args.pack} matches its manifest)")
         return 0
 
-    # evidence build: one command runs the bench (with telemetry + live
-    # audit), evaluates contracts, and packs every artifact with hashes.
-    from repro.regress import attach_auditor
+    # evidence build: one command runs the bench (with the live audit),
+    # evaluates contracts, and packs every artifact with hashes.
     from repro.serve.bench import run_bench
+    from repro.sim import server_machine
     from repro.slo import (
         SPANS_ARTIFACT,
         build_evidence_pack,
         pack_tarball,
         tenant_lane_trace_events,
     )
-    from repro.telemetry import TelemetrySession
     from repro.telemetry.schema import render_stream, stamp
 
     spec = _spec_from_flags(args)
     span_sink: list = []
-    auditors: list[Any] = []
     started = time.monotonic()
-    with TelemetrySession(
-        on_attach=lambda capture: auditors.append(attach_auditor(capture))
-    ) as session:
-        result = run_bench(spec, span_sink=span_sink, telemetry=session)
-    freq_hz = session.captures[0].freq_hz if session.captures else 1e9
-    for auditor in auditors:
-        auditor.finish()
-    audit_doc = {
-        "meta": stamp("audit-report"),
-        "cells": [
-            {
-                "cell": auditor.cell,
-                "ok": auditor.ok,
-                "violations": [str(v) for v in auditor.violations],
-            }
-            for auditor in auditors
-        ],
-    }
-    audit_violations = sum(len(a.violations) for a in auditors)
+    result = run_bench(spec, audit=True, span_sink=span_sink)
+    audit_violations = result["audit"]["violations"]
 
     contents: dict[str, Any] = {
         "run_config.json": {"meta": stamp("run-config"), "params": result["params"]},
         "bench.json": result,
-        "audit.json": audit_doc,
+        "audit.json": {"meta": stamp("audit-report"), "cells": result["audit"]["cells"]},
         "trace.json": {
             **stamp("chrome-trace"),
-            "traceEvents": tenant_lane_trace_events(span_sink, freq_hz),
+            "traceEvents": tenant_lane_trace_events(
+                span_sink, server_machine().freq_hz
+            ),
         },
     }
     # Span samples as their own stamped JSONL artifact (capped: evidence
@@ -1384,8 +1359,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit",
         action="store_true",
         help=(
-            "attach live invariant checkers to every slice kernel; "
-            "violations drive the exit code (requires --slices)"
+            "attach live invariant checkers to the bench kernel (every "
+            "slice kernel with --slices); violations drive the exit code"
         ),
     )
     serve_bench.add_argument(
@@ -1468,7 +1443,10 @@ def build_parser() -> argparse.ArgumentParser:
     scen_replay.add_argument(
         "--audit",
         action="store_true",
-        help="attach live invariant checkers to every slice kernel",
+        help=(
+            "attach live invariant checkers to the replay's kernel (every "
+            "slice kernel with --slices); violations drive the exit code"
+        ),
     )
     scen_replay.add_argument(
         "--shards", type=int, default=None, help="override the catalog cluster"

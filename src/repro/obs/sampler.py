@@ -10,12 +10,14 @@ the schedule it observes.
 
 **Why raw windows exist.**  The sampler accumulates *raw* per-window
 data (integer counters, latency sample lists, per-shard wasted cycles)
-and formats records from it with :func:`build_window_records`.  The
-slice-parallel runner merges the per-slice raw windows with
+and formats each closing window's records from it with
+:func:`build_window_records` for its live consumers (console, autoscale
+hook, anomaly detector).  The artifact's records are formatted again
+from the raw windows by :func:`repro.serve.bench.build_artifact`; a
+sliced run first merges the per-slice raw windows with
 :func:`merge_raw_windows` (counters sum, samples pool, shard lanes copy
-from their owning slice) and formats with the *same* function — so a
-sliced run's window stream is byte-identical to the unsliced one.  Two
-rules make that hold:
+from their owning slice) — so a sliced run's window stream is
+byte-identical to the unsliced one.  Two rules make that hold:
 
 - integer counters may accumulate into any lane at event time (integer
   addition commutes), but *floats* (``u_cycles``, gauges) only ever
@@ -28,7 +30,6 @@ rules make that hold:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable
 
 from repro.analysis.metrics import LatencyRecorder
@@ -36,9 +37,6 @@ from repro.telemetry.events import TelemetryEvent
 
 #: Default window count when the caller gives a duration but no interval.
 DEFAULT_WINDOWS = 10
-
-#: Default bounded ring capacity (formatted records, all lanes pooled).
-DEFAULT_MAX_RECORDS = 65_536
 
 #: Integer counters carried by every lane accumulator.
 LANE_COUNTERS = (
@@ -104,8 +102,11 @@ class MetricSampler:
             fed each window's records as they close (live path).
         on_window: Optional callback ``(index, records, anomalies)``
             invoked after each window closes — the live console hook.
-        max_records: Ring-buffer bound on formatted records (0 =
-            unbounded); overflow increments :attr:`dropped_records`.
+
+    The sampler keeps :attr:`raw_windows`, not formatted records: a
+    window's records live only as long as its callbacks, and the
+    artifact formats every window again from the raw data
+    (:func:`repro.serve.bench.build_artifact`).
     """
 
     def __init__(
@@ -117,14 +118,11 @@ class MetricSampler:
         shards: Any = (),
         detector: Any = None,
         on_window: Callable[[int, list, list], None] | None = None,
-        max_records: int = DEFAULT_MAX_RECORDS,
     ) -> None:
         if interval_cycles <= 0:
             raise ValueError("interval_cycles must be > 0")
         if n_windows < 1:
             raise ValueError("n_windows must be >= 1")
-        if max_records < 0:
-            raise ValueError("max_records must be >= 0")
         self.kernel = kernel
         self.interval = float(interval_cycles)
         self.n_windows = int(n_windows)
@@ -136,9 +134,6 @@ class MetricSampler:
         self._window_hooks: list[Callable[[int, list, list], None]] = []
         self.t0: float | None = None
         self.horizon: float | None = None
-        #: Formatted ``serve.window`` records, bounded ring.
-        self.records: deque = deque(maxlen=max_records or None)
-        self.dropped_records = 0
         #: Raw per-window accumulators, in window order (merge input).
         self.raw_windows: list[dict[str, Any]] = []
         #: Per-lane counts of events landing past the horizon.
@@ -246,11 +241,6 @@ class MetricSampler:
             freq_hz=self.kernel.spec.freq_hz,
             shard_lanes=self.shard_lanes,
         )
-        ring = self.records
-        for record in records:
-            if ring.maxlen is not None and len(ring) == ring.maxlen:
-                self.dropped_records += 1
-            ring.append(record)
         fresh: list[dict[str, Any]] = []
         if self.detector is not None:
             for record in records:
@@ -429,7 +419,7 @@ _HANDLERS: dict[str, Callable[[MetricSampler, float, dict], None]] = {
 
 
 # ----------------------------------------------------------------------
-# Record formatting (shared by the live sampler and the slice merge)
+# Record formatting (shared by the live sampler and the artifact)
 # ----------------------------------------------------------------------
 def build_window_records(
     raw: dict[str, Any],

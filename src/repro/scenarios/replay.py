@@ -172,7 +172,6 @@ def replay_scenario(
     slices: int = 1,
     audit: bool = False,
     obs: bool = False,
-    raw_sink: dict[str, Any] | None = None,
     **overrides: Any,
 ) -> dict[str, Any]:
     """Replay catalog scenario ``name`` and return the stamped artifact.
@@ -180,7 +179,8 @@ def replay_scenario(
     Builds the declarative :func:`replay_spec` (committed trace or
     ``trace_file``, catalog defaults plus keyword ``overrides``) and
     hands it to :func:`repro.serve.bench.run_bench` — single-process by
-    default or slice-parallel with ``slices > 1``.
+    default or slice-parallel with ``slices > 1``; ``audit`` attaches the
+    live invariant auditors either way.
     """
     from repro.serve.bench import run_bench
 
@@ -192,12 +192,7 @@ def replay_scenario(
         obs=obs,
         **overrides,
     )
-    return run_bench(
-        spec,
-        root=root,
-        audit=audit,
-        raw_sink=raw_sink if slices == 1 else None,
-    )
+    return run_bench(spec, root=root, audit=audit)
 
 
 def scenario_snapshot(result: dict[str, Any]) -> dict[str, Any]:

@@ -1,15 +1,19 @@
 """The ``repro serve bench`` entry point.
 
-Builds a sharded cluster on one shared kernel, drives it with a
-:class:`repro.serve.loadgen.LoadGenerator` (or a committed trace
-replay), and folds the result into a stamped ``serve-bench`` artifact
-(written as ``BENCH_serve.json`` by the CLI) that the regression
-sentinel can gate against a committed baseline.
+A run is a list of slice outcomes.  :func:`simulate` builds a sharded
+cluster (or one slice of it) on one kernel, drives it with a
+:class:`repro.serve.loadgen.LoadGenerator` or a committed trace replay,
+and returns the outcome as plain data; :mod:`repro.serve.slices` runs N
+slices in processes and merges their outcomes; :func:`build_artifact`
+is the one writer of the stamped ``serve-bench`` artifact (written as
+``BENCH_serve.json`` by the CLI) that the regression sentinel gates
+against a committed baseline.
 
 The declarative surface is a :class:`repro.api.BenchSpec`:
-:func:`run_bench` takes the spec plus runner plumbing (sinks, slice
-hooks, a telemetry session) and nothing else.  :func:`build_cluster`
-does the same for a bare cluster from a :class:`repro.api.ServeSpec`.
+:func:`run_bench` takes the spec plus runner plumbing (sinks, a
+telemetry session, the audit switch) and nothing else.
+:func:`build_cluster` does the same for a bare cluster from a
+:class:`repro.api.ServeSpec`.
 
 Everything here is deterministic per seed: same spec → identical
 artifact, which is what lets CI compare against
@@ -23,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.analysis.metrics import LatencyRecorder
 from repro.api import BenchSpec, Runtime, ServeSpec, SpecError, ZcConfig
 from repro.faults import FaultInjector, FaultPlan, active_fault_plan, get_plan
 from repro.serve.budget import WorkerBudgetArbiter
@@ -253,48 +258,107 @@ def run_bench(
     plan: FaultPlan | str | None = None,
     trace: Any = None,
     span_sink: list | None = None,
-    shard_ids: tuple[int, ...] | None = None,
-    admit: Any = None,
-    raw_sink: dict[str, Any] | None = None,
     obs_on_window: Any = None,
+    jobs: int | str | None = None,
 ) -> dict[str, Any]:
     """Run the benchmark a :class:`repro.api.BenchSpec` describes.
 
     Everything *declarative* — topology, load shape, windows, slices,
-    scenario — lives in the spec; the keyword arguments are runner
-    plumbing:
+    scenario, contracts — lives in the spec; the keyword arguments are
+    runner plumbing.  ``machine`` is every slice's simulated host,
+    ``root`` resolves ``spec.scenario`` against the committed traces,
+    ``audit`` attaches the live invariant auditors to every slice kernel
+    (their verdicts become the ``audit`` section) and ``jobs`` caps the
+    slice processes.  ``telemetry``, ``plan`` (overrides
+    ``spec.serve.plan``), ``trace`` (a loaded
+    :class:`repro.scenarios.ScenarioTrace` or path overriding the
+    spec's), ``span_sink`` (receives every completed request's span
+    record) and ``obs_on_window`` (the live console hook) reach one
+    in-process kernel, so a sliced spec refuses them.
 
-    - ``root`` resolves ``spec.scenario`` against the repo's committed
-      trace directory; ``trace`` (a
-      :class:`repro.scenarios.ScenarioTrace` or path) overrides the
-      spec's trace selection with an already-loaded one.
-    - ``plan`` overrides ``spec.plan`` with a live
-      :class:`repro.faults.FaultPlan` (or name).
-    - ``shard_ids``/``admit``/``raw_sink`` serve the slice-parallel
-      runner (:mod:`repro.serve.slices`): instantiate only the named
-      global shard indices, gate open-loop arrivals through the
-      ``admit`` predicate, and export raw latency samples (cycles) for a
-      cross-slice percentile merge.
-    - ``span_sink``, when a list, receives every completed request's
-      span record; ``obs_on_window`` is handed to the sampler (the live
-      console hook).
-
-    With ``spec.slices > 1`` the run fans out to the slice-parallel
-    runner and returns its merged artifact.  With
-    ``spec.serve.autoscale`` set, the elastic control plane
-    (:mod:`repro.autoscale`) runs on the obs window stream — spawning
-    and retiring shards, retuning the worker-budget cap, and gating
-    admission on the per-lane arrival forecast — and the artifact grows
-    ``autoscale`` and window-driven ``fleet`` sections.
+    A run is a list of slice outcomes — one :func:`simulate` call, or
+    :func:`repro.serve.slices.run_slices` for ``spec.slices > 1`` — and
+    :func:`build_artifact` writes their superposition
+    (:func:`repro.serve.slices.merge_outcomes`).
     """
     if not isinstance(spec, BenchSpec):
         raise SpecError(f"run_bench takes a BenchSpec, got {type(spec).__name__}")
-    if spec.slices > 1:
-        if shard_ids is not None or admit is not None:
-            raise SpecError("slice plumbing (shard_ids/admit) is per-cell only")
-        from repro.serve.slices import run_slice_bench
+    contracts = None
+    if spec.contracts is not None:  # refused before anything is built
+        # Local import: repro.slo consumes serve artifacts; importing it
+        # eagerly here would make the dependency circular.
+        from repro.slo import load_contracts
 
-        return run_slice_bench(spec, root=root, audit=audit)
+        contracts = load_contracts(spec.contracts)
+    from repro.serve.slices import merge_outcomes, run_slices
+
+    plumbing = dict(telemetry=telemetry, plan=plan, trace=trace,
+                    span_sink=span_sink, obs_on_window=obs_on_window)
+    if spec.slices == 1:
+        outcomes = [simulate(spec, machine=machine, root=root, audit=audit, **plumbing)]
+    else:
+        refused = [name for name, value in plumbing.items() if value not in (None, False)]
+        if refused:
+            raise SpecError(
+                f"slices={spec.slices} runs each slice in its own process; "
+                f"drop {', '.join(refused)} (or run one slice)"
+            )
+        outcomes = run_slices(spec, machine=machine, root=root, audit=audit, jobs=jobs)
+    return build_artifact(merge_outcomes(outcomes), spec=spec, contracts=contracts)
+
+
+def simulate(
+    spec: BenchSpec,
+    *,
+    machine: MachineSpec | None = None,
+    telemetry: TelemetrySession | bool | None = None,
+    root: str = ".",
+    audit: bool = False,
+    plan: FaultPlan | str | None = None,
+    trace: Any = None,
+    span_sink: list | None = None,
+    obs_on_window: Any = None,
+    shard_ids: tuple[int, ...] | None = None,
+    admit: Any = None,
+) -> dict[str, Any]:
+    """Simulate one slice of ``spec``; returns its outcome as plain data.
+
+    The outcome is raw material, picklable so it can leave a slice
+    process: counters, latency samples in cycles, per-shard rows, fleet
+    sums, the sampler's raw windows, the autoscaler's report and — with
+    ``audit`` — the invariant auditors' verdicts.
+    :func:`repro.serve.slices.merge_outcomes` superposes several;
+    :func:`build_artifact` formats one.
+
+    ``shard_ids``/``admit`` make the run a slice: only the named global
+    shard indices are built, and open-loop arrivals pass through the
+    ``admit`` predicate.  ``audit`` runs under a fresh telemetry session
+    with the auditors attached, in place of ``telemetry``.  The other
+    keywords are :func:`run_bench`'s.
+    """
+    if audit:
+        from repro.regress import attach_auditor
+
+        auditors: list[Any] = []
+        with TelemetrySession(
+            on_attach=lambda capture: auditors.append(attach_auditor(capture))
+        ) as session:
+            outcome = simulate(
+                spec, machine=machine, telemetry=session, root=root, plan=plan,
+                trace=trace, span_sink=span_sink, obs_on_window=obs_on_window,
+                shard_ids=shard_ids, admit=admit,
+            )
+        for auditor in auditors:
+            auditor.finish()
+        outcome["audit"] = [
+            {
+                "cell": auditor.cell,
+                "ok": auditor.ok,
+                "violations": [str(v) for v in auditor.violations],
+            }
+            for auditor in auditors
+        ]
+        return outcome
 
     serve = spec.serve
     if plan is None:
@@ -313,13 +377,6 @@ def run_bench(
     elif trace is None and spec.trace is not None:
         trace = spec.trace
 
-    contracts = None
-    if spec.contracts is not None:  # refused before anything is built
-        # Local import: repro.slo consumes serve artifacts; importing it
-        # eagerly here would make the dependency circular.
-        from repro.slo import load_contracts
-
-        contracts = load_contracts(spec.contracts)
     app_mix = serve.apps
     seconds = spec.seconds
     overrides: dict[str, Any] = {}
@@ -450,75 +507,57 @@ def run_bench(
 
             kernel.join(kernel.spawn(_hold_until_horizon(), name="obs-horizon"))
         sampler.detach()
-    elapsed_s = kernel.seconds(end_of_load - start)
     router = cluster.router
-    latency = router.latency.summary()
-
-    def _us(summary: dict[str, float]) -> dict[str, float]:
-        return {
-            name: kernel.seconds(cycles) * 1e6 if name != "count" else cycles
-            for name, cycles in summary.items()
-        }
-
-    def _breakdown(record: dict[str, Any]) -> dict[str, Any]:
-        submitted = record["submitted"]
-        return {
-            "submitted": submitted,
-            "completed": record["completed"],
-            "shed": record["shed"],
-            "failed": record["failed"],
-            "throughput_rps": (
-                record["completed"] / elapsed_s if elapsed_s > 0 else 0.0
-            ),
-            "shed_rate": record["shed"] / submitted if submitted else 0.0,
-            "latency_us": _us(record["latency_cycles"]),
-            "latency_notes": record["latency_notes"],
-        }
-
-    per_tenant = {
-        tenant: _breakdown(record)
-        for tenant, record in router.tenant_stats().items()
+    params: dict[str, Any] = {
+        "shards": serve.shards,
+        "backend": serve.backend,
+        "seconds": seconds,
+        "rate": None if spec.clients is not None else (spec.rate or 2_000.0),
+        "clients": spec.clients,
+        "policy": serve.policy,
+        "admission": serve.admission,
+        "queue_capacity": serve.queue_capacity,
+        "servers_per_shard": serve.servers_per_shard,
+        "budget": serve.budget,
+        "keydist": spec.keydist,
+        "keyspace": spec.keyspace,
+        "set_fraction": spec.set_fraction,
+        "seed": spec.seed,
+        "plan": resolved_plan.name if resolved_plan is not None else None,
+        "tenants": dict(tenant_mix) if tenant_mix else None,
+        "apps": (
+            [list(pair) for pair in app_mix]
+            if app_mix is not None
+            else ([[name, 1.0] for name in installed_apps]
+                  if installed_apps is not None else None)
+        ),
     }
-    per_app = {
-        app: _breakdown(record) for app, record in router.app_stats().items()
-    }
-    result: dict[str, Any] = {
-        "meta": stamp("serve-bench"),
-        "spec": spec.to_json(),
-        "params": {
-            "shards": serve.shards,
-            "backend": serve.backend,
-            "seconds": seconds,
-            "rate": (
-                None
-                if spec.clients is not None
-                else (spec.rate or 2_000.0)
-            ),
-            "clients": spec.clients,
-            "policy": serve.policy,
-            "admission": serve.admission,
-            "queue_capacity": serve.queue_capacity,
-            "servers_per_shard": serve.servers_per_shard,
-            "budget": serve.budget,
-            "keydist": spec.keydist,
-            "keyspace": spec.keyspace,
-            "set_fraction": spec.set_fraction,
-            "seed": spec.seed,
-            "plan": resolved_plan.name if resolved_plan is not None else None,
-            "tenants": dict(tenant_mix) if tenant_mix else None,
-            "apps": (
-                [list(pair) for pair in app_mix]
-                if app_mix is not None
-                else ([[name, 1.0] for name in installed_apps]
-                      if installed_apps is not None else None)
-            ),
-        },
+    if trace is not None:
+        params["rate"] = None  # the trace owns the arrival times
+        params["scenario"] = trace.name
+        params["trace_digest"] = trace.digest
+        params["trace_events"] = len(trace.events)
+    obs = None
+    if sampler is not None and spec.obs:
+        params["obs_interval"] = sampler.interval
+        obs = {
+            "interval_cycles": sampler.interval,
+            "windows": sampler.n_windows,
+            # The shards present at install own a lane; ones the
+            # autoscaler spawns later do not.
+            "shards": [shard.index for shard in sampler.shards],
+            "raw_windows": sampler.raw_windows,
+            "spilled": sampler.spilled,
+        }
+    outcome: dict[str, Any] = {
+        "freq_hz": kernel.spec.freq_hz,
+        "params": params,
+        "shard_ids": list(shard_ids if shard_ids is not None else range(serve.shards)),
+        "skipped": generator.skipped,
         "totals": {
             **router.stats(),
             "issued": generator.issued,
-            "elapsed_s": elapsed_s,
-            "throughput_rps": router.completed / elapsed_s if elapsed_s > 0 else 0.0,
-            "latency_us": _us(latency),
+            "elapsed_s": kernel.seconds(end_of_load - start),
             "recoveries": [
                 {
                     "shard": episode["shard"],
@@ -527,13 +566,11 @@ def run_bench(
                 }
                 for episode in router.recoveries
             ],
+            "latency_cycles": list(router.latency.samples_cycles),
         },
-        "per_tenant": per_tenant,
-        "per_app": per_app,
-        "spans": {
-            "recorded": len(router.spans),
-            "dropped": router.spans_dropped,
-        },
+        "per_tenant": _counts_and_samples(router.tenants),
+        "per_app": _counts_and_samples(router.apps),
+        "spans": {"recorded": len(router.spans), "dropped": router.spans_dropped},
         "per_shard": [
             {
                 "shard": shard.index,
@@ -558,76 +595,37 @@ def run_bench(
             if cluster.arbiter is not None
             else None
         ),
-        "fleet": _fleet_section(cluster, kernel.now, router.completed),
+        "fleet": _fleet_sums(cluster, kernel.now),
+        "events_processed": kernel.events_processed,
+        "obs": obs,
+        "autoscale": controller.report() if controller is not None else None,
+        "audit": None,
     }
-    # Host-side counter (not part of the simulated outcome): the obs
-    # overhead bench divides it by wall time per arm.
-    result["host"] = {"events_processed": kernel.events_processed}
-    if trace is not None:
-        result["params"]["rate"] = None  # the trace owns the arrival times
-        result["params"]["scenario"] = trace.name
-        result["params"]["trace_digest"] = trace.digest
-        result["params"]["trace_events"] = len(trace.events)
-    if shard_ids is not None:
-        result["params"]["shard_ids"] = list(shard_ids)
-        result["totals"]["skipped"] = generator.skipped
-    if sampler is not None and spec.obs:
-        result["params"]["obs_interval"] = sampler.interval
-        result["obs"] = {
-            "interval_cycles": sampler.interval,
-            "windows": sampler.n_windows,
-            "freq_hz": kernel.spec.freq_hz,
-            "lanes": _obs_lanes(sampler),
-            "records": list(sampler.records),
-            "dropped_records": sampler.dropped_records,
-            "spilled": dict(sorted(sampler.spilled.items())),
-            "anomalies": list(sampler.anomalies),
-        }
-    if controller is not None:
-        result["autoscale"] = controller.report()
-    if contracts:
-        from repro.slo.contract import evaluate_contracts, verdicts_summary
-
-        result["slo"] = verdicts_summary(evaluate_contracts(result, contracts))
     if span_sink is not None:
         span_sink.extend(router.spans)
-    if raw_sink is not None:
-        raw_sink["latency_cycles"] = list(router.latency.samples_cycles)
-        raw_sink["tenant_latency_cycles"] = {
-            tenant: list(stats.latency.samples_cycles)
-            for tenant, stats in sorted(router.tenants.items())
-        }
-        raw_sink["app_latency_cycles"] = {
-            app: list(stats.latency.samples_cycles)
-            for app, stats in sorted(router.apps.items())
-        }
-        if sampler is not None and spec.obs:
-            raw_sink["obs"] = {
-                "interval_cycles": sampler.interval,
-                "windows": sampler.n_windows,
-                "t0": sampler.t0,
-                "raw_windows": sampler.raw_windows,
-                "spilled": sampler.spilled,
-            }
     if cluster.capture is not None:
         _export_serve_metrics(cluster.capture.registry, cluster.capture.label,
                               router, cluster.shards, kernel.now)
     cluster.close()
-    return result
+    return outcome
 
 
-def _fleet_section(
-    cluster: ServeCluster, end_cycles: float, completed: int
-) -> dict[str, Any]:
-    """Provisioned-fleet accounting over the cluster's lifecycle ledger.
+def _counts_and_samples(table: dict[str, Any]) -> dict[str, dict[str, Any]]:
+    """Per-tenant or per-app counters plus raw latency samples (cycles)."""
+    return {
+        name: {**stats.counts(), "latency_cycles": list(stats.latency.samples_cycles)}
+        for name, stats in sorted(table.items())
+    }
 
-    ``cycles_per_request`` divides everything the run *provisioned* —
+
+def _fleet_sums(cluster: ServeCluster, end_cycles: float) -> dict[str, Any]:
+    """Provisioned-fleet sums over the cluster's lifecycle ledger.
+
+    ``provisioned_cycles`` is everything the run *provisioned*:
     server-thread cycles, the integrated worker-budget cap, and the
-    modeled enclave create/teardown cost of dynamic scaling — by the
-    requests it completed.  This is the fleet-level wasted-cycle
-    objective the autoscaler optimizes: a static over-provisioned config
-    pays for idle shards all run long, an autoscaled one pays creation
-    cost for exactly the capacity the load curve demanded.
+    modeled enclave create/teardown cost of dynamic scaling.  Per
+    completed request it is the fleet-level wasted-cycle objective the
+    autoscaler optimizes (``fleet.cycles_per_request``).
     """
     server_cycles = 0.0
     creation = 0.0
@@ -648,7 +646,6 @@ def _fleet_section(
         if cluster.arbiter is not None
         else 0.0
     )
-    total = server_cycles + budget_cycles + creation + destruction
     return {
         "shards_initial": len(cluster.lifecycle) - spawned,
         "shards_spawned": spawned,
@@ -657,21 +654,140 @@ def _fleet_section(
         "worker_budget_cycles": budget_cycles,
         "creation_cycles": creation,
         "destruction_cycles": destruction,
-        "provisioned_cycles": total,
-        "cycles_per_request": total / completed if completed else None,
+        # Summed within the slice first: a merge adds slice totals, so
+        # the float order does not depend on the slicing layout.
+        "provisioned_cycles": server_cycles + budget_cycles + creation + destruction,
     }
 
 
-def _obs_lanes(sampler: Any) -> list[str]:
-    """Every lane present in the window stream, in canonical order."""
-    tenant_lanes = sorted(
-        {
-            record["lane"]
-            for record in sampler.records
-            if record["lane"].startswith("tenant:")
+def build_artifact(
+    outcome: dict[str, Any],
+    *,
+    spec: BenchSpec,
+    contracts: list | None = None,
+) -> dict[str, Any]:
+    """Format a (possibly merged) outcome as the ``serve-bench`` artifact.
+
+    The one writer of the artifact: sliced, unsliced and audited runs
+    differ only in the outcome they hand in.  Percentiles come from the
+    pooled samples, converted to µs at the outcome's clock; the ``obs``
+    records come from the raw windows through the sampler's own
+    formatter, and the anomaly detector replays over them (it is
+    deterministic over the record stream, so this equals running it
+    live).  ``spec`` is recorded as the run's config; ``contracts`` are
+    evaluated over the finished artifact into its ``slo`` section.
+    """
+    freq_hz = outcome["freq_hz"]
+    totals = outcome["totals"]
+    elapsed_s = totals["elapsed_s"]
+
+    def per_second(count: int) -> float:
+        return count / elapsed_s if elapsed_s > 0 else 0.0
+
+    def latency(samples: list[float]) -> tuple[dict[str, float], list[str]]:
+        recorder = LatencyRecorder()
+        recorder.record_many(samples)
+        summary = {
+            name: value / freq_hz * 1e6 if name != "count" else value
+            for name, value in recorder.summary().items()
         }
-    )
-    return ["total", *sampler.shard_lanes, *tenant_lanes]
+        return summary, recorder.diagnostics()
+
+    def breakdown(record: dict[str, Any]) -> dict[str, Any]:
+        latency_us, notes = latency(record["latency_cycles"])
+        submitted = record["submitted"]
+        return {
+            "submitted": submitted,
+            "completed": record["completed"],
+            "shed": record["shed"],
+            "failed": record["failed"],
+            "throughput_rps": per_second(record["completed"]),
+            "shed_rate": record["shed"] / submitted if submitted else 0.0,
+            "latency_us": latency_us,
+            "latency_notes": notes,
+        }
+
+    completed = totals["completed"]
+    fleet = outcome["fleet"]
+    result: dict[str, Any] = {
+        "meta": stamp("serve-bench"),
+        "spec": spec.to_json(),
+        "params": outcome["params"],
+        "totals": {
+            **{
+                name: value
+                for name, value in totals.items()
+                if name not in ("elapsed_s", "recoveries", "latency_cycles")
+            },
+            "elapsed_s": elapsed_s,
+            "throughput_rps": per_second(completed),
+            "latency_us": latency(totals["latency_cycles"])[0],
+            "recoveries": totals["recoveries"],
+        },
+        **{
+            section: {
+                name: breakdown(record)
+                for name, record in sorted(outcome[section].items())
+            }
+            for section in ("per_tenant", "per_app")
+        },
+        "spans": outcome["spans"],
+        "per_shard": outcome["per_shard"],
+        "budget": outcome["budget"],
+        "fleet": {
+            **fleet,
+            "cycles_per_request": (
+                fleet["provisioned_cycles"] / completed if completed else None
+            ),
+        },
+        # Host-side counter (not part of the simulated outcome): the obs
+        # overhead bench divides it by wall time per arm.
+        "host": {"events_processed": outcome["events_processed"]},
+    }
+    obs = outcome["obs"]
+    if obs is not None:
+        from repro.obs import AnomalyDetector
+        from repro.obs.sampler import TOTAL_LANE, build_window_records, shard_lane
+
+        shard_lanes = [shard_lane(index) for index in obs["shards"]]
+        records = [
+            record
+            for raw in obs["raw_windows"]
+            for record in build_window_records(
+                raw,
+                interval_cycles=obs["interval_cycles"],
+                freq_hz=freq_hz,
+                shard_lanes=shard_lanes,
+            )
+        ]
+        tenant_lanes = sorted(
+            {record["lane"] for record in records if record["lane"].startswith("tenant:")}
+        )
+        result["obs"] = {
+            "interval_cycles": obs["interval_cycles"],
+            "windows": obs["windows"],
+            "freq_hz": freq_hz,
+            "lanes": [TOTAL_LANE, *shard_lanes, *tenant_lanes],
+            "records": records,
+            "spilled": dict(sorted(obs["spilled"].items())),
+            "anomalies": AnomalyDetector().observe_all(records),
+        }
+    if outcome["autoscale"] is not None:
+        result["autoscale"] = outcome["autoscale"]
+    cells = outcome["audit"]
+    if cells is not None:
+        result["audit"] = {
+            "ok": all(cell["ok"] for cell in cells),
+            "cells": cells,
+            "violations": sum(len(cell["violations"]) for cell in cells),
+        }
+    if "slices" in outcome:
+        result["slices"] = outcome["slices"]
+    if contracts:
+        from repro.slo.contract import evaluate_contracts, verdicts_summary
+
+        result["slo"] = verdicts_summary(evaluate_contracts(result, contracts))
+    return result
 
 
 def _export_serve_metrics(

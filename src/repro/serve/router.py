@@ -580,28 +580,6 @@ class Router:
             "retired": sorted(self.retired),
         }
 
-    def tenant_stats(self) -> dict[str, dict[str, Any]]:
-        """Per-tenant counters plus a latency summary in cycles."""
-        return {
-            tenant: {
-                **stats.counts(),
-                "latency_cycles": stats.latency.summary(),
-                "latency_notes": stats.latency.diagnostics(),
-            }
-            for tenant, stats in sorted(self.tenants.items())
-        }
-
-    def app_stats(self) -> dict[str, dict[str, Any]]:
-        """Per-app counters plus a latency summary in cycles."""
-        return {
-            app: {
-                **stats.counts(),
-                "latency_cycles": stats.latency.summary(),
-                "latency_notes": stats.latency.diagnostics(),
-            }
-            for app, stats in sorted(self.apps.items())
-        }
-
     def _tenant(self, tenant: str) -> TenantStats:
         stats = self.tenants.get(tenant)
         if stats is None:

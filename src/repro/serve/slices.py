@@ -1,10 +1,13 @@
 """Slice-parallel serving simulation: shards partitioned over processes.
 
 ``repro serve bench --slices N`` splits an S-shard cluster into N
-*slices*, each simulating its subset of shards in its own forked process,
-and merges the per-slice artifacts into one ``serve-bench`` result.  This
-is how the simulator scales past one host core: the serve layer's shards
-share nothing but the router, so the simulation itself is shard-parallel.
+*slices*, each simulating its subset of shards in its own forked process
+(:func:`repro.serve.bench.simulate`), and superposes the slice outcomes
+with :func:`merge_outcomes`; :func:`repro.serve.bench.build_artifact`
+then writes the ``serve-bench`` artifact exactly as it writes an
+unsliced run's, which is the one-outcome case.  This is how the
+simulator scales past one host core: the serve layer's shards share
+nothing but the router, so the simulation itself is shard-parallel.
 
 **Why the merge is exact.**  Placement is rendezvous hashing over the
 *global* shard index (:func:`repro.serve.router._rendezvous_score`), so
@@ -26,15 +29,15 @@ completion order, so the merged artifact is byte-deterministic.
 models the shards spread over N hosts rather than contending for one
 host's cores.  With light per-shard load (no CPU contention between
 shards) a sliced run reproduces the unsliced per-shard outcomes exactly —
-``tests/serve/test_slices.py`` locks that in.  Restrictions: open loop
-only, ``policy="hash"`` only (round-robin placement depends on global
-arrival interleaving), and a worker ``budget`` is split across slices
+``tests/serve/test_slices.py`` locks that in.  Restrictions (enforced by
+:class:`repro.api.BenchSpec`): open loop only, ``policy="hash"`` only
+(round-robin placement depends on global arrival interleaving), no
+autoscaling, and a worker ``budget`` is split across slices
 proportionally to their shard counts.
 
 Execution reuses :class:`repro.parallel.runner.CellRunner` — the same
-fork pool, spec-order result collection and cross-process telemetry
-absorption every experiment grid uses; slices are just one more
-registered cell kind (``serve-slice``).
+fork pool and spec-order result collection every experiment grid uses;
+slices are just one more registered cell kind (``serve-slice``).
 """
 
 from __future__ import annotations
@@ -42,13 +45,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable
 
-from repro.analysis.metrics import LatencyRecorder
-from repro.api import BenchSpec, SpecError
+from repro.api import BenchSpec
 from repro.parallel.cells import CellSpec, cell
 from repro.parallel.runner import CellRunner
 from repro.serve.router import _rendezvous_score
-from repro.sim.machine import MachineSpec, server_machine
-from repro.telemetry.schema import stamp
+from repro.sim.machine import MachineSpec
 
 
 def slice_shard_ids(shards: int, slices: int) -> list[tuple[int, ...]]:
@@ -106,57 +107,26 @@ def split_budget(budget: int | None, partitions: list[tuple[int, ...]], shards: 
 # Cell execution (runs in the pool worker)
 # ----------------------------------------------------------------------
 def run_cell(spec: CellSpec) -> dict[str, Any]:
-    """Execute one slice; returns the slice row (registry: ``serve-slice``).
+    """Simulate one slice; returns its outcome (registry: ``serve-slice``).
 
     The cell carries its whole configuration as one serialized
-    :class:`repro.api.BenchSpec` (``spec_json``) plus the slice plumbing
-    (global shard count, owned shard ids, repo root, audit flag).  The
-    row carries the full per-slice serve artifact plus the raw latency
-    samples the parent needs for the percentile merge, and — with
-    ``audit=True`` — the live invariant auditor's verdicts for this
-    slice's kernel.
+    :class:`repro.api.BenchSpec` (``spec_json``) plus the slice plumbing:
+    global shard count, owned shard ids, simulated machine, repo root
+    and the audit switch.
     """
+    from repro.serve.bench import simulate
+
     kw = spec.kwargs
-    from repro.serve.bench import run_bench
-
-    bench_spec = BenchSpec.from_json(kw["spec_json"])
     shard_ids = tuple(kw["shard_ids"])
-    shards = kw["shards"]
-    raw: dict[str, Any] = {}
-    plumbing = dict(
+    return simulate(
+        BenchSpec.from_json(kw["spec_json"]),
+        machine=kw["machine"],
+        telemetry=False,
+        root=kw["root"],
+        audit=kw["audit"],
         shard_ids=shard_ids,
-        admit=make_admit(shard_ids, shards),
-        raw_sink=raw,
-        root=kw.get("root", "."),
+        admit=make_admit(shard_ids, kw["shards"]),
     )
-    audit_cells: list[dict[str, Any]] = []
-    if kw["audit"]:
-        from repro.regress import attach_auditor
-        from repro.telemetry.session import TelemetrySession
-
-        auditors: list[Any] = []
-        with TelemetrySession(
-            on_attach=lambda capture: auditors.append(attach_auditor(capture))
-        ) as session:
-            result = run_bench(bench_spec, telemetry=session, **plumbing)
-        for auditor in auditors:
-            auditor.finish()
-            audit_cells.append(
-                {
-                    "cell": f"slice-{kw['slice_index']}:{auditor.cell}",
-                    "ok": auditor.ok,
-                    "violations": [str(v) for v in auditor.violations],
-                }
-            )
-    else:
-        result = run_bench(bench_spec, telemetry=False, **plumbing)
-    return {
-        "slice": kw["slice_index"],
-        "shard_ids": list(shard_ids),
-        "result": result,
-        "raw": raw,
-        "audit": audit_cells,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +135,7 @@ def run_cell(spec: CellSpec) -> dict[str, Any]:
 def slice_cells(
     spec: BenchSpec,
     *,
+    machine: MachineSpec | None = None,
     root: str = ".",
     audit: bool = False,
 ) -> list[CellSpec]:
@@ -181,8 +152,6 @@ def slice_cells(
     identical-schedule guarantee.
     """
     serve = spec.serve
-    if serve.policy != "hash":
-        raise SpecError("slice-parallel serving requires policy='hash'")
     partitions = slice_shard_ids(serve.shards, spec.slices)
     budgets = split_budget(serve.budget, partitions, serve.shards)
     specs = []
@@ -210,10 +179,10 @@ def slice_cells(
             cell(
                 "serve-slice",
                 index,
-                slice_index=index,
                 shards=serve.shards,
                 shard_ids=shard_ids,
                 spec_json=slice_spec.to_json(),
+                machine=machine,
                 root=root,
                 audit=audit,
             )
@@ -221,298 +190,133 @@ def slice_cells(
     return specs
 
 
-def run_slice_bench(
+def run_slices(
     spec: BenchSpec,
     *,
     machine: MachineSpec | None = None,
     root: str = ".",
     audit: bool = False,
     jobs: int | str | None = None,
-) -> dict[str, Any]:
-    """Run the serve bench slice-parallel; returns one merged artifact.
+) -> list[dict[str, Any]]:
+    """Run every slice of ``spec``; returns their outcomes in slice order.
 
-    Takes a :class:`repro.api.BenchSpec` with ``slices > 1`` (this is
-    what :func:`repro.serve.bench.run_bench` dispatches to).  The merged
-    artifact has the regular ``serve-bench`` stamp and shape (so
-    :func:`repro.serve.bench.compare_to_baseline` gates it as usual)
-    plus a ``slices`` section with per-slice provenance and — with
-    ``audit=True`` — an ``audit`` section aggregating every slice's live
-    invariant verdicts.
+    The cells go through :class:`repro.parallel.runner.CellRunner`
+    (``jobs`` workers, ``"auto"`` by default); a single pending cell
+    runs inline.
     """
-    contracts = None
-    if spec.contracts is not None:  # refused before any slice runs
-        from repro.slo import load_contracts
-
-        contracts = load_contracts(spec.contracts)
-    specs = slice_cells(spec, root=root, audit=audit)
     runner = CellRunner(jobs="auto" if jobs is None else jobs)
-    rows = [outcome.row for outcome in runner.run(specs)]
-    spec_machine = machine if machine is not None else server_machine()
-    return merge_slice_results(rows, spec_machine, contracts=contracts, spec=spec)
+    cells = slice_cells(spec, machine=machine, root=root, audit=audit)
+    return [done.row for done in runner.run(cells)]
 
 
-def merge_slice_results(
-    rows: list[dict[str, Any]],
-    machine: MachineSpec,
-    contracts: list | None = None,
-    spec: BenchSpec | None = None,
-) -> dict[str, Any]:
-    """Merge per-slice rows into one ``serve-bench`` artifact.
+def merge_outcomes(outcomes: list[dict[str, Any]]) -> dict[str, Any]:
+    """Superpose slice outcomes, given in slice order, into one outcome.
 
-    Deterministic superposition in slice order: counters sum, latency
-    samples pool (then percentiles recompute over the pooled set), the
-    merged clock is the max of the slice clocks, and throughput is the
-    pooled completion count over that merged clock.  ``spec`` (the
-    parent's :class:`BenchSpec`, with the original ``slices`` count)
-    stamps the merged artifact's ``spec`` section.
+    One outcome is returned as is: an unsliced run is the one-slice
+    case.  Otherwise integer counters sum, ``quarantined``/``dead``/
+    ``retired`` concatenate sorted, latency samples pool in slice order,
+    per-shard rows and obs shard lanes order by global index, raw
+    windows merge window by window, the merged clock is the maximum of
+    the slice clocks, and fleet sums add field by field.  The params gain the
+    slicing layout, the summed worker budget and the one slice's fault
+    plan; audit cells gain a ``slice-<i>:`` prefix; ``slices`` records
+    each slice's provenance.
     """
-    rows = sorted(rows, key=lambda row: row["slice"])
-    if not rows:
+    if not outcomes:
         raise ValueError("nothing to merge")
-    results = [row["result"] for row in rows]
-    base_params = dict(results[0]["params"])
-
-    counters = ("submitted", "completed", "shed", "failed", "rerouted",
-                "preempted", "quarantines", "readmissions",
-                "forecast_shed", "shards_added", "shards_retired")
-    totals: dict[str, Any] = {name: 0 for name in counters}
-    quarantined: list[int] = []
-    dead: list[int] = []
-    retired: list[int] = []
-    recoveries: list[dict[str, Any]] = []
-    elapsed_s = 0.0
-    pooled = LatencyRecorder()
-    for row in rows:
-        slice_totals = row["result"]["totals"]
-        for name in counters:
-            totals[name] += slice_totals.get(name, 0)
-        quarantined.extend(slice_totals.get("quarantined", []))
-        dead.extend(slice_totals.get("dead", []))
-        retired.extend(slice_totals.get("retired", []))
-        recoveries.extend(slice_totals.get("recoveries", []))
-        elapsed_s = max(elapsed_s, slice_totals.get("elapsed_s", 0.0))
-        pooled.record_many(row["raw"].get("latency_cycles", []))
-
-    def _us(summary: dict[str, float]) -> dict[str, float]:
-        return {
-            name: machine.seconds(value) * 1e6 if name != "count" else value
-            for name, value in summary.items()
-        }
-
-    totals.update(
-        issued=results[0]["totals"].get("issued", 0),
-        elapsed_s=elapsed_s,
-        throughput_rps=totals["completed"] / elapsed_s if elapsed_s > 0 else 0.0,
-        latency_us=_us(pooled.summary()),
-        quarantined=sorted(quarantined),
-        dead=sorted(dead),
-        retired=sorted(retired),
-        recoveries=recoveries,
-    )
-
-    per_tenant: dict[str, Any] = {}
-    tenant_samples: dict[str, LatencyRecorder] = {}
-    for row in rows:
-        for tenant, record in row["result"].get("per_tenant", {}).items():
-            merged = per_tenant.setdefault(
-                tenant,
-                {"submitted": 0, "completed": 0, "shed": 0, "failed": 0},
+    if len(outcomes) == 1:
+        return outcomes[0]
+    first = outcomes[0]
+    totals: dict[str, Any] = {}
+    for name, value in first["totals"].items():
+        values = [outcome["totals"][name] for outcome in outcomes]
+        if name == "issued":
+            totals[name] = value  # every slice walks the whole schedule
+        elif name == "elapsed_s":
+            totals[name] = max(values)
+        elif isinstance(value, list):
+            pooled = [item for items in values for item in items]
+            totals[name] = (
+                sorted(pooled) if name in ("quarantined", "dead", "retired") else pooled
             )
-            for name in ("submitted", "completed", "shed", "failed"):
-                merged[name] += record[name]
-            tenant_samples.setdefault(tenant, LatencyRecorder()).record_many(
-                row["raw"].get("tenant_latency_cycles", {}).get(tenant, [])
-            )
-    for tenant, merged in sorted(per_tenant.items()):
-        recorder = tenant_samples[tenant]
-        merged["throughput_rps"] = (
-            merged["completed"] / elapsed_s if elapsed_s > 0 else 0.0
-        )
-        merged["shed_rate"] = (
-            merged["shed"] / merged["submitted"] if merged["submitted"] else 0.0
-        )
-        merged["latency_us"] = _us(recorder.summary())
-        merged["latency_notes"] = recorder.diagnostics()
-
-    per_app: dict[str, Any] = {}
-    app_samples: dict[str, LatencyRecorder] = {}
-    for row in rows:
-        for app, record in row["result"].get("per_app", {}).items():
-            merged_app = per_app.setdefault(
-                app,
-                {"submitted": 0, "completed": 0, "shed": 0, "failed": 0},
-            )
-            for name in ("submitted", "completed", "shed", "failed"):
-                merged_app[name] += record[name]
-            app_samples.setdefault(app, LatencyRecorder()).record_many(
-                row["raw"].get("app_latency_cycles", {}).get(app, [])
-            )
-    for app, merged_app in sorted(per_app.items()):
-        recorder = app_samples[app]
-        merged_app["throughput_rps"] = (
-            merged_app["completed"] / elapsed_s if elapsed_s > 0 else 0.0
-        )
-        merged_app["shed_rate"] = (
-            merged_app["shed"] / merged_app["submitted"]
-            if merged_app["submitted"]
-            else 0.0
-        )
-        merged_app["latency_us"] = _us(recorder.summary())
-        merged_app["latency_notes"] = recorder.diagnostics()
-
-    per_shard = sorted(
-        (entry for row in rows for entry in row["result"]["per_shard"]),
-        key=lambda entry: entry["shard"],
-    )
-
-    budgets = [row["result"]["budget"] for row in rows if row["result"]["budget"]]
-    budget_section = (
-        {
-            "cap": sum(b["cap"] for b in budgets),
-            "clipped": sum(b["clipped"] for b in budgets),
-            "in_use": sum(b["in_use"] for b in budgets),
-        }
-        if budgets
-        else None
-    )
-
-    spans = {
-        "recorded": sum(row["result"]["spans"]["recorded"] for row in rows),
-        "dropped": sum(row["result"]["spans"]["dropped"] for row in rows),
-    }
-
-    base_params.pop("shard_ids", None)
-    base_params.update(
-        slices=len(rows),
-        slice_shards=[row["shard_ids"] for row in rows],
-        budget=sum(b for b in (r["params"]["budget"] for r in results) if b)
-        or base_params.get("budget"),
+        else:
+            totals[name] = sum(values)
+    params = dict(first["params"])
+    params.update(
+        slices=len(outcomes),
+        slice_shards=[outcome["shard_ids"] for outcome in outcomes],
+        budget=sum(outcome["params"]["budget"] or 0 for outcome in outcomes)
+        or params["budget"],
         plan=next(
-            (r["params"]["plan"] for r in results if r["params"]["plan"]), None
+            (outcome["params"]["plan"] for outcome in outcomes if outcome["params"]["plan"]),
+            None,
         ),
     )
+    budgets = [outcome["budget"] for outcome in outcomes if outcome["budget"] is not None]
+    obs = None
+    if first["obs"] is not None:
+        from repro.obs.sampler import merge_raw_windows, merge_spilled
 
-    fleet_rows = [row["result"].get("fleet") for row in rows]
-    fleet_section: dict[str, Any] | None = None
-    if all(entry is not None for entry in fleet_rows):
-        fleet_section = {
-            name: sum(entry[name] for entry in fleet_rows)
-            for name in (
-                "shards_initial",
-                "shards_spawned",
-                "shards_retired",
-                "server_cycles",
-                "worker_budget_cycles",
-                "creation_cycles",
-                "destruction_cycles",
-                "provisioned_cycles",
-            )
+        slices_obs = [outcome["obs"] for outcome in outcomes]
+        obs = {
+            "interval_cycles": first["obs"]["interval_cycles"],
+            "windows": first["obs"]["windows"],
+            "shards": sorted(index for raw in slices_obs for index in raw["shards"]),
+            "raw_windows": merge_raw_windows([raw["raw_windows"] for raw in slices_obs]),
+            "spilled": merge_spilled([raw["spilled"] for raw in slices_obs]),
         }
-        fleet_section["cycles_per_request"] = (
-            fleet_section["provisioned_cycles"] / totals["completed"]
-            if totals["completed"]
-            else None
-        )
-
-    merged: dict[str, Any] = {
-        "meta": stamp("serve-bench"),
-        "params": base_params,
+    return {
+        "freq_hz": first["freq_hz"],
+        "params": params,
         "totals": totals,
-        "per_tenant": per_tenant,
-        "per_app": per_app,
-        "spans": spans,
-        "per_shard": per_shard,
-        "budget": budget_section,
-        "fleet": fleet_section,
+        "per_tenant": _pool_by_name([outcome["per_tenant"] for outcome in outcomes]),
+        "per_app": _pool_by_name([outcome["per_app"] for outcome in outcomes]),
+        "spans": _sum_fields([outcome["spans"] for outcome in outcomes]),
+        "per_shard": sorted(
+            (row for outcome in outcomes for row in outcome["per_shard"]),
+            key=lambda row: row["shard"],
+        ),
+        "budget": _sum_fields(budgets) if budgets else None,
+        "fleet": _sum_fields([outcome["fleet"] for outcome in outcomes]),
+        "events_processed": sum(outcome["events_processed"] for outcome in outcomes),
+        "obs": obs,
+        "autoscale": None,  # BenchSpec refuses autoscaling with slices > 1
+        "audit": (
+            None
+            if first["audit"] is None
+            else [
+                {**entry, "cell": f"slice-{index}:{entry['cell']}"}
+                for index, outcome in enumerate(outcomes)
+                for entry in outcome["audit"]
+            ]
+        ),
         "slices": [
             {
-                "slice": row["slice"],
-                "shard_ids": row["shard_ids"],
-                "elapsed_s": row["result"]["totals"]["elapsed_s"],
-                "completed": row["result"]["totals"]["completed"],
-                "skipped_arrivals": row["result"]["totals"].get("skipped", 0),
+                "slice": index,
+                "shard_ids": outcome["shard_ids"],
+                "elapsed_s": outcome["totals"]["elapsed_s"],
+                "completed": outcome["totals"]["completed"],
+                "skipped_arrivals": outcome["skipped"],
             }
-            for row in rows
+            for index, outcome in enumerate(outcomes)
         ],
     }
-    if spec is not None:
-        merged["spec"] = spec.to_json()
-    obs_raws = [row["raw"].get("obs") for row in rows]
-    if all(raw is not None for raw in obs_raws):
-        merged["obs"] = _merge_obs(obs_raws, per_shard, machine)
-        merged["params"]["obs_interval"] = merged["obs"]["interval_cycles"]
-    audit_cells = [entry for row in rows for entry in row.get("audit", [])]
-    if audit_cells:
-        merged["audit"] = {
-            "ok": all(entry["ok"] for entry in audit_cells),
-            "cells": audit_cells,
-            "violations": sum(len(entry["violations"]) for entry in audit_cells),
-        }
-    if contracts:
-        from repro.slo.contract import evaluate_contracts, verdicts_summary
-
-        merged["slo"] = verdicts_summary(evaluate_contracts(merged, contracts))
-    return merged
 
 
-def _merge_obs(
-    obs_raws: list[dict[str, Any]],
-    per_shard: list[dict[str, Any]],
-    machine: MachineSpec,
-) -> dict[str, Any]:
-    """Merge per-slice raw window streams into one ``obs`` section.
+def _sum_fields(rows: list[dict[str, Any]]) -> dict[str, Any]:
+    """Field-by-field sums of same-shaped rows, in row order."""
+    return {name: sum(row[name] for row in rows) for name in rows[0]}
 
-    Slice order is already fixed by the caller's row sort.  Raw windows
-    superpose (integer counters sum, latency samples pool, shard lanes
-    copy from their owning slice), then the *same* formatter the live
-    sampler uses rebuilds the records — which is what makes the merged
-    stream byte-identical to an unsliced run's (see
-    :mod:`repro.obs.sampler`).  The anomaly detector replays over the
-    merged records; it is deterministic over the stream, so this matches
-    running it live on an unsliced kernel.
-    """
-    from repro.obs import AnomalyDetector
-    from repro.obs.sampler import (
-        build_window_records,
-        merge_raw_windows,
-        merge_spilled,
-        shard_lane,
-    )
 
-    first = obs_raws[0]
-    interval = first["interval_cycles"]
-    if any(raw["interval_cycles"] != interval for raw in obs_raws):
-        raise ValueError("slices disagree on the obs interval")
-    merged_raw = merge_raw_windows([raw["raw_windows"] for raw in obs_raws])
-    shard_lanes = [shard_lane(entry["shard"]) for entry in per_shard]
-    records: list[dict[str, Any]] = []
-    for raw_window in merged_raw:
-        records.extend(
-            build_window_records(
-                raw_window,
-                interval_cycles=interval,
-                freq_hz=machine.freq_hz,
-                shard_lanes=shard_lanes,
+def _pool_by_name(tables: list[dict[str, dict[str, Any]]]) -> dict[str, dict[str, Any]]:
+    """Per-tenant or per-app records: counters sum, sample lists pool."""
+    pooled: dict[str, dict[str, Any]] = {}
+    for table in tables:
+        for name, record in table.items():
+            target = pooled.setdefault(
+                name,
+                {key: [] if isinstance(value, list) else 0 for key, value in record.items()},
             )
-        )
-    detector = AnomalyDetector()
-    anomalies = detector.observe_all(records)
-    tenant_lanes = sorted(
-        {
-            record["lane"]
-            for record in records
-            if record["lane"].startswith("tenant:")
-        }
-    )
-    return {
-        "interval_cycles": interval,
-        "windows": first["windows"],
-        "freq_hz": machine.freq_hz,
-        "lanes": ["total", *shard_lanes, *tenant_lanes],
-        "records": records,
-        "dropped_records": 0,
-        "spilled": dict(
-            sorted(merge_spilled([raw["spilled"] for raw in obs_raws]).items())
-        ),
-        "anomalies": anomalies,
-    }
+            for key, value in record.items():
+                target[key] += value
+    return pooled

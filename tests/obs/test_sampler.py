@@ -8,7 +8,6 @@ from repro.api import BenchSpec, ServeSpec, SpecError
 from repro.obs import MetricSampler, merge_raw_windows
 from repro.obs.sampler import merge_spilled, shard_lane, tenant_lane
 from repro.serve.bench import run_bench
-from repro.serve.slices import run_slice_bench
 from repro.sim import Kernel, server_machine
 
 
@@ -88,17 +87,23 @@ class TestWindowing:
         assert all(not raw["lanes"] for raw in sampler.raw_windows)
 
     def test_detach_flushes_the_whole_grid_and_restores_the_bus(self):
-        kernel, sampler = self._sampler(windows=3)
+        records = []
+        kernel, sampler = self._sampler(
+            windows=3, on_window=lambda index, recs, anomalies: records.extend(recs)
+        )
         assert kernel.bus is not None  # owned emit shim installed
         sampler.detach()
         assert kernel.bus is None
         assert len(sampler.raw_windows) == 3
-        assert len(sampler.records) == 3  # one total-lane record each
+        assert len(records) == 3  # one total-lane record each
         sampler.detach()  # idempotent
         assert len(sampler.raw_windows) == 3
 
     def test_lane_order_is_total_shards_then_sorted_tenants(self):
-        kernel, sampler = self._sampler(windows=1)
+        records = []
+        kernel, sampler = self._sampler(
+            windows=1, on_window=lambda index, recs, anomalies: records.extend(recs)
+        )
         kernel.now = 10.0
         for tenant in ("zeta", "alpha"):
             kernel.bus.emit(
@@ -109,7 +114,7 @@ class TestWindowing:
                 request_id=tenant,
             )
         sampler.detach()
-        lanes = [record["lane"] for record in sampler.records]
+        lanes = [record["lane"] for record in records]
         assert lanes == ["total", "tenant:alpha", "tenant:zeta"]
 
 
@@ -135,6 +140,27 @@ class TestBenchIntegration:
         assert totals["submitted"] == result["totals"]["submitted"]
         assert result["obs"]["spilled"] == {}
 
+    def test_long_streams_keep_every_window(self):
+        # 4,000 windows x 17 lanes = 68,000 records: the artifact keeps
+        # every one of them, record for record what the sampler emitted
+        # live, starting at window 0.
+        live = []
+        result = run_bench(
+            BenchSpec(
+                serve=ServeSpec(shards=16, budget=32),
+                seconds=0.02,
+                rate=4_000.0,
+                obs=True,
+                obs_interval=13_000.0,
+            ),
+            telemetry=False,
+            obs_on_window=lambda index, records, anomalies: live.extend(records),
+        )
+        records = result["obs"]["records"]
+        assert len(records) == 4_000 * 17
+        assert records[0]["window"] == 0 and records[-1]["window"] == 3_999
+        assert records == live
+
     def test_obs_interval_validation(self):
         with pytest.raises(SpecError, match="obs_interval"):
             BenchSpec(
@@ -154,7 +180,7 @@ class TestBenchIntegration:
         # stream (records AND anomaly verdicts) is byte-identical to the
         # unsliced run's.
         unsliced = run_bench(identity(4), telemetry=False)
-        sliced = run_slice_bench(identity(4, 2), jobs=1)
+        sliced = run_bench(identity(4, 2), jobs=1)
         assert unsliced["obs"]["lanes"] == sliced["obs"]["lanes"]
         assert _stream(unsliced) == _stream(sliced)
 

@@ -7,16 +7,21 @@ latency percentiles may wiggle with host-contention modeling, outcomes
 may not).
 """
 
+import os
+
 import pytest
 
 from repro.scenarios.generate import ScenarioSpec, generate_trace
 from repro.scenarios.replay import (
     compare_scenario_baseline,
+    replay_scenario,
     scenario_snapshot,
 )
 from repro.api import BenchSpec, ServeSpec
 from repro.scenarios.trace import write_trace
 from repro.serve.bench import run_bench
+
+REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..")
 
 LIGHT = ServeSpec(
     shards=2,
@@ -114,6 +119,13 @@ class TestReplayBasics:
     def test_installed_apps_must_cover_the_trace(self):
         with pytest.raises(ValueError, match="not in"):
             run_bench(light_spec(apps=(("kv", 1.0),)), trace=_light_trace())
+
+
+class TestReplayAudit:
+    def test_one_slice_replay_runs_the_auditors(self):
+        result = replay_scenario("steady-mixed", root=REPO_ROOT, audit=True)
+        assert result["audit"]["ok"] is True
+        assert [cell["cell"] for cell in result["audit"]["cells"]] == ["serve-zcx4"]
 
 
 class TestSliceEquivalence:

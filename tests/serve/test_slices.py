@@ -8,6 +8,7 @@ light load (no cross-request CPU contention) a sliced run reproduces the
 unsliced per-shard outcomes exactly.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -17,12 +18,12 @@ from repro.serve.bench import run_bench
 from repro.serve.router import _rendezvous_score
 from repro.serve.slices import (
     make_admit,
-    merge_slice_results,
+    merge_outcomes,
     owner_shard,
-    run_slice_bench,
     slice_shard_ids,
     split_budget,
 )
+from repro.sim import server_machine
 
 
 def light(shards, slices=1, *, tenants=None, budget=None, plan=None, fault_shard=0):
@@ -99,7 +100,7 @@ class TestPartition:
 class TestEquivalence:
     def test_sliced_matches_unsliced_per_shard(self):
         base = run_bench(light(4), telemetry=False)
-        sliced = run_slice_bench(light(4, 2), jobs=1)
+        sliced = run_bench(light(4, 2), jobs=1)
         assert [outcome_keys(e) for e in base["per_shard"]] == [
             outcome_keys(e) for e in sliced["per_shard"]
         ]
@@ -109,7 +110,7 @@ class TestEquivalence:
     def test_tenant_streams_survive_slicing(self):
         tenants = (("bronze", 1.0), ("gold", 3.0))
         base = run_bench(light(4, tenants=tenants), telemetry=False)
-        sliced = run_slice_bench(light(4, 2, tenants=tenants), jobs=1)
+        sliced = run_bench(light(4, 2, tenants=tenants), jobs=1)
         for tenant, _ in tenants:
             for field in ("submitted", "completed", "shed", "failed"):
                 assert (
@@ -118,7 +119,7 @@ class TestEquivalence:
                 ), (tenant, field)
 
     def test_merge_conserves_counts(self):
-        sliced = run_slice_bench(light(5, 3), jobs=1)
+        sliced = run_bench(light(5, 3), jobs=1)
         assert sliced["totals"]["completed"] == sum(
             entry["completed"] for entry in sliced["slices"]
         )
@@ -127,8 +128,8 @@ class TestEquivalence:
         assert sorted(owned) == list(range(5))
 
     def test_fork_pool_matches_serial(self):
-        serial = run_slice_bench(light(4, 2), jobs=1)
-        pooled = run_slice_bench(light(4, 2), jobs=2)
+        serial = run_bench(light(4, 2), jobs=1)
+        pooled = run_bench(light(4, 2), jobs=2)
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             pooled, sort_keys=True
         )
@@ -136,15 +137,27 @@ class TestEquivalence:
     def test_run_bench_dispatches_sliced_specs(self):
         # Runtime.serve / run_bench on a slices>1 spec IS the slice
         # runner: one entry point, identical artifact.
-        direct = run_slice_bench(light(4, 2), jobs=1)
+        direct = run_bench(light(4, 2), jobs=1)
         dispatched = run_bench(light(4, 2))
         assert json.dumps(direct, sort_keys=True) == json.dumps(
             dispatched, sort_keys=True
         )
 
+    def test_sliced_artifact_has_every_unsliced_section(self):
+        # One builder writes both artifacts: the sliced one carries every
+        # key the unsliced one does, plus only its slicing provenance.
+        base = run_bench(light(4), telemetry=False)
+        sliced = run_bench(light(4, 2), jobs=1)
+        assert set(sliced) == set(base) | {"slices"}
+        assert set(sliced["params"]) == set(base["params"]) | {"slices", "slice_shards"}
+        for section in ("totals", "fleet", "per_tenant"):
+            assert set(sliced[section]) == set(base[section]), section
+        for tenant, entry in base["per_tenant"].items():
+            assert set(sliced["per_tenant"][tenant]) == set(entry), tenant
+
     def test_artifact_shape_and_provenance(self):
         spec = light(4, 2)
-        sliced = run_slice_bench(spec, jobs=1)
+        sliced = run_bench(spec, jobs=1)
         assert sliced["meta"]["artifact"] == "serve-bench"
         assert sliced["params"]["slices"] == 2
         assert sliced["params"]["slice_shards"] == [[0, 2], [1, 3]]
@@ -158,10 +171,20 @@ class TestEquivalence:
 
 class TestAudit:
     def test_audit_section_aggregates_slice_verdicts(self):
-        sliced = run_slice_bench(light(4, 2), jobs=1, audit=True)
+        sliced = run_bench(light(4, 2), jobs=1, audit=True)
         assert sliced["audit"]["ok"] is True
         assert len(sliced["audit"]["cells"]) == 2
         assert sliced["audit"]["violations"] == 0
+
+    def test_one_slice_audit_is_the_plain_artifact_plus_audit(self):
+        plain = run_bench(light(4), telemetry=False)
+        audited = run_bench(light(4), audit=True)
+        audit = audited.pop("audit")
+        assert audit["ok"] is True
+        assert [cell["cell"] for cell in audit["cells"]] == ["serve-zcx4"]
+        assert json.dumps(audited, sort_keys=True) == json.dumps(
+            plain, sort_keys=True
+        )
 
 
 class TestValidation:
@@ -175,15 +198,59 @@ class TestValidation:
             )
 
     def test_merge_rejects_empty(self):
-        from repro.sim import server_machine
-
         with pytest.raises(ValueError, match="nothing to merge"):
-            merge_slice_results([], server_machine())
+            merge_outcomes([])
 
     def test_fault_plan_attaches_only_in_owning_slice(self):
-        sliced = run_slice_bench(
+        sliced = run_bench(
             light(4, 2, plan="enclave-lost", fault_shard=1, budget=8), jobs=1
         )
         assert sliced["params"]["plan"] == "enclave-lost"
         # Shard 1 lives in slice 1; its quarantine shows up post-merge.
         assert sliced["totals"]["quarantines"] >= 1
+
+    @pytest.mark.parametrize(
+        "plumbing",
+        [
+            {"telemetry": True},
+            {"plan": "enclave-lost"},
+            {"trace": "some.trace.jsonl"},
+            {"span_sink": []},
+            {"obs_on_window": print},
+        ],
+        ids=lambda plumbing: next(iter(plumbing)),
+    )
+    def test_sliced_run_refuses_in_process_plumbing(self, plumbing):
+        (name,) = plumbing
+        with pytest.raises(SpecError, match=name):
+            run_bench(light(4, 2), jobs=1, **plumbing)
+
+    def test_refusal_names_every_dropped_argument(self):
+        with pytest.raises(
+            SpecError, match="drop telemetry, plan, trace, span_sink, obs_on_window"
+        ):
+            run_bench(
+                light(4, 2),
+                telemetry=True,
+                plan="enclave-lost",
+                trace="some.trace.jsonl",
+                span_sink=[],
+                obs_on_window=print,
+            )
+
+    def test_slices_simulate_on_the_given_machine(self):
+        # The intel backend is layout-invariant, so a sliced run on a
+        # slower machine matches the unsliced run on that same machine.
+        def intel(slices):
+            spec = light(4, slices)
+            return spec.replace(serve=dataclasses.replace(spec.serve, backend="intel"))
+
+        machine = server_machine(freq_hz=1.3e9)
+        unsliced = run_bench(intel(1), machine=machine, telemetry=False)
+        sliced = run_bench(intel(2), machine=machine, jobs=1)
+        for name in ("count", "p50", "p99", "max"):
+            assert (
+                sliced["totals"]["latency_us"][name]
+                == unsliced["totals"]["latency_us"][name]
+            ), name
+        assert sliced["totals"]["elapsed_s"] == unsliced["totals"]["elapsed_s"]

@@ -222,6 +222,18 @@ class TestServeObsFlags:
         assert "obs baseline gate: OK" in capsys.readouterr().out
 
 
+class TestServeAudit:
+    def test_audit_runs_on_one_closed_loop_slice(self, capsys, tmp_path):
+        out = tmp_path / "serve.json"
+        assert main([
+            "serve", "bench", "--shards", "2", "--seconds", "0.01", "--audit",
+            "--clients", "4", "--requests-per-client", "50",
+            "--policy", "round-robin", "--out", str(out),
+        ]) == 0
+        assert "audit: OK (1 kernel(s)" in capsys.readouterr().out
+        assert json.loads(out.read_text())["audit"]["ok"] is True
+
+
 class TestScenarioFlags:
     """Arg hygiene for the scenario/trace serve flags and subcommands."""
 
