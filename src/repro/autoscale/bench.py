@@ -13,8 +13,10 @@ enclave-lifecycle price to track the curve instead.
 
 Every arm replays the identical committed trace bytes with the same
 dispatch model, so the comparison is pure provisioning policy.  The
-sweep artifact (``autoscale-sweep``) embeds its own gate verdict, and
-``baselines/autoscale-diurnal.json`` pins it for ``repro diff``.
+sweep artifact (``autoscale-sweep``) embeds its own gate verdict;
+``baselines/autoscale-diurnal.json`` is one such artifact, and
+:func:`repro.regress.baselines.compare_sweep` gates a fresh sweep
+against it.
 """
 
 from __future__ import annotations
@@ -172,76 +174,3 @@ def run_autoscale_sweep(
         "arms": arms_out,
         "gate": {"ok": not violations, "violations": violations},
     }
-
-
-# ----------------------------------------------------------------------
-# The committed baseline (``repro diff baselines/autoscale-diurnal.json``)
-# ----------------------------------------------------------------------
-def sweep_snapshot(result: dict[str, Any]) -> dict[str, Any]:
-    """Distil a sweep artifact into a committed baseline snapshot."""
-    return {
-        "meta": stamp(AUTOSCALE_ARTIFACT),
-        "scenario": result["scenario"],
-        "trace_digest": result["trace_digest"],
-        "arms": {
-            name: {
-                "completed": arm.get("completed"),
-                "shed": arm.get("shed"),
-                "p99_us": arm.get("p99_us"),
-                "cycles_per_request": arm.get("cycles_per_request"),
-            }
-            for name, arm in sorted(result["arms"].items())
-        },
-        "gate": result["gate"],
-    }
-
-
-def compare_sweep_baseline(
-    result: dict[str, Any],
-    baseline: dict[str, Any],
-    threshold: float = 0.1,
-) -> list[str]:
-    """Gate a sweep against its baseline; returns violation messages.
-
-    Identity first (scenario, trace digest, arm set), then the live gate
-    itself must pass, then each arm's outcome numbers must sit within
-    the relative ``threshold`` of the committed values — drift in either
-    direction is a model change someone must re-baseline deliberately.
-    """
-    violations: list[str] = []
-    for field in ("scenario", "trace_digest"):
-        if result.get(field) != baseline.get(field):
-            violations.append(
-                f"{field} mismatch: run has {result.get(field)!r}, "
-                f"baseline has {baseline.get(field)!r}"
-            )
-    gate = result.get("gate") or {}
-    if not gate.get("ok"):
-        for message in gate.get("violations", ["gate failed"]):
-            violations.append(f"acceptance gate: {message}")
-    new_arms = result.get("arms") or {}
-    old_arms = baseline.get("arms") or {}
-    if sorted(new_arms) != sorted(old_arms):
-        violations.append(
-            f"arm set changed: {sorted(new_arms)} vs baseline "
-            f"{sorted(old_arms)}"
-        )
-    for name in sorted(set(new_arms) & set(old_arms)):
-        new, old = new_arms[name], old_arms[name]
-        if new.get("completed") != old.get("completed"):
-            violations.append(
-                f"{name}: completed changed: {new.get('completed')} vs "
-                f"baseline {old.get('completed')}"
-            )
-        for metric in ("cycles_per_request", "p99_us"):
-            old_value = old.get(metric)
-            new_value = new.get(metric)
-            if not old_value or new_value is None:
-                continue
-            drift = abs(new_value - old_value) / old_value
-            if drift > threshold:
-                violations.append(
-                    f"{name}: {metric} drifted {drift:.0%}: {new_value:,.1f} "
-                    f"vs baseline {old_value:,.1f} (> {threshold:.0%})"
-                )
-    return violations

@@ -4,8 +4,9 @@ An :class:`AutoscaleController` subscribes to the serving bench's
 :class:`repro.obs.MetricSampler` window stream.  Each time a window
 closes it:
 
-1. refreshes its per-request service-cost estimate from the router's
-   new span records (execute-phase cycles, EWMA-smoothed);
+1. refreshes its per-request service-cost estimate from the span
+   records the router handed it since the last window (execute-phase
+   cycles, EWMA-smoothed);
 2. folds the window's per-lane ``submitted`` counts into the
    :class:`repro.autoscale.forecast.EwmaForecaster`;
 3. runs :func:`repro.autoscale.optimizer.fleet_argmin` over
@@ -79,7 +80,8 @@ class AutoscaleController:
         self.arbiter = cluster.arbiter
         self._forecaster = EwmaForecaster(spec.alpha)
         self._service: float | None = None
-        self._span_cursor = 0
+        #: Execute-phase cycles of the spans since the last window.
+        self._service_samples: list[float] = []
         self._next_index = max(shard.index for shard in cluster.shards) + 1
         self._pending_spawns = 0
         #: One record per control window (the artifact's audit trail).
@@ -96,8 +98,9 @@ class AutoscaleController:
     # Wiring
     # ------------------------------------------------------------------
     def install(self) -> "AutoscaleController":
-        """Subscribe to the window stream and arm the admission gate."""
+        """Subscribe to the window and span streams; arm the admission gate."""
         self.sampler.add_on_window(self._on_window)
+        self.router.span_subscribers.append(self._on_span)
         self.router.predictive_gate = self._admit
         return self
 
@@ -221,25 +224,26 @@ class AutoscaleController:
         self.decisions.append(decision)
         self._emit("autoscale.decision", tenant="", request_id="", **decision)
 
+    def _on_span(self, span: dict[str, Any]) -> None:
+        """Keep a served request's execute-phase cycles for the next window."""
+        if span["status"] != "ok":
+            return
+        t_dequeue = span.get("t_dequeue")
+        t_result = span.get("t_result")
+        if t_dequeue is None or t_result is None:
+            return
+        sample = float(t_result - t_dequeue)
+        if sample > 0:
+            self._service_samples.append(sample)
+
     def _refresh_service_estimate(self) -> None:
-        spans = self.router.spans
-        while self._span_cursor < len(spans):
-            span = spans[self._span_cursor]
-            self._span_cursor += 1
-            if span["status"] != "ok":
-                continue
-            t_dequeue = span.get("t_dequeue")
-            t_result = span.get("t_result")
-            if t_dequeue is None or t_result is None:
-                continue
-            sample = float(t_result - t_dequeue)
-            if sample <= 0:
-                continue
+        for sample in self._service_samples:
             self._service = (
                 sample
                 if self._service is None
                 else SERVICE_ALPHA * sample + (1 - SERVICE_ALPHA) * self._service
             )
+        self._service_samples.clear()
 
     # ------------------------------------------------------------------
     # Fleet actions

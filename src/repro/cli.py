@@ -280,30 +280,29 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gate_baseline(
-    result: dict[str, Any], path: str, threshold: float
-) -> list[str]:
-    """The ``--baseline`` flag: gate a fresh run and print the verdict.
-
-    A baseline that cannot gate the run exits in one line instead.
-    """
-    from repro.regress.baselines import gate
+def _read_baseline(path: str | None, artifact: str) -> dict[str, Any] | None:
+    """The ``--baseline`` file, read before the run: only a baseline of
+    the ``artifact`` kind the command writes can gate it.  Any other file
+    is refused in one line."""
+    if path is None:
+        return None
+    from repro.telemetry.schema import SchemaMismatch, read_artifact
 
     try:
-        violations = gate(result, path, threshold)
-    except ValueError as exc:  # SchemaMismatch, or a run the kind cannot snapshot
+        return read_artifact(path, (artifact,))
+    except SchemaMismatch as exc:
         raise SystemExit(f"--baseline: {exc}")
+
+
+def _gate_baseline(
+    result: dict[str, Any], baseline: dict[str, Any], path: str, threshold: float
+) -> list[str]:
+    """The ``--baseline`` flag: gate a fresh run and print the verdict."""
+    from repro.regress.baselines import gate
+
+    violations = gate(result, baseline, threshold)
     _print_check("baseline gate", violations, f"within {threshold:.0%} of {path}")
     return violations
-
-
-def _write_snapshot(kind: str, result: dict[str, Any], path: str) -> None:
-    """A snapshot flag: write ``result``'s baseline of ``kind`` to ``path``."""
-    from repro.regress.baselines import BASELINES
-    from repro.telemetry.schema import write_artifact
-
-    write_artifact(BASELINES[kind].snapshot(result), path)
-    print(f"[{kind} baseline snapshot written to {path}]")
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -325,21 +324,21 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     )
     if artifact in BASELINES:
         kind = BASELINES[artifact]
-        if current is not None:
-            violations = kind.compare(current, base, args.threshold)
-        else:
+        if current is None:
             print(f"[{kind.label} baseline: re-running {args.baseline}]")
             try:
-                violations = gate(kind.rerun(base), args.baseline, args.threshold)
+                current = kind.rerun(base)
             except (OSError, ValueError) as exc:
                 raise SystemExit(f"repro diff: {exc}")
+        violations = gate(current, base, args.threshold)
         note = f"within {args.threshold:.0%} of {args.baseline}"
         return 1 if _print_check(f"{kind.label} baseline gate", violations, note) else 0
     if artifact != SNAPSHOT_ARTIFACT:
+        gated = ", ".join(repr(kind) for kind in (SNAPSHOT_ARTIFACT, *BASELINES))
         raise SystemExit(
             f"repro diff: {args.baseline}: {artifact!r} artifacts have no "
-            "repro diff gate (BENCH_meta.json baselines are gated by "
-            "benchmarks/bench_meta_simulator.py --baseline)"
+            f"repro diff gate (it gates {gated}; BENCH_meta.json baselines "
+            "are gated by benchmarks/bench_meta_simulator.py --baseline)"
         )
 
     if current is None:
@@ -383,6 +382,7 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
     from repro.autoscale.bench import AUTOSCALE_ARTIFACT, run_autoscale_sweep
     from repro.telemetry.schema import write_artifact
 
+    baseline = _read_baseline(args.baseline, AUTOSCALE_ARTIFACT)
     started = time.monotonic()
     result = run_autoscale_sweep(args.scenario)
     elapsed = time.monotonic() - started
@@ -409,10 +409,8 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
     if args.out is not None:
         write_artifact(result, args.out)
         print(f"[sweep artifact written to {args.out}]")
-    if args.snapshot is not None:
-        _write_snapshot(AUTOSCALE_ARTIFACT, result, args.snapshot)
-    if args.baseline is not None:
-        failures += bool(_gate_baseline(result, args.baseline, args.threshold))
+    if baseline is not None:
+        failures += bool(_gate_baseline(result, baseline, args.baseline, args.threshold))
     print(f"[autoscale sweep: {elapsed:.1f}s wall]")
     return 1 if failures else 0
 
@@ -625,10 +623,11 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         return 1 if drifted else 0
 
     # replay
-    from repro.scenarios import SCENARIO_ARTIFACT, replay_scenario
+    from repro.scenarios import replay_scenario
     from repro.telemetry.schema import write_artifact
 
     _committed_trace(args.name)
+    baseline = _read_baseline(args.baseline, "serve-bench")
     overrides: dict[str, Any] = {}
     if args.shards is not None:
         overrides["shards"] = args.shards
@@ -662,10 +661,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     failures = _print_serve_audit(result)
     write_artifact(result, args.out)
     print(f"[scenario artifact written to {args.out}]")
-    if args.snapshot is not None:
-        _write_snapshot(SCENARIO_ARTIFACT, result, args.snapshot)
-    if args.baseline is not None:
-        failures += bool(_gate_baseline(result, args.baseline, args.threshold))
+    if baseline is not None:
+        failures += bool(_gate_baseline(result, baseline, args.baseline, args.threshold))
     print(f"[scenarios replay: {elapsed:.1f}s wall]")
     return 1 if failures else 0
 
@@ -819,11 +816,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.bench import run_bench
     from repro.telemetry.schema import stamp, write_artifact, write_stream
 
-    obs_outputs = (args.obs_out, args.obs_html, args.obs_snapshot)
     spec = _spec_from_flags(
         args,
-        obs=args.obs or args.live or any(path is not None for path in obs_outputs),
+        obs=args.obs or args.live or args.obs_out is not None or args.obs_html is not None,
     )
+    baseline = _read_baseline(args.baseline, "serve-bench")
     # Early, user-friendly validation of the trace (unknown scenario
     # names, missing files); the loaded trace is reused below.
     trace = _resolve_trace(spec)
@@ -934,7 +931,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         count = write_stream(args.spans, stamp(SPANS_ARTIFACT), span_sink)
         print(f"[{count} span record(s) written to {args.spans}]")
     if "obs" in result:
-        from repro.obs import OBS_ARTIFACT, window_stream, write_html_report
+        from repro.obs import window_stream, write_html_report
 
         obs = result["obs"]
         print(
@@ -964,14 +961,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.obs_html is not None:
             write_html_report(obs, args.obs_html)
             print(f"[obs dashboard written to {args.obs_html}]")
-        if args.obs_snapshot is not None:
-            _write_snapshot(OBS_ARTIFACT, result, args.obs_snapshot)
     print(f"[serve: {elapsed:.1f}s wall]")
     failures = _print_serve_audit(result)
     if "slo" in result and _print_verdicts(result):
         failures += 1
-    if args.baseline is not None:
-        failures += bool(_gate_baseline(result, args.baseline, args.threshold))
+    if baseline is not None:
+        failures += bool(_gate_baseline(result, baseline, args.baseline, args.threshold))
     return 1 if failures else 0
 
 
@@ -1024,6 +1019,7 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
     from repro.telemetry.schema import render_stream, stamp
 
     spec = _spec_from_flags(args)
+    baseline = _read_baseline(args.baseline, "serve-bench")
     span_sink: list = []
     started = time.monotonic()
     result = run_bench(spec, audit=True, span_sink=span_sink)
@@ -1064,8 +1060,8 @@ def _cmd_evidence(args: argparse.Namespace) -> int:
             **result["slo"],
         }
         hard_breaches = _print_verdicts(result)
-    if args.baseline:
-        gate_violations = _gate_baseline(result, args.baseline, args.threshold)
+    if baseline is not None:
+        gate_violations = _gate_baseline(result, baseline, args.baseline, args.threshold)
         with open(args.baseline, encoding="utf-8") as handle:
             contents["baseline.json"] = handle.read()
         contents["gate.json"] = {
@@ -1379,15 +1375,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a self-contained HTML sparkline dashboard (implies --obs)",
     )
     serve_bench.add_argument(
-        "--obs-snapshot",
-        default=None,
-        metavar="FILE",
-        help=(
-            "write an obs-windows baseline snapshot for 'repro diff' "
-            "(implies --obs)"
-        ),
-    )
-    serve_bench.add_argument(
         "--live",
         action="store_true",
         help=(
@@ -1462,12 +1449,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="artifact output path (default BENCH_scenario.json)",
     )
-    scen_replay.add_argument(
-        "--snapshot",
-        default=None,
-        metavar="FILE",
-        help="write a scenario-bench baseline snapshot for 'repro diff'",
-    )
     _add_gate_flags(scen_replay, "the replay against a committed scenario baseline")
 
     autoscale_parser = sub.add_parser(
@@ -1490,12 +1471,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="write the full sweep artifact as JSON",
-    )
-    autoscale_sweep.add_argument(
-        "--snapshot",
-        default=None,
-        metavar="FILE",
-        help="write a sweep baseline snapshot for 'repro diff'",
     )
     _add_gate_flags(autoscale_sweep, "the sweep against a committed sweep baseline")
 

@@ -17,10 +17,14 @@ the record.
 Determinism contract: same seed and parameters ⇒ byte-identical window
 and anomaly streams, across reruns and across ``--slices N`` vs
 unsliced (see :func:`merge_raw_windows` for why).
+
+A run's windows are the ``obs`` section of its ``serve-bench`` artifact,
+so a committed obs baseline is that artifact, gated by
+:func:`repro.regress.baselines.compare_serve`.  The ``obs-windows``
+stamp (:data:`OBS_ARTIFACT`) marks the JSONL window stream only.
 """
 
 from repro.obs.anomaly import AnomalyDetector
-from repro.obs.baseline import compare_obs_baseline, obs_snapshot
 from repro.obs.console import LiveConsole
 from repro.obs.export import (
     OBS_ARTIFACT,
@@ -41,9 +45,7 @@ __all__ = [
     "MetricSampler",
     "OBS_ARTIFACT",
     "build_window_records",
-    "compare_obs_baseline",
     "merge_raw_windows",
-    "obs_snapshot",
     "read_windows",
     "render_html_report",
     "window_stream",

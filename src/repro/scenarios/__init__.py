@@ -13,7 +13,8 @@ where the workload is a reviewable artifact, not a seed.  Three pieces:
   file).
 - :mod:`repro.scenarios.replay` — the replay engine (a drop-in for the
   open-loop loadgen, so slice-parallel replays merge bit-identical to
-  unsliced ones) plus the ``scenario-bench`` baseline gate.
+  unsliced ones); a replay writes the ``serve-bench`` artifact, which is
+  also its committed baseline.
 - :mod:`repro.scenarios.catalog` — the named library whose traces live
   under ``traces/`` and whose baselines ``repro diff`` gates in CI.
 
@@ -35,13 +36,7 @@ from repro.scenarios.generate import (
     ScenarioSpec,
     generate_trace,
 )
-from repro.scenarios.replay import (
-    SCENARIO_ARTIFACT,
-    TraceReplayer,
-    compare_scenario_baseline,
-    replay_scenario,
-    scenario_snapshot,
-)
+from repro.scenarios.replay import TraceReplayer, replay_scenario
 from repro.scenarios.trace import (
     TRACE_ARTIFACT,
     ScenarioTrace,
@@ -56,7 +51,6 @@ __all__ = [
     "CATALOG",
     "KEYDIST_CHOICES",
     "REPLAY_DEFAULTS",
-    "SCENARIO_ARTIFACT",
     "SCENARIO_NAMES",
     "TRACE_ARTIFACT",
     "ScenarioSpec",
@@ -64,12 +58,10 @@ __all__ = [
     "TraceEvent",
     "TraceReplayer",
     "baseline_path",
-    "compare_scenario_baseline",
     "generate_trace",
     "get_scenario",
     "load_trace",
     "replay_scenario",
-    "scenario_snapshot",
     "trace_digest",
     "trace_path",
     "write_trace",

@@ -13,10 +13,9 @@ ones (the acceptance test of the scenario library).
 
 :func:`replay_scenario` is the high-level entry: load a catalog trace,
 replay it on the catalog's default cluster (optionally sliced), and
-return the stamped artifact.  :func:`scenario_snapshot` distils that
-artifact into a small committed baseline, and
-:func:`compare_scenario_baseline` is the comparison its gate runs
-(:mod:`repro.regress.baselines`).
+return the stamped ``serve-bench`` artifact.  That artifact is also the
+committed baseline of the replay (``baselines/scenario-<name>.json``),
+gated by :func:`repro.regress.baselines.compare_serve`.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ from repro.scenarios.trace import ScenarioTrace
 from repro.serve.router import Router
 from repro.sim.instructions import Compute, Sleep
 from repro.sim.kernel import Kernel, Program, SimThread
-from repro.telemetry.schema import stamp
-
-#: Artifact kind of a committed scenario baseline snapshot.
-SCENARIO_ARTIFACT = "scenario-bench"
 
 
 class TraceReplayer:
@@ -111,7 +106,7 @@ class TraceReplayer:
 
 
 # ----------------------------------------------------------------------
-# High-level replay + the baseline gate
+# High-level replay
 # ----------------------------------------------------------------------
 def replay_spec(
     name: str,
@@ -193,115 +188,3 @@ def replay_scenario(
         **overrides,
     )
     return run_bench(spec, root=root, audit=audit)
-
-
-def scenario_snapshot(result: dict[str, Any]) -> dict[str, Any]:
-    """Distil a replay artifact into a committed baseline snapshot.
-
-    Keeps the parameters that define the run (so a drifted cluster shape
-    is caught as an exact mismatch), the trace identity (digest — so a
-    regenerated trace invalidates its baseline), and the outcome numbers
-    the gate compares.
-    """
-    params = result["params"]
-    totals = result["totals"]
-    return {
-        "meta": stamp(SCENARIO_ARTIFACT),
-        # The full declarative serve config (schema-stamped), so the
-        # baseline records exactly what to re-run — not just the few
-        # shape parameters the gate compares.
-        "spec": result.get("spec"),
-        "params": {
-            key: params.get(key)
-            for key in (
-                "scenario",
-                "trace_digest",
-                "trace_events",
-                "shards",
-                "backend",
-                "budget",
-                "queue_capacity",
-                "servers_per_shard",
-                "policy",
-                "admission",
-                "apps",
-            )
-        },
-        "totals": {
-            "issued": totals.get("issued"),
-            "submitted": totals.get("submitted"),
-            "completed": totals.get("completed"),
-            "shed": totals.get("shed"),
-            "failed": totals.get("failed"),
-            "throughput_rps": totals.get("throughput_rps"),
-            "latency_us": {
-                "p50": totals.get("latency_us", {}).get("p50"),
-                "p99": totals.get("latency_us", {}).get("p99"),
-            },
-        },
-        "per_app": {
-            app: record["completed"]
-            for app, record in sorted(result.get("per_app", {}).items())
-        },
-        "per_shard": [
-            {"shard": row["shard"], "completed": row["completed"]}
-            for row in result.get("per_shard", [])
-        ],
-    }
-
-
-def compare_scenario_baseline(
-    result: dict[str, Any],
-    baseline: dict[str, Any],
-    threshold: float = 0.1,
-) -> list[str]:
-    """Gate a replay against its baseline; returns violation messages.
-
-    Identity fields (scenario name, trace digest, issued arrivals) must
-    match exactly — a replay of different bytes is not comparable.
-    Outcome numbers get the usual relative ``threshold`` (plus a small
-    absolute slack on shed counts), absorbing intentional model nudges
-    without letting regressions through.
-    """
-    violations: list[str] = []
-    new_params, old_params = result["params"], baseline["params"]
-    for field in ("scenario", "trace_digest"):
-        if new_params.get(field) != old_params.get(field):
-            violations.append(
-                f"{field} mismatch: run has {new_params.get(field)!r}, "
-                f"baseline has {old_params.get(field)!r}"
-            )
-    new_totals, old_totals = result["totals"], baseline["totals"]
-    if new_totals.get("issued") != old_totals.get("issued"):
-        violations.append(
-            f"issued arrivals changed: {new_totals.get('issued')} vs "
-            f"baseline {old_totals.get('issued')} (the trace is not the "
-            "one the baseline was recorded from)"
-        )
-    old_completed = old_totals.get("completed") or 0
-    new_completed = new_totals.get("completed") or 0
-    if old_completed and new_completed < old_completed * (1 - threshold):
-        violations.append(
-            f"completed requests regressed: {new_completed} vs baseline "
-            f"{old_completed} (> {threshold:.0%} drop)"
-        )
-    old_tput = old_totals.get("throughput_rps") or 0.0
-    new_tput = new_totals.get("throughput_rps") or 0.0
-    if old_tput > 0 and new_tput < old_tput * (1 - threshold):
-        violations.append(
-            f"throughput regressed: {new_tput:.0f} rps vs baseline "
-            f"{old_tput:.0f} rps (> {threshold:.0%} drop)"
-        )
-    for pct in ("p50", "p99"):
-        old_lat = (old_totals.get("latency_us") or {}).get(pct) or 0.0
-        new_lat = (new_totals.get("latency_us") or {}).get(pct) or 0.0
-        if old_lat > 0 and new_lat > old_lat * (1 + threshold):
-            violations.append(
-                f"{pct} latency inflated: {new_lat:.1f} us vs baseline "
-                f"{old_lat:.1f} us (> {threshold:.0%} rise)"
-            )
-    old_shed = old_totals.get("shed") or 0
-    new_shed = new_totals.get("shed") or 0
-    if new_shed > max(old_shed * (1 + threshold), old_shed + 5):
-        violations.append(f"shed count grew: {new_shed} vs baseline {old_shed}")
-    return violations

@@ -6,8 +6,9 @@ cluster (or one slice of it) on one kernel, drives it with a
 and returns the outcome as plain data; :mod:`repro.serve.slices` runs N
 slices in processes and merges their outcomes; :func:`build_artifact`
 is the one writer of the stamped ``serve-bench`` artifact (written as
-``BENCH_serve.json`` by the CLI) that the regression sentinel gates
-against a committed baseline.
+``BENCH_serve.json`` by the CLI).  A committed ``serve-bench`` baseline
+is one such artifact; :mod:`repro.regress.baselines` gates a fresh run
+against it.
 
 The declarative surface is a :class:`repro.api.BenchSpec`:
 :func:`run_bench` takes the spec plus runner plumbing (sinks, a
@@ -422,6 +423,8 @@ def simulate(
         plan=resolved_plan,
     )
     kernel = cluster.kernel
+    if span_sink is not None:
+        cluster.router.span_subscribers.append(span_sink.append)
     # The spec keeps tenants sorted by name: the artifact (and the RNG
     # stream behind rng.choices) must not depend on how they were listed.
     tenant_mix = build_spec.tenants
@@ -570,7 +573,9 @@ def simulate(
         },
         "per_tenant": _counts_and_samples(router.tenants),
         "per_app": _counts_and_samples(router.apps),
-        "spans": {"recorded": len(router.spans), "dropped": router.spans_dropped},
+        # Nothing caps the span stream; ``dropped`` stays (always 0)
+        # because the benchmark harness reads it.
+        "spans": {"recorded": router.spans_recorded, "dropped": 0},
         "per_shard": [
             {
                 "shard": shard.index,
@@ -601,8 +606,6 @@ def simulate(
         "autoscale": controller.report() if controller is not None else None,
         "audit": None,
     }
-    if span_sink is not None:
-        span_sink.extend(router.spans)
     if cluster.capture is not None:
         _export_serve_metrics(cluster.capture.registry, cluster.capture.label,
                               router, cluster.shards, kernel.now)
@@ -837,48 +840,3 @@ def _export_serve_metrics(
         registry.gauge(
             "repro_serve_shard_occupancy", cell=cell, shard=label
         ).set(active / len(workers), t_cycles=now_cycles)
-
-
-def compare_to_baseline(
-    result: dict[str, Any], baseline: dict[str, Any], threshold: float = 0.1
-) -> list[str]:
-    """Gate a serve run against a baseline; returns violation messages.
-
-    Fails when throughput regresses by more than ``threshold`` (relative)
-    or p99 latency inflates by more than ``threshold``.  Simulated runs
-    are deterministic, so the threshold only absorbs intentional model
-    changes that nudge the numbers without being regressions.
-    """
-    violations: list[str] = []
-    new = result["totals"]
-    old = baseline["totals"]
-    old_tput = old.get("throughput_rps", 0.0)
-    new_tput = new.get("throughput_rps", 0.0)
-    if old_tput > 0 and new_tput < old_tput * (1 - threshold):
-        violations.append(
-            f"throughput regressed: {new_tput:.0f} rps vs baseline "
-            f"{old_tput:.0f} rps (> {threshold:.0%} drop)"
-        )
-    old_p99 = old.get("latency_us", {}).get("p99", 0.0)
-    new_p99 = new.get("latency_us", {}).get("p99", 0.0)
-    if old_p99 > 0 and new_p99 > old_p99 * (1 + threshold):
-        violations.append(
-            f"p99 latency inflated: {new_p99:.1f} us vs baseline "
-            f"{old_p99:.1f} us (> {threshold:.0%} rise)"
-        )
-    old_shed = old.get("shed", 0)
-    new_shed = new.get("shed", 0)
-    if new_shed > max(old_shed * (1 + threshold), old_shed + 5):
-        violations.append(
-            f"shed count grew: {new_shed} vs baseline {old_shed}"
-        )
-    new_slo = result.get("slo") or {}
-    old_slo = baseline.get("slo") or {}
-    new_hard = new_slo.get("hard_breaches", 0)
-    old_hard = old_slo.get("hard_breaches", 0)
-    if new_hard > old_hard:
-        violations.append(
-            f"hard SLO breaches grew: {new_hard} vs baseline {old_hard} "
-            "(see the artifact's slo.verdicts for the tenants involved)"
-        )
-    return violations

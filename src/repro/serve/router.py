@@ -21,9 +21,10 @@ The router is the untrusted front door of the serving layer:
   shard is re-admitted, on exhausted recovery it is declared dead.
 - **Tracing** — every request carries a ``request_id`` and ``tenant``;
   the router stamps admission/queue/execute boundaries off the simulated
-  clock and publishes one ``serve.request.span`` event per completion,
-  so :mod:`repro.slo.trace` can rebuild the span tree live or from a
-  JSONL replay.
+  clock and hands one span record per completion to each of its
+  ``span_subscribers`` (the autoscaler, a span sink) and to the bus as a
+  ``serve.request.span`` event, so :mod:`repro.slo.trace` can rebuild the
+  span tree live or from a JSONL replay.  Nothing caps the stream.
 
 Bus events (emitted only when the kernel carries an event bus), all
 tagged with ``tenant``/``request_id`` (empty for shard-level events) and
@@ -165,7 +166,6 @@ class Router:
         policy: str = "hash",
         admission: str = "shed",
         tenant_weights: dict[str, float] | None = None,
-        max_spans: int = 100_000,
     ) -> None:
         if not shards:
             raise ValueError("router needs at least one shard")
@@ -220,10 +220,11 @@ class Router:
         #: above only show current membership).
         self.quarantines = 0
         self.readmissions = 0
-        #: Completed-request span records (dicts; see ``_record_span``).
-        self.spans: list[dict[str, Any]] = []
-        self.max_spans = max_spans
-        self.spans_dropped = 0
+        #: Called with every completed request's span record, in
+        #: completion order (see ``_record_span``).
+        self.span_subscribers: list[Callable[[dict[str, Any]], None]] = []
+        #: Span records handed out so far.
+        self.spans_recorded = 0
         #: Quarantine entry instants and resolved recovery episodes.
         self._quarantined_at: dict[int, float] = {}
         self.recoveries: list[dict[str, Any]] = []
@@ -593,12 +594,12 @@ class Router:
         return stats
 
     def _record_span(self, request: Request, status: str, t_complete: float) -> None:
-        """Store and publish the request's span boundaries.
+        """Hand the request's span boundaries to every subscriber.
 
         One flat record per request; :mod:`repro.slo.trace` turns it into
-        the admission → queue → execute → reply tree.  Stored even with
-        no bus installed (the bench reads spans without telemetry); the
-        matching ``serve.request.span`` event makes the same record
+        the admission → queue → execute → reply tree.  Subscribers get it
+        with no bus installed (the bench reads spans without telemetry);
+        the matching ``serve.request.span`` event makes the same record
         reconstructable from a JSONL export.
         """
         record = {
@@ -614,10 +615,9 @@ class Router:
             "t_result": request.executed_at,
             "t_complete": t_complete,
         }
-        if len(self.spans) < self.max_spans:
-            self.spans.append(record)
-        else:
-            self.spans_dropped += 1
+        self.spans_recorded += 1
+        for subscriber in self.span_subscribers:
+            subscriber(record)
         self._emit("serve.request.span", **record)
 
     def _emit(self, name: str, **fields: Any) -> None:

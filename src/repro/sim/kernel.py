@@ -637,7 +637,7 @@ class Kernel:
             value = thread._resume_value
             thread._resume_value = None
             self._step(thread, value)
-        elif pending.__class__ is Spin or isinstance(pending, Spin):
+        elif pending.__class__ is Spin:
             if thread._spin_result is not None or pending.event.fired:
                 thread._spin_result = None
                 self._step(thread, True)
@@ -665,7 +665,7 @@ class Kernel:
             value = thread._resume_value
             thread._resume_value = None
             self._step(thread, value)
-        elif isinstance(pending, Spin):
+        elif pending.__class__ is Spin:
             if thread._spin_result is not None or pending.event.fired:
                 thread._spin_result = None
                 self._step(thread, True)
@@ -744,10 +744,9 @@ class Kernel:
             except StopIteration as stop:
                 self._finish_thread(thread, stop.value)
                 return
-            # Exact-type dispatch: the instruction dataclasses are final in
-            # practice, and ``type is`` beats isinstance chains on the
-            # hottest call in the simulator.  Unknown (subclassed) types
-            # fall through to the isinstance chain below.
+            # Exact-type dispatch: the instruction dataclasses are final
+            # (nothing subclasses them), and ``type is`` beats isinstance
+            # chains on the hottest call in the simulator.
             cls = instr.__class__
             if cls is Compute:
                 if instr.cycles <= 0:
@@ -790,53 +789,7 @@ class Kernel:
                     return
                 value = None
                 continue
-            handled = self._step_subclass(thread, core, instr)
-            if handled is _PARKED:
-                return
-            value = handled
-
-    def _step_subclass(self, thread: SimThread, core: LogicalCPU, instr: Any) -> Any:
-        """Slow path of :meth:`_step` for subclassed instructions.
-
-        Returns the next ``value`` to send, or the ``_PARKED`` sentinel when
-        the thread parked on the instruction.
-        """
-        if isinstance(instr, Compute):
-            if instr.cycles <= 0:
-                return None
-            self._start_work(core, thread, "compute", instr.cycles, tag=instr.tag)
-            return _PARKED
-        if isinstance(instr, Spin):
-            if instr.event.fired:
-                return True
-            if instr.timeout <= 0:
-                return False
-            instr.event._spinners.append(thread)
-            self._start_work(
-                core, thread, "spin", instr.timeout, instr.event, tag=instr.tag
-            )
-            return _PARKED
-        if isinstance(instr, Block):
-            if instr.event.fired:
-                return instr.event.value
-            thread.state = ThreadState.BLOCKED
-            instr.event._blocked.append(thread)
-            self._release_core(thread)
-            return _PARKED
-        if isinstance(instr, Sleep):
-            if instr.cycles <= 0:
-                return None
-            thread.state = ThreadState.SLEEPING
-            self._release_core(thread)
-            self._at(instr.cycles, partial(self._wake_sleeper, thread))
-            return _PARKED
-        if isinstance(instr, YieldCPU):
-            if self._ready:
-                self._release_core(thread)
-                self._make_ready(thread)
-                return _PARKED
-            return None
-        raise SimulationError(f"unknown instruction yielded: {instr!r}")
+            raise SimulationError(f"unknown instruction yielded: {instr!r}")
 
     def _finish_thread_lean(self, thread: SimThread, result: Any) -> None:
         thread.state = ThreadState.DONE
@@ -1121,6 +1074,3 @@ class Kernel:
         """
         return len(self._ready)
 
-
-#: Sentinel returned by :meth:`Kernel._step_subclass` when the thread parked.
-_PARKED = object()

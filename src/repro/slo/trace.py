@@ -3,7 +3,7 @@
 The router stamps every request with five boundary instants off the
 simulated clock — submit, enqueue, dequeue, result, complete — and
 publishes them as one flat ``serve.request.span`` record per request
-(kept in ``Router.spans`` and emitted on the bus).  This module turns
+(handed to ``Router.span_subscribers`` and emitted on the bus).  This module turns
 those records into span *trees*:
 
     request (t_submit .. t_complete)
@@ -20,7 +20,8 @@ the phase that *was* in progress absorbs the time up to completion.
 
 Two sources produce the same records:
 
-- live: ``router.spans`` after a run (works without any telemetry bus);
+- live: a list subscribed to ``router.span_subscribers`` (works without
+  any telemetry bus; ``run_bench``'s ``span_sink``);
 - bus: :func:`spans_from_events` over captured telemetry events.
 
 Exports: a ``spans-jsonl`` stream (one record per line, written and read

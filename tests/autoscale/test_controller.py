@@ -9,7 +9,7 @@ generator.
 
 import pytest
 
-from repro.api import AutoscaleSpec, ServeSpec
+from repro.api import AutoscaleSpec, BenchSpec, ServeSpec
 from repro.autoscale.controller import DEFAULT_SERVICE_CYCLES, AutoscaleController
 from repro.serve.bench import build_cluster
 from repro.sim.instructions import Sleep
@@ -161,18 +161,48 @@ class TestScaleDown:
 class TestServiceEstimate:
     def test_spans_refresh_the_service_estimate(self, rig):
         cluster, sampler, controller = rig
-        cluster.router.spans.extend(
-            [
-                {"status": "ok", "t_dequeue": 0.0, "t_result": 30_000.0},
-                {"status": "shed", "t_dequeue": None, "t_result": None},
-                {"status": "ok", "t_dequeue": 10.0, "t_result": 10.0},
-            ]
-        )
+        for span in (
+            {"status": "ok", "t_dequeue": 0.0, "t_result": 30_000.0},
+            {"status": "shed", "t_dequeue": None, "t_result": None},
+            {"status": "ok", "t_dequeue": 10.0, "t_result": 10.0},
+        ):
+            for subscriber in cluster.router.span_subscribers:
+                subscriber(span)
         sampler.fire(0, window(10))
         # One valid sample seeds the EWMA; shed/zero-width spans are
         # ignored rather than dragging the estimate to zero.
         assert controller._service == 30_000.0
         assert controller.decisions[-1]["service_cycles"] == 30_000.0
+
+    def test_the_estimate_keeps_moving_past_any_span_count(self, monkeypatch):
+        # The router streams every span to the autoscaler, so no span
+        # count freezes the estimate: a ``max_spans`` cap (the knob that
+        # used to stop the span list, and with it the estimate) set on a
+        # built cluster changes nothing.
+        import repro.serve.bench as bench
+
+        build = bench.build_cluster
+
+        def build_capped(*args, **kwargs):
+            cluster = build(*args, **kwargs)
+            cluster.router.max_spans = 100
+            return cluster
+
+        monkeypatch.setattr(bench, "build_cluster", build_capped)
+        spec = BenchSpec(
+            serve=ServeSpec(shards=2, autoscale=AutoscaleSpec(max_shards=6)),
+            rate=2_000.0,
+            seconds=0.1,
+            obs=True,
+        )
+        sink: list = []
+        result = bench.run_bench(spec, telemetry=False, span_sink=sink)
+        submitted = result["totals"]["submitted"]
+        assert submitted > 150
+        assert result["spans"] == {"recorded": submitted, "dropped": 0}
+        assert len(sink) == submitted
+        estimates = [d["service_cycles"] for d in result["autoscale"]["decisions"]]
+        assert len(set(estimates[-5:])) > 1, estimates
 
     def test_the_prior_holds_until_a_span_lands(self, rig):
         cluster, sampler, controller = rig

@@ -2,7 +2,9 @@
 
 The expensive end-to-end sweep runs in CI (``repro autoscale sweep``);
 these tests pin the pure logic around it: arm construction, the
-acceptance predicate, and the committed-baseline drift gate.
+acceptance predicate, and the committed-baseline drift gate
+(:func:`repro.regress.baselines.compare_sweep`; a sweep artifact is its
+own baseline).
 """
 
 import pytest
@@ -11,12 +13,11 @@ from repro.autoscale.bench import (
     AUTOSCALE_ARTIFACT,
     P99_TOLERANCE,
     STATIC_GRID,
-    compare_sweep_baseline,
     evaluate_sweep,
-    sweep_snapshot,
     sweep_specs,
 )
-from repro.telemetry.schema import SchemaMismatch, read_artifact, write_artifact
+from repro.regress.baselines import compare_sweep
+from repro.telemetry.schema import SchemaMismatch, read_artifact, stamp, write_artifact
 
 
 def arm(cpr, p99, completed=1_000, shed=0):
@@ -37,7 +38,7 @@ GOOD = {
 
 def result(arms=None, **overrides):
     doc = {
-        "meta": {"artifact": AUTOSCALE_ARTIFACT, "schema": 1},
+        "meta": stamp(AUTOSCALE_ARTIFACT),
         "scenario": "diurnal-kv",
         "trace_digest": "abc123",
         "arms": dict(arms if arms is not None else GOOD),
@@ -106,14 +107,14 @@ class TestEvaluateSweep:
 
 class TestBaselineRoundTrip:
     def test_snapshot_write_load(self, tmp_path):
-        snapshot = sweep_snapshot(result())
+        snapshot = result()
         path = write_artifact(snapshot, str(tmp_path / "b.json"))
         loaded = read_artifact(path, (AUTOSCALE_ARTIFACT,))
         assert loaded == snapshot
-        assert compare_sweep_baseline(result(), loaded) == []
+        assert compare_sweep(result(), loaded) == []
 
     def test_load_rejects_a_wrong_stamp(self, tmp_path):
-        snapshot = sweep_snapshot(result())
+        snapshot = result()
         snapshot["meta"]["artifact"] = "serve-bench"
         path = write_artifact(snapshot, str(tmp_path / "b.json"))
         with pytest.raises(SchemaMismatch):
@@ -122,52 +123,52 @@ class TestBaselineRoundTrip:
 
 class TestCompareSweepBaseline:
     def test_identity_mismatches_are_flagged(self):
-        baseline = sweep_snapshot(result())
+        baseline = result()
         drifted = result(scenario="flashcrowd-kv", trace_digest="zzz")
-        violations = compare_sweep_baseline(drifted, baseline)
+        violations = compare_sweep(drifted, baseline)
         assert any("scenario mismatch" in v for v in violations)
         assert any("trace_digest mismatch" in v for v in violations)
 
     def test_a_failing_live_gate_fails_the_compare(self):
-        baseline = sweep_snapshot(result())
+        baseline = result()
         failing = result(gate={"ok": False, "violations": ["cycles/request not better"]})
-        violations = compare_sweep_baseline(failing, baseline)
+        violations = compare_sweep(failing, baseline)
         assert any(v.startswith("acceptance gate:") for v in violations)
 
     def test_arm_set_changes_are_flagged(self):
-        baseline = sweep_snapshot(result())
+        baseline = result()
         arms = dict(GOOD)
         arms.pop("static-4x16")
-        violations = compare_sweep_baseline(result(arms=arms), baseline)
+        violations = compare_sweep(result(arms=arms), baseline)
         assert any("arm set changed" in v for v in violations)
 
     def test_completed_counts_must_match_exactly(self):
-        baseline = sweep_snapshot(result())
+        baseline = result()
         arms = dict(GOOD)
         arms["autoscale"] = arm(3_000_000.0, 15.0, completed=999)
-        violations = compare_sweep_baseline(result(arms=arms), baseline)
+        violations = compare_sweep(result(arms=arms), baseline)
         assert violations == [
             "autoscale: completed changed: 999 vs baseline 1000"
         ]
 
     def test_metric_drift_beyond_threshold_is_flagged(self):
-        baseline = sweep_snapshot(result())
+        baseline = result()
         arms = dict(GOOD)
         arms["autoscale"] = arm(3_400_000.0, 15.0)  # ~13% CPR drift
-        violations = compare_sweep_baseline(result(arms=arms), baseline)
+        violations = compare_sweep(result(arms=arms), baseline)
         assert len(violations) == 1
         assert "cycles_per_request drifted 13%" in violations[0]
 
     def test_drift_within_threshold_passes(self):
-        baseline = sweep_snapshot(result())
+        baseline = result()
         arms = dict(GOOD)
         arms["autoscale"] = arm(3_200_000.0, 15.0)  # ~7% drift
-        assert compare_sweep_baseline(result(arms=arms), baseline) == []
+        assert compare_sweep(result(arms=arms), baseline) == []
 
     def test_threshold_is_adjustable(self):
-        baseline = sweep_snapshot(result())
+        baseline = result()
         arms = dict(GOOD)
         arms["autoscale"] = arm(3_200_000.0, 15.0)
-        assert compare_sweep_baseline(
+        assert compare_sweep(
             result(arms=arms), baseline, threshold=0.05
         ) != []

@@ -6,7 +6,6 @@ import pytest
 
 from repro.scenarios import (
     CATALOG,
-    SCENARIO_ARTIFACT,
     SCENARIO_NAMES,
     baseline_path,
     generate_trace,
@@ -68,9 +67,9 @@ class TestCommittedTraces:
         path = baseline_path(name, ROOT)
         assert os.path.exists(path), (
             f"missing committed baseline {path}; run "
-            f"'repro scenarios replay {name} --snapshot {path}'"
+            f"'repro scenarios replay {name} --out {path}'"
         )
-        baseline = read_artifact(path, (SCENARIO_ARTIFACT,))
+        baseline = read_artifact(path, ("serve-bench",))
         assert baseline["params"]["scenario"] == name
         assert baseline["spec"]["scenario"] == name
         committed = load_trace(trace_path(name, ROOT))

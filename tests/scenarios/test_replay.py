@@ -7,19 +7,18 @@ latency percentiles may wiggle with host-contention modeling, outcomes
 may not).
 """
 
+import copy
 import os
 
 import pytest
 
 from repro.scenarios.generate import ScenarioSpec, generate_trace
-from repro.scenarios.replay import (
-    compare_scenario_baseline,
-    replay_scenario,
-    scenario_snapshot,
-)
+from repro.scenarios.replay import replay_scenario
 from repro.api import BenchSpec, ServeSpec
+from repro.regress.baselines import BASELINES, compare_serve
 from repro.scenarios.trace import write_trace
 from repro.serve.bench import run_bench
+from repro.telemetry.schema import read_artifact, write_artifact
 
 REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..")
 
@@ -168,40 +167,43 @@ class TestSliceEquivalence:
 
 
 class TestSnapshotGate:
+    """A replay's artifact is its own baseline (``compare_serve``)."""
+
     def _result(self):
         return run_bench(light_spec(), trace=_light_trace())
 
-    def test_snapshot_round_trips_through_the_gate(self):
+    def test_snapshot_round_trips_through_the_gate(self, tmp_path):
         result = self._result()
-        snapshot = scenario_snapshot(result)
-        assert compare_scenario_baseline(result, snapshot) == []
+        path = write_artifact(result, str(tmp_path / "scenario.json"))
+        baseline = read_artifact(path, BASELINES)
+        assert compare_serve(result, baseline, 0.0) == []
 
     def test_gate_catches_a_different_trace(self):
         result = self._result()
-        snapshot = scenario_snapshot(result)
-        snapshot["params"]["trace_digest"] = "0" * 64
-        violations = compare_scenario_baseline(result, snapshot)
+        baseline = copy.deepcopy(result)
+        baseline["params"]["trace_digest"] = "0" * 64
+        violations = compare_serve(result, baseline)
         assert any("trace_digest" in v for v in violations)
 
     def test_gate_catches_lost_completions(self):
         result = self._result()
-        snapshot = scenario_snapshot(result)
-        snapshot["totals"]["completed"] = int(
-            snapshot["totals"]["completed"] * 1.5
+        baseline = copy.deepcopy(result)
+        baseline["totals"]["completed"] = int(
+            baseline["totals"]["completed"] * 1.5
         )
-        snapshot["totals"]["throughput_rps"] *= 1.5
-        violations = compare_scenario_baseline(result, snapshot)
+        baseline["totals"]["throughput_rps"] *= 1.5
+        violations = compare_serve(result, baseline)
         assert any("completed" in v for v in violations)
 
     def test_gate_catches_latency_inflation(self):
         result = self._result()
-        snapshot = scenario_snapshot(result)
-        snapshot["totals"]["latency_us"]["p99"] /= 2.0
-        violations = compare_scenario_baseline(result, snapshot)
+        baseline = copy.deepcopy(result)
+        baseline["totals"]["latency_us"]["p99"] /= 2.0
+        violations = compare_serve(result, baseline)
         assert any("p99" in v for v in violations)
 
     def test_gate_tolerates_drift_inside_the_threshold(self):
         result = self._result()
-        snapshot = scenario_snapshot(result)
-        snapshot["totals"]["throughput_rps"] *= 1.05
-        assert compare_scenario_baseline(result, snapshot) == []
+        baseline = copy.deepcopy(result)
+        baseline["totals"]["throughput_rps"] *= 1.05
+        assert compare_serve(result, baseline) == []

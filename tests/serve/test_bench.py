@@ -7,7 +7,8 @@ import pytest
 from repro.api import BenchSpec, ServeSpec
 from repro.faults import FaultPlan, FaultSpec
 from repro.regress import attach_auditor
-from repro.serve.bench import compare_to_baseline, run_bench
+from repro.regress.baselines import compare_serve
+from repro.serve.bench import run_bench
 from repro.telemetry import TelemetrySession
 from repro.telemetry.schema import read_artifact, write_artifact
 
@@ -75,7 +76,7 @@ class TestArtifact:
         result = run_bench(spec, telemetry=False)
         path = write_artifact(result, str(tmp_path / "serve.json"))
         baseline = read_artifact(path, ("serve-bench",))
-        assert compare_to_baseline(result, baseline) == []
+        assert compare_serve(result, baseline) == []
 
     def test_gate_catches_regressions(self, tmp_path):
         spec = OPEN_LOOP.replace(
@@ -88,7 +89,7 @@ class TestArtifact:
         worse["totals"]["throughput_rps"] *= 0.5
         worse["totals"]["latency_us"]["p99"] *= 2.0
         worse["totals"]["shed"] += 50
-        violations = compare_to_baseline(worse, baseline)
+        violations = compare_serve(worse, baseline)
         assert len(violations) == 3
 
 

@@ -121,6 +121,16 @@ class TestBadPrograms:
         with pytest.raises(SimulationError):
             kernel.run()
 
+    def test_unknown_instruction_is_named(self):
+        kernel = Kernel(MachineSpec(n_cores=1, smt=1))
+
+        def program():
+            yield 42
+
+        kernel.spawn(program())
+        with pytest.raises(SimulationError, match="unknown instruction yielded: 42$"):
+            kernel.run()
+
     def test_handler_typeerror_surfaces(self):
         """A non-generator 'program' fails loudly at first dispatch."""
         kernel = Kernel(MachineSpec(n_cores=1, smt=1))

@@ -128,11 +128,13 @@ class TestLiveReconciliation:
                 seed=3,
                 tenants=(("bronze", 1.0), ("gold", 3.0)),
             )
-            LoadGenerator(cluster.kernel, cluster.router, spec).run()
             router = cluster.router
-            assert router.spans, "the run recorded no spans"
-            assert span_conservation_errors(router.spans) == []
-            trees = build_span_trees(router.spans)
+            spans: list = []
+            router.span_subscribers.append(spans.append)
+            LoadGenerator(cluster.kernel, router, spec).run()
+            assert spans, "the run recorded no spans"
+            assert span_conservation_errors(spans) == []
+            trees = build_span_trees(spans)
             # Every root equals the sum of its children to the bit...
             for tree in trees:
                 assert tree.root.duration == tree.root.child_sum

@@ -10,7 +10,7 @@ import pytest
 from repro.api import AutoscaleSpec, BenchSpec, ServeSpec
 from repro.cli import QUICK_KWARGS, build_parser, main, run_experiment
 from repro.experiments import EXPERIMENTS
-from repro.telemetry.schema import read_artifact, write_artifact
+from repro.telemetry.schema import read_artifact, stamp, write_artifact
 
 BASELINES_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "baselines")
 CONTRACTS = os.path.join(BASELINES_DIR, "..", "contracts", "quick.json")
@@ -212,14 +212,13 @@ class TestServeObsFlags:
         assert "\x1b[" not in text
 
     def test_diff_dispatches_on_the_obs_artifact(self, capsys, tmp_path):
+        # An obs run's artifact is its own baseline: the serve gate
+        # checks its windows too.
         out = tmp_path / "serve.json"
-        snap = tmp_path / "obs-base.json"
-        assert main(
-            [*self.QUICK, "--obs", "--out", str(out), "--obs-snapshot", str(snap)]
-        ) == 0
+        assert main([*self.QUICK, "--obs", "--out", str(out)]) == 0
         capsys.readouterr()
-        assert main(["diff", str(snap), "--against", str(snap)]) == 0
-        assert "obs baseline gate: OK" in capsys.readouterr().out
+        assert main(["diff", str(out)]) == 0
+        assert "serve baseline gate: OK" in capsys.readouterr().out
 
 
 class TestServeAudit:
@@ -332,22 +331,26 @@ class TestScenarioCommands:
             assert name in out
 
     def test_gen_replay_and_gate_round_trip(self, capsys, tmp_path, monkeypatch):
-        # gen writes a deterministic trace; replay produces a snapshot;
-        # diff dispatches on the scenario-bench artifact and passes.
+        # gen writes a deterministic trace; replay writes its artifact,
+        # which is its own baseline: diff re-runs its spec and passes.
         monkeypatch.chdir(tmp_path)
         assert main(["scenarios", "gen", "hotkey-shift"]) == 0
         assert (tmp_path / "traces" / "hotkey-shift.trace.jsonl").exists()
         assert main(["scenarios", "gen", "hotkey-shift", "--check"]) == 0
         out = tmp_path / "bench.json"
-        snap = tmp_path / "snap.json"
         assert main([
             "scenarios", "replay", "hotkey-shift",
-            "--shards", "2",
-            "--out", str(out), "--snapshot", str(snap),
+            "--shards", "2", "--out", str(out),
         ]) == 0
         capsys.readouterr()
-        assert main(["diff", str(snap)]) == 0
-        assert "scenario baseline gate: OK" in capsys.readouterr().out
+        assert main(["diff", str(out)]) == 0
+        assert "serve baseline gate: OK" in capsys.readouterr().out
+        # The gate refuses a replay of another spec.
+        assert main([
+            "scenarios", "replay", "hotkey-shift", "--shards", "3",
+            "--out", str(tmp_path / "other.json"), "--baseline", str(out),
+        ]) == 1
+        assert "serve.shards 3 vs baseline 2" in capsys.readouterr().out
 
     def test_gen_check_flags_drift(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -405,6 +408,51 @@ class TestBaselineFiles:
         assert main(["diff", os.path.join(BASELINES_DIR, "serve-quick.json")]) == 0
         assert "serve baseline gate: OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("retired", ["scenario-bench", "obs-windows"])
+    def test_diff_refuses_a_retired_baseline_format(self, tmp_path, retired):
+        path = write_artifact({"meta": stamp(retired)}, str(tmp_path / "old.json"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["diff", path])
+        refusal = str(excinfo.value)
+        assert path in refusal and "\n" not in refusal
+        assert f"{retired!r} artifacts have no repro diff gate" in refusal
+        assert "'run-snapshot', 'serve-bench', 'autoscale-sweep'" in refusal
+
+    @pytest.mark.parametrize("retired", ["scenario-bench", "obs-windows"])
+    @pytest.mark.parametrize("command", ["serve", "replay", "sweep", "evidence"])
+    def test_baseline_flag_refuses_a_retired_format_before_the_run(
+        self, tmp_path, monkeypatch, command, retired
+    ):
+        monkeypatch.chdir(os.path.join(BASELINES_DIR, ".."))
+        path = write_artifact({"meta": stamp(retired)}, str(tmp_path / "old.json"))
+        out = str(tmp_path / "out.json")
+        argv, accepted = {
+            "serve": ([*self.SERVE, "--out", out], "serve-bench"),
+            "replay": (["scenarios", "replay", "steady-mixed", "--out", out], "serve-bench"),
+            "sweep": (["autoscale", "sweep", "--out", out], "autoscale-sweep"),
+            "evidence": (["evidence", "build", "--out", str(tmp_path / "pack"),
+                          "--shards", "1", "--seconds", "0.005"], "serve-bench"),
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--baseline", path])
+        refusal = str(excinfo.value)
+        assert refusal == (
+            f"--baseline: {path}: expected {accepted!r} stamp, found {retired!r}"
+        )
+        assert not os.path.exists(out) and not (tmp_path / "pack").exists()
+
+    def test_baseline_flag_refuses_a_run_of_another_spec(self, capsys, tmp_path):
+        base = str(tmp_path / "base.json")
+        assert main([*self.SERVE, "--out", base]) == 0
+        capsys.readouterr()
+        other = [*self.SERVE, "--shards", "2", "--backend", "intel",
+                 "--out", str(tmp_path / "other.json")]
+        assert main([*other, "--baseline", base]) == 1
+        text = capsys.readouterr().out
+        (line,) = [line for line in text.splitlines() if "spec mismatch" in line]
+        assert "serve.backend 'intel' vs baseline 'zc'" in line
+        assert "serve.shards 2 vs baseline 1" in line
+
     def test_baseline_flag_refuses_a_non_json_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json\n")
@@ -422,8 +470,6 @@ class TestMalformedInputs:
     @pytest.fixture()
     def files(self, tmp_path):
         """Malformed inputs by name (``missing`` is never created)."""
-        from repro.telemetry.schema import stamp
-
         paths = {
             name: tmp_path / name
             for name in ("missing", "not-json", "unstamped", "bad-line-2", "bad-plan")
@@ -547,7 +593,6 @@ class TestParserSurface:
             ("--obs-html",): ("obs_html", None, None, None, "_StoreAction"),
             ("--obs-interval",): ("obs_interval", None, float, None, "_StoreAction"),
             ("--obs-out",): ("obs_out", None, None, None, "_StoreAction"),
-            ("--obs-snapshot",): ("obs_snapshot", None, None, None, "_StoreAction"),
             ("--out",): ("out", "BENCH_serve.json", None, None, "_StoreAction"),
             ("--plan",): ("plan", None, None, None, "_StoreAction"),
             ("--policy",): ("policy", "hash", None, ("hash", "round-robin"), "_StoreAction"),
