@@ -585,7 +585,8 @@ class BenchSpec(_Spec):
         seconds: Offered-load duration in simulated seconds (a trace
             overrides it with its own declared duration).
         rate: Open-loop Poisson arrival rate in requests/s (None under
-            the closed loop, which has no offered rate).
+            the closed loop, which has no offered rate, or with a trace,
+            which owns the arrival times).
         clients: Closed-loop request threads (None = open loop).
         requests_per_client: Closed-loop per-thread request budget.
         keydist: Key distribution (``uniform`` | ``zipf`` | ``seq``).
@@ -672,6 +673,8 @@ class BenchSpec(_Spec):
             object.__setattr__(self, "rate", None)
         if self.rate is not None and self.rate <= 0:
             raise SpecError("rate must be > 0 (or None for the closed loop)")
+        if self.rate is None and self.clients is None and not self.replays_trace():
+            raise SpecError("the open loop needs a rate (None only with clients or a trace)")
         if self.requests_per_client is not None and self.clients is None:
             raise SpecError("requests_per_client needs clients (closed loop)")
         if self.keyspace < 1:

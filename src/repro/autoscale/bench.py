@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.api import AutoscaleSpec, BenchSpec
+from repro.api import AutoscaleSpec, BenchSpec, ServeSpec
 from repro.telemetry.schema import stamp
 
 #: Artifact kind of a sweep result / committed sweep baseline.
@@ -53,21 +53,20 @@ def sweep_specs(
     only the provisioning policy differs.  Names are stable (they key
     the artifact's ``arms`` map and the baseline compare).
     """
-    from repro.scenarios.replay import replay_spec
-
     arms: list[tuple[str, BenchSpec]] = [
         (
             "autoscale",
-            replay_spec(
-                scenario,
-                shards=2,
-                budget=None,
-                autoscale=AutoscaleSpec(
-                    min_shards=1,
-                    max_shards=6,
-                    worker_options=(1, 2, 4),
-                    batch_options=(1, 2, 4),
+            BenchSpec(
+                serve=ServeSpec(
+                    shards=2,
+                    autoscale=AutoscaleSpec(
+                        min_shards=1,
+                        max_shards=6,
+                        worker_options=(1, 2, 4),
+                        batch_options=(1, 2, 4),
+                    ),
                 ),
+                scenario=scenario,
             ),
         )
     ]
@@ -75,7 +74,7 @@ def sweep_specs(
         arms.append(
             (
                 f"static-{shards}x{budget}",
-                replay_spec(scenario, shards=shards, budget=budget),
+                BenchSpec(serve=ServeSpec(shards=shards, budget=budget), scenario=scenario),
             )
         )
     return arms

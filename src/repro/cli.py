@@ -180,6 +180,93 @@ def _print_serve_audit(result: dict[str, Any]) -> int:
     return 1 if _print_check("audit", violations, note) else 0
 
 
+def _print_serve_headline(result: dict[str, Any]) -> None:
+    """Print the headline of a ``serve-bench`` artifact from its sections:
+    the run, totals and latency, then one block per optional section
+    present (budget, autoscale, fleet, faults, the per-tenant and per-app
+    breakdowns, slices, obs windows)."""
+    params, totals = result["params"], result["totals"]
+    latency = totals["latency_us"]
+    print(
+        f"serve bench: {params['shards']} shard(s), backend {params['backend']}"
+        + (f", plan '{params['plan']}'" if params.get("plan") else "")
+        + (
+            f", scenario '{params['scenario']}' ({params['trace_events']} arrival(s))"
+            if params.get("scenario")
+            else ""
+        )
+    )
+    print(
+        f"  throughput {totals['throughput_rps']:.0f} rps over "
+        f"{totals['elapsed_s'] * 1e3:.2f} ms simulated "
+        f"({totals['completed']} completed, {totals['shed']} shed, "
+        f"{totals['failed']} failed)"
+    )
+    print(
+        f"  latency p50 {latency['p50']:.1f} us, p99 {latency['p99']:.1f} us, "
+        f"max {latency['max']:.1f} us"
+    )
+    budget = result["budget"]
+    if budget is not None:
+        print(
+            f"  worker budget: cap {budget['cap']}, in use {budget['in_use']}, "
+            f"{budget['clipped']} grant(s) clipped"
+        )
+    scale = result.get("autoscale")
+    if scale is not None:
+        print(
+            f"  autoscale: {scale['windows']} window(s), "
+            f"{scale['spawns']} spawn(s), {scale['retires']} retire(s), "
+            f"{scale['forecast_shed']} forecast-shed, "
+            f"final {scale['final_shards']} shard(s) @ cap {scale['final_cap']}"
+        )
+    fleet = result.get("fleet")
+    if fleet is not None and fleet.get("cycles_per_request") is not None:
+        print(
+            f"  fleet: {fleet['provisioned_cycles']:,.0f} provisioned "
+            f"cycle(s), {fleet['cycles_per_request']:,.0f} per completed "
+            f"request"
+        )
+    if totals["quarantines"] or totals["dead"]:
+        print(
+            f"  faults: {totals['quarantines']} quarantine(s), "
+            f"{totals['readmissions']} readmission(s), "
+            f"{totals['rerouted']} rerouted, dead shards {totals['dead'] or 'none'}"
+        )
+    for section, kind in (("per_tenant", "tenant"), ("per_app", "app")):
+        for name, record in result.get(section, {}).items():
+            print(
+                f"  {kind} {name or '<anon>'}: {record['completed']} completed, "
+                f"{record['shed']} shed ({record['shed_rate']:.1%}), "
+                f"p99 {record['latency_us']['p99']:.1f} us"
+            )
+    for entry in result.get("slices", []):
+        print(
+            f"  slice {entry['slice']}: shards {entry['shard_ids']}, "
+            f"{entry['completed']} completed, "
+            f"{entry['skipped_arrivals']} arrival(s) owned elsewhere"
+        )
+    obs = result.get("obs")
+    if obs is not None:
+        from repro.obs.sampler import TOTAL_LANE
+
+        spilled = sum(obs["spilled"].get(TOTAL_LANE, {}).values())
+        print(
+            f"  obs: {obs['windows']} window(s) x {len(obs['lanes'])} lane(s), "
+            f"{len(obs['records'])} record(s), "
+            f"{len(obs['anomalies'])} anomaly(ies)"
+            + (f", {spilled} event(s) past the horizon" if spilled else "")
+        )
+        for anomaly in obs["anomalies"][:8]:
+            print(
+                f"    ! window {anomaly['window']} {anomaly['lane']}."
+                f"{anomaly['metric']}: {anomaly['kind']} "
+                f"(value {anomaly['value']:.3g}, z {anomaly['z']:.1f})"
+            )
+        if len(obs["anomalies"]) > 8:
+            print(f"    ... and {len(obs['anomalies']) - 8} more")
+
+
 def _print_verdicts(result: dict[str, Any]) -> int:
     """Print a contract-checked run's SLO verdicts; returns its hard breaches."""
     from repro.slo import Verdict, render_verdicts
@@ -383,6 +470,7 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
     from repro.telemetry.schema import write_artifact
 
     baseline = _read_baseline(args.baseline, AUTOSCALE_ARTIFACT)
+    _committed_trace(args.scenario)
     started = time.monotonic()
     result = run_autoscale_sweep(args.scenario)
     elapsed = time.monotonic() - started
@@ -564,7 +652,8 @@ def _replay_live_console(console: Any, obs: dict[str, Any]) -> None:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
-    """The scenario library: list the catalog, gen traces, replay them."""
+    """The scenario library: list the catalog and gen its traces (a
+    replay is ``serve bench --scenario NAME``)."""
     from repro.scenarios import (
         CATALOG,
         SCENARIO_NAMES,
@@ -583,88 +672,44 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             print(f"{spec.name:<14} {spec.arrival:<8} {apps:<20} {spec.description}")
         return 0
 
-    if args.scenarios_cmd == "gen":
-        names = list(SCENARIO_NAMES) if args.name == "all" else [args.name]
-        if args.out is not None and len(names) > 1:
-            raise SystemExit("--out needs a single scenario, not 'all'")
-        drifted = 0
-        for name in names:
-            try:
-                spec = get_scenario(name)
-            except ValueError as exc:
-                raise SystemExit(str(exc))
-            trace = generate_trace(spec)
-            path = args.out if args.out is not None else trace_path(name)
-            if args.check:
-                if not os.path.exists(path):
-                    print(f"{name}: MISSING ({path})")
-                    drifted += 1
-                    continue
-                try:
-                    committed = load_trace(path)
-                except SchemaMismatch as exc:
-                    print(f"{name}: INVALID ({exc})")
-                    drifted += 1
-                    continue
-                if committed.digest != trace.digest:
-                    print(
-                        f"{name}: DRIFT (committed {committed.digest[:12]}… "
-                        f"vs regenerated {trace.digest[:12]}…)"
-                    )
-                    drifted += 1
-                else:
-                    print(f"{name}: OK ({len(trace.events)} events)")
+    # gen
+    names = list(SCENARIO_NAMES) if args.name == "all" else [args.name]
+    if args.out is not None and len(names) > 1:
+        raise SystemExit("--out needs a single scenario, not 'all'")
+    drifted = 0
+    for name in names:
+        try:
+            spec = get_scenario(name)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
+        trace = generate_trace(spec)
+        path = args.out if args.out is not None else trace_path(name)
+        if args.check:
+            if not os.path.exists(path):
+                print(f"{name}: MISSING ({path})")
+                drifted += 1
                 continue
-            write_trace(trace, path)
-            print(
-                f"{name}: {len(trace.events)} events over "
-                f"{trace.duration_s * 1e3:.0f} ms -> {path}"
-            )
-        return 1 if drifted else 0
-
-    # replay
-    from repro.scenarios import replay_scenario
-    from repro.telemetry.schema import write_artifact
-
-    _committed_trace(args.name)
-    baseline = _read_baseline(args.baseline, "serve-bench")
-    overrides: dict[str, Any] = {}
-    if args.shards is not None:
-        overrides["shards"] = args.shards
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    started = time.monotonic()
-    try:
-        result = replay_scenario(
-            args.name, slices=args.slices, audit=args.audit, **overrides
-        )
-    except ValueError as exc:  # a SpecError from the overrides, or a bad trace
-        raise SystemExit(str(exc))
-    elapsed = time.monotonic() - started
-    totals = result["totals"]
-    latency = totals["latency_us"]
-    print(
-        f"scenario {args.name}: {result['params']['trace_events']} arrival(s) "
-        f"replayed on {result['params']['shards']} shard(s)"
-        + (f" over {args.slices} slice(s)" if args.slices > 1 else "")
-    )
-    print(
-        f"  {totals['completed']} completed, {totals['shed']} shed, "
-        f"{totals['failed']} failed; p50 {latency['p50']:.1f} us, "
-        f"p99 {latency['p99']:.1f} us"
-    )
-    for app, record in result.get("per_app", {}).items():
+            try:
+                committed = load_trace(path)
+            except SchemaMismatch as exc:
+                print(f"{name}: INVALID ({exc})")
+                drifted += 1
+                continue
+            if committed.digest != trace.digest:
+                print(
+                    f"{name}: DRIFT (committed {committed.digest[:12]}… "
+                    f"vs regenerated {trace.digest[:12]}…)"
+                )
+                drifted += 1
+            else:
+                print(f"{name}: OK ({len(trace.events)} events)")
+            continue
+        write_trace(trace, path)
         print(
-            f"  app {app}: {record['completed']} completed, "
-            f"{record['shed']} shed, p99 {record['latency_us']['p99']:.1f} us"
+            f"{name}: {len(trace.events)} events over "
+            f"{trace.duration_s * 1e3:.0f} ms -> {path}"
         )
-    failures = _print_serve_audit(result)
-    write_artifact(result, args.out)
-    print(f"[scenario artifact written to {args.out}]")
-    if baseline is not None:
-        failures += bool(_gate_baseline(result, baseline, args.baseline, args.threshold))
-    print(f"[scenarios replay: {elapsed:.1f}s wall]")
-    return 1 if failures else 0
+    return 1 if drifted else 0
 
 
 def _option(name: str) -> str:
@@ -866,63 +911,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if console is not None:
         console.finish()
     elapsed = time.monotonic() - started
-    totals = result["totals"]
-    latency = totals["latency_us"]
-    plan_name = result["params"].get("plan")
-    print(
-        f"serve bench: {result['params']['shards']} shard(s), "
-        f"backend {result['params']['backend']}"
-        + (f", plan '{plan_name}'" if plan_name else "")
-    )
-    print(
-        f"  throughput {totals['throughput_rps']:.0f} rps over "
-        f"{totals['elapsed_s'] * 1e3:.2f} ms simulated "
-        f"({totals['completed']} completed, {totals['shed']} shed, "
-        f"{totals['failed']} failed)"
-    )
-    print(
-        f"  latency p50 {latency['p50']:.1f} us, p99 {latency['p99']:.1f} us, "
-        f"max {latency['max']:.1f} us"
-    )
-    if result["budget"] is not None:
-        budget = result["budget"]
-        print(
-            f"  worker budget: cap {budget['cap']}, in use {budget['in_use']}, "
-            f"{budget['clipped']} grant(s) clipped"
-        )
-    if result.get("autoscale") is not None:
-        scale = result["autoscale"]
-        print(
-            f"  autoscale: {scale['windows']} window(s), "
-            f"{scale['spawns']} spawn(s), {scale['retires']} retire(s), "
-            f"{scale['forecast_shed']} forecast-shed, "
-            f"final {scale['final_shards']} shard(s) @ cap {scale['final_cap']}"
-        )
-    fleet = result.get("fleet")
-    if fleet is not None and fleet.get("cycles_per_request") is not None:
-        print(
-            f"  fleet: {fleet['provisioned_cycles']:,.0f} provisioned "
-            f"cycle(s), {fleet['cycles_per_request']:,.0f} per completed "
-            f"request"
-        )
-    if totals["quarantines"] or totals["dead"]:
-        print(
-            f"  faults: {totals['quarantines']} quarantine(s), "
-            f"{totals['readmissions']} readmission(s), "
-            f"{totals['rerouted']} rerouted, dead shards {totals['dead'] or 'none'}"
-        )
-    for tenant, record in result.get("per_tenant", {}).items():
-        print(
-            f"  tenant {tenant or '<anon>'}: {record['completed']} completed, "
-            f"{record['shed']} shed ({record['shed_rate']:.1%}), "
-            f"p99 {record['latency_us']['p99']:.1f} us"
-        )
-    for entry in result.get("slices", []):
-        print(
-            f"  slice {entry['slice']}: shards {entry['shard_ids']}, "
-            f"{entry['completed']} completed, "
-            f"{entry['skipped_arrivals']} arrival(s) owned elsewhere"
-        )
+    _print_serve_headline(result)
     write_artifact(result, args.out)
     print(f"[serve artifact written to {args.out}]")
     if span_sink is not None:
@@ -933,33 +922,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if "obs" in result:
         from repro.obs import window_stream, write_html_report
 
-        obs = result["obs"]
-        print(
-            f"  obs: {obs['windows']} window(s) x {len(obs['lanes'])} lane(s), "
-            f"{len(obs['records'])} record(s), "
-            f"{len(obs['anomalies'])} anomaly(ies)"
-            + (
-                f", {sum(obs['spilled'].values())} event(s) past the horizon"
-                if obs.get("spilled")
-                else ""
-            )
-        )
-        for anomaly in obs["anomalies"][:8]:
-            print(
-                f"    ! window {anomaly['window']} {anomaly['lane']}."
-                f"{anomaly['metric']}: {anomaly['kind']} "
-                f"(value {anomaly['value']:.3g}, z {anomaly['z']:.1f})"
-            )
-        if len(obs["anomalies"]) > 8:
-            print(f"    ... and {len(obs['anomalies']) - 8} more")
         obs_out = args.obs_out
         if obs_out is None:
             stem = args.out[:-5] if args.out.endswith(".json") else args.out
             obs_out = stem + ".windows.jsonl"
-        write_stream(obs_out, *window_stream(obs))
+        write_stream(obs_out, *window_stream(result["obs"]))
         print(f"[window stream written to {obs_out}]")
         if args.obs_html is not None:
-            write_html_report(obs, args.obs_html)
+            write_html_report(result["obs"], args.obs_html)
             print(f"[obs dashboard written to {args.obs_html}]")
     print(f"[serve: {elapsed:.1f}s wall]")
     failures = _print_serve_audit(result)
@@ -1393,7 +1363,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     scenarios_parser = sub.add_parser(
-        "scenarios", help="trace-driven scenario library (list/gen/replay)"
+        "scenarios", help="trace-driven scenario library (list/gen)"
     )
     scenarios_sub = scenarios_parser.add_subparsers(
         dest="scenarios_cmd", required=True
@@ -1417,39 +1387,6 @@ def build_parser() -> argparse.ArgumentParser:
             "instead of writing (exit 1 on drift)"
         ),
     )
-    scen_replay = scenarios_sub.add_parser(
-        "replay", help="replay a committed scenario trace through the serve layer"
-    )
-    scen_replay.add_argument("name", help="catalog scenario name")
-    scen_replay.add_argument(
-        "--slices",
-        type=int,
-        default=1,
-        help="slice-parallel replay over N processes (default 1)",
-    )
-    scen_replay.add_argument(
-        "--audit",
-        action="store_true",
-        help=(
-            "attach live invariant checkers to the replay's kernel (every "
-            "slice kernel with --slices); violations drive the exit code"
-        ),
-    )
-    scen_replay.add_argument(
-        "--shards", type=int, default=None, help="override the catalog cluster"
-    )
-    from repro.api import BACKEND_CHOICES
-
-    scen_replay.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default=None
-    )
-    scen_replay.add_argument(
-        "--out",
-        default="BENCH_scenario.json",
-        metavar="FILE",
-        help="artifact output path (default BENCH_scenario.json)",
-    )
-    _add_gate_flags(scen_replay, "the replay against a committed scenario baseline")
 
     autoscale_parser = sub.add_parser(
         "autoscale", help="elastic control-plane acceptance sweep"

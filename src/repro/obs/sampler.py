@@ -93,7 +93,8 @@ class MetricSampler:
         interval_cycles: Window width in simulated cycles (> 0).
         n_windows: Number of windows on the grid (>= 1).  The sampler's
             :attr:`horizon` is ``t0 + n_windows · interval_cycles``;
-            events past it are tallied in :attr:`spilled` per lane.
+            events past it are tallied in :attr:`spilled` per lane and
+            counter.
         shards: :class:`repro.serve.shard.EnclaveShard` list for gauge
             sampling (queue depth, worker occupancy) and for the static
             shard-lane set.  May be a subset of a larger cluster (the
@@ -136,8 +137,10 @@ class MetricSampler:
         self.horizon: float | None = None
         #: Raw per-window accumulators, in window order (merge input).
         self.raw_windows: list[dict[str, Any]] = []
-        #: Per-lane counts of events landing past the horizon.
-        self.spilled: dict[str, int] = {}
+        #: Events landing past the horizon, as lane → {counter → count}:
+        #: the counter each would have bumped (``latency_count`` for a
+        #: span's latency sample), so windowed + spilled = run totals.
+        self.spilled: dict[str, dict[str, int]] = {}
         #: Anomalies the attached detector flagged (live path).
         self.anomalies: list[dict[str, Any]] = []
         self._acc: dict[int, dict[str, dict[str, Any]]] = {}
@@ -267,12 +270,16 @@ class MetricSampler:
     # Event accounting
     # ------------------------------------------------------------------
     def _lane_accs(
-        self, t_cycles: float, lane_names: list[str]
+        self, t_cycles: float, lane_names: list[str], counter: str
     ) -> list[dict[str, Any]] | None:
+        """The window accumulators of ``lane_names`` at ``t_cycles``, or
+        None past the horizon, where the event is tallied in
+        :attr:`spilled` under ``counter``."""
         index = int((t_cycles - self._t0) // self.interval)
         if index >= self.n_windows:
             for name in lane_names:
-                self.spilled[name] = self.spilled.get(name, 0) + 1
+                spilled = self.spilled.setdefault(name, {})
+                spilled[counter] = spilled.get(counter, 0) + 1
             return None
         if index < 0:
             index = 0
@@ -290,7 +297,7 @@ class MetricSampler:
     def _bump(
         self, t_cycles: float, counter: str, lane_names: list[str]
     ) -> None:
-        accs = self._lane_accs(t_cycles, lane_names)
+        accs = self._lane_accs(t_cycles, lane_names, counter)
         if accs is not None:
             for lane in accs:
                 lane[counter] += 1
@@ -338,7 +345,7 @@ class MetricSampler:
         if fields.get("status") != "ok":
             return
         latency = fields["t_complete"] - fields["t_submit"]
-        accs = self._lane_accs(t_cycles, self._request_lanes(fields))
+        accs = self._lane_accs(t_cycles, self._request_lanes(fields), "latency_count")
         if accs is not None:
             for lane in accs:
                 lane["latency_cycles"].append(latency)
@@ -346,7 +353,7 @@ class MetricSampler:
     def _on_decision(self, t_cycles: float, fields: dict[str, Any]) -> None:
         owner = _source_shard_lane(fields.get("source"))
         lanes = [TOTAL_LANE, owner] if owner is not None else [TOTAL_LANE]
-        accs = self._lane_accs(t_cycles, lanes)
+        accs = self._lane_accs(t_cycles, lanes, "sched_decisions")
         if accs is None:
             return
         for lane in accs:
@@ -575,10 +582,14 @@ def merge_raw_windows(
     return merged
 
 
-def merge_spilled(per_slice: list[dict[str, int]]) -> dict[str, int]:
-    """Sum per-lane spill counters across slices."""
-    merged: dict[str, int] = {}
+def merge_spilled(
+    per_slice: list[dict[str, dict[str, int]]],
+) -> dict[str, dict[str, int]]:
+    """Sum the per-lane, per-counter spill counts across slices."""
+    merged: dict[str, dict[str, int]] = {}
     for spilled in per_slice:
-        for lane, count in spilled.items():
-            merged[lane] = merged.get(lane, 0) + count
+        for lane, counters in spilled.items():
+            target = merged.setdefault(lane, {})
+            for counter, count in counters.items():
+                target[counter] = target.get(counter, 0) + count
     return merged

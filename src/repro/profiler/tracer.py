@@ -14,6 +14,7 @@ overhead, which could be modelled by passing ``probe_cycles``).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
@@ -28,9 +29,9 @@ if TYPE_CHECKING:
 class CallEvent(NamedTuple):
     """One completed ocall.
 
-    A ``NamedTuple`` for cheap bulk construction: the tracer records raw
-    ``(request, completed_at)`` pairs on the hot path and materializes
-    ``CallEvent`` objects lazily when :attr:`CallTracer.events` is read.
+    A ``NamedTuple`` for cheap bulk construction: the tracer records
+    CallEvent-shaped plain tuples on the hot path and wraps them when
+    :attr:`CallTracer.events` is read.
     """
 
     name: str
@@ -53,7 +54,7 @@ class CallTracer:
 
     Args:
         max_events: Ring-buffer bound; the oldest events are dropped once
-            exceeded (0 means unbounded).
+            exceeded, and counted in :attr:`dropped` (0 means unbounded).
         probe_cycles: Simulated tracing overhead charged per call on the
             host side (0 by default — an ideal tracer).
     """
@@ -63,9 +64,12 @@ class CallTracer:
     dropped: int = 0
     _enclave: "Enclave | None" = None
     _original_execute: object = None
-    #: CallEvent-shaped plain tuples not yet wrapped as CallEvents.
-    _pending: list = field(default_factory=list)
-    _events: list[CallEvent] = field(default_factory=list)
+    #: CallEvent-shaped plain tuples, oldest first; a full ring drops
+    #: its oldest entry in O(1).
+    _entries: deque = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._entries = deque(maxlen=self.max_events or None)
 
     # ------------------------------------------------------------------
     # Installation
@@ -114,12 +118,14 @@ class CallTracer:
     # ------------------------------------------------------------------
     def _on_complete(self, request: "OcallRequest", completed_at: float) -> None:
         # Hot path: one per ocall.  Record a CallEvent-shaped plain tuple:
-        # cheaper to build than the NamedTuple (wrapped lazily by the
-        # events property), and it retains only scalars — holding the
-        # request itself alive until finalize would feed every completed
-        # call's object graph to the garbage collector.
-        pending = self._pending
-        pending.append(
+        # cheaper to build than the NamedTuple (wrapped by the events
+        # property), and it retains only scalars — holding the request
+        # itself alive until finalize would feed every completed call's
+        # object graph to the garbage collector.
+        entries = self._entries
+        if len(entries) == entries.maxlen:
+            self.dropped += 1
+        entries.append(
             (
                 request.name,
                 request.issued_at,
@@ -130,48 +136,36 @@ class CallTracer:
                 request.out_bytes,
             )
         )
-        if self.max_events and len(pending) + len(self._events) > self.max_events:
-            if self._events:
-                self._events.pop(0)
-            else:
-                pending.pop(0)
-            self.dropped += 1
 
     # ------------------------------------------------------------------
     # Convenience accessors
     # ------------------------------------------------------------------
     @property
     def events(self) -> list[CallEvent]:
-        """The recorded events, materializing any deferred entries."""
-        pending = self._pending
-        if pending:
-            self._events.extend(map(CallEvent._make, pending))
-            pending.clear()
-        return self._events
+        """The recorded events, oldest first (built on each read)."""
+        return list(map(CallEvent._make, self._entries))
 
     @property
     def count(self) -> int:
         """Number of recorded entries."""
-        return len(self._pending) + len(self._events)
+        return len(self._entries)
 
     def latency_samples(self) -> list[float]:
         """End-to-end latency (cycles) per call, without materializing."""
-        return [e.latency_cycles for e in self._events] + [
-            entry[2] - entry[1] for entry in self._pending
-        ]
+        return [entry[2] - entry[1] for entry in self._entries]
 
     def host_samples(self) -> list[float]:
         """Host-handler duration (cycles) per call, without materializing."""
-        return [e.host_cycles for e in self._events] + [entry[3] for entry in self._pending]
+        return [entry[3] for entry in self._entries]
 
     def events_for(self, name: str) -> list[CallEvent]:
         """Recorded events for the named ocall."""
-        return [e for e in self.events if e.name == name]
+        return [CallEvent._make(entry) for entry in self._entries if entry[0] == name]
 
     def window_cycles(self) -> float:
         """Span from the first issue to the last completion."""
-        if not self.events:
+        if not self._entries:
             return 0.0
-        start = min(e.issued_at_cycles for e in self.events)
-        end = max(e.completed_at_cycles for e in self.events)
+        start = min(entry[1] for entry in self._entries)
+        end = max(entry[2] for entry in self._entries)
         return end - start

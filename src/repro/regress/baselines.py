@@ -6,7 +6,7 @@ one table entry each, keyed by the stamp:
 
 | stamp | written by | re-run from | compare |
 |---|---|---|---|
-| ``serve-bench`` | ``serve bench``, ``scenarios replay`` | its embedded ``BenchSpec`` | :func:`compare_serve` |
+| ``serve-bench`` | ``serve bench`` (``--scenario`` for a replay) | its embedded ``BenchSpec`` | :func:`compare_serve` |
 | ``autoscale-sweep`` | ``autoscale sweep`` | the sweep over its scenario | :func:`compare_sweep` |
 
 Baselines are written by :func:`repro.telemetry.schema.write_artifact`
@@ -14,9 +14,9 @@ and read by :func:`repro.telemetry.schema.read_artifact`, which refuses
 any other stamp (a retired ``scenario-bench`` or ``obs-windows``
 document included) in one line naming the stamps accepted.  :func:`gate`
 is the one comparison every entry point uses: ``repro diff`` (after
-``rerun``) and the ``--baseline`` flags of ``serve bench``, ``scenarios
-replay``, ``autoscale sweep`` and ``evidence build``.  A new baseline
-kind is one :data:`BASELINES` entry.
+``rerun``) and the ``--baseline`` flags of ``serve bench``, ``autoscale
+sweep`` and ``evidence build``.  A new baseline kind is one
+:data:`BASELINES` entry.
 """
 
 from __future__ import annotations

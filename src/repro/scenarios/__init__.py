@@ -24,7 +24,6 @@ diff workflow.
 
 from repro.scenarios.catalog import (
     CATALOG,
-    REPLAY_DEFAULTS,
     SCENARIO_NAMES,
     baseline_path,
     get_scenario,
@@ -36,7 +35,7 @@ from repro.scenarios.generate import (
     ScenarioSpec,
     generate_trace,
 )
-from repro.scenarios.replay import TraceReplayer, replay_scenario
+from repro.scenarios.replay import TraceReplayer
 from repro.scenarios.trace import (
     TRACE_ARTIFACT,
     ScenarioTrace,
@@ -50,7 +49,6 @@ __all__ = [
     "ARRIVAL_CHOICES",
     "CATALOG",
     "KEYDIST_CHOICES",
-    "REPLAY_DEFAULTS",
     "SCENARIO_NAMES",
     "TRACE_ARTIFACT",
     "ScenarioSpec",
@@ -61,7 +59,6 @@ __all__ = [
     "generate_trace",
     "get_scenario",
     "load_trace",
-    "replay_scenario",
     "trace_digest",
     "trace_path",
     "write_trace",

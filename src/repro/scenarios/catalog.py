@@ -3,8 +3,14 @@
 Each entry is a :class:`repro.scenarios.generate.ScenarioSpec` whose
 generated trace is committed under ``traces/`` and whose replay result
 is pinned by a baseline under ``baselines/`` — ``repro diff`` gates the
-whole library.  The specs are small on purpose: a committed eval trace
-is reviewed like code, and CI replays one per run.
+whole library.  A baseline is the artifact of one serve bench on four
+shards with a 16-worker budget::
+
+    repro serve bench --scenario NAME --shards 4 --budget 16 \
+        --out baselines/scenario-NAME.json
+
+The specs are small on purpose: a committed eval trace is reviewed like
+code, and CI replays one per run.
 
 The five shapes cover the serve layer's interesting regimes:
 
@@ -30,18 +36,6 @@ from repro.scenarios.generate import ScenarioSpec
 
 #: Where committed eval traces live, relative to the repo root.
 TRACE_DIR = "traces"
-
-#: Replay parameters shared by every catalog scenario: the cluster the
-#: committed baselines were recorded on.  ``repro scenarios replay``
-#: uses these unless overridden, so a baseline comparison is apples to
-#: apples by default.
-REPLAY_DEFAULTS = {
-    "shards": 4,
-    "backend": "zc",
-    "budget": 16,
-    "queue_capacity": 64,
-    "servers_per_shard": 2,
-}
 
 #: The scenario library, in catalog order.
 CATALOG: tuple[ScenarioSpec, ...] = (

@@ -11,18 +11,17 @@ its ``admit`` predicate, which is exactly the invariant the loadgen's
 guarantee rests on — so sliced replays merge bit-identical to unsliced
 ones (the acceptance test of the scenario library).
 
-:func:`replay_scenario` is the high-level entry: load a catalog trace,
-replay it on the catalog's default cluster (optionally sliced), and
-return the stamped ``serve-bench`` artifact.  That artifact is also the
-committed baseline of the replay (``baselines/scenario-<name>.json``),
-gated by :func:`repro.regress.baselines.compare_serve`.
+A replay is a serve bench whose :class:`repro.api.BenchSpec` names a
+``scenario`` or a ``trace``: :func:`repro.serve.bench.run_bench` (and
+``repro serve bench --scenario NAME``) drive the replayer and write the
+stamped ``serve-bench`` artifact, which is also the committed baseline
+of a catalog replay (``baselines/scenario-<name>.json``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.scenarios.catalog import REPLAY_DEFAULTS, get_scenario
 from repro.scenarios.trace import ScenarioTrace
 from repro.serve.router import Router
 from repro.sim.instructions import Compute, Sleep
@@ -103,88 +102,3 @@ class TraceReplayer:
             tenant=event.tenant,
             app=event.app,
         )
-
-
-# ----------------------------------------------------------------------
-# High-level replay
-# ----------------------------------------------------------------------
-def replay_spec(
-    name: str,
-    *,
-    root: str = ".",
-    trace_file: str | None = None,
-    slices: int = 1,
-    obs: bool = False,
-    **overrides: Any,
-) -> "Any":
-    """The :class:`repro.api.BenchSpec` describing a catalog replay.
-
-    Starts from the catalog's default cluster (:data:`REPLAY_DEFAULTS`),
-    applies keyword ``overrides`` (any :class:`~repro.api.ServeSpec` or
-    :class:`~repro.api.BenchSpec` field), and points the spec at the
-    committed trace (``scenario=name``) or an explicit ``trace_file``.
-    Unknown override names raise :class:`repro.api.SpecError` — one
-    validation path for every replay entry point.
-    """
-    import dataclasses as _dc
-
-    from repro.api import AutoscaleSpec, BenchSpec, ServeSpec, SpecError
-
-    get_scenario(name)  # validate the name early, with the clean error
-    serve_fields = {field.name for field in _dc.fields(ServeSpec)}
-    bench_fields = {
-        field.name for field in _dc.fields(BenchSpec)
-    } - {"serve", "scenario", "trace", "slices", "obs"}
-    kwargs: dict[str, Any] = {**REPLAY_DEFAULTS, **overrides}
-    serve_kwargs = {k: v for k, v in kwargs.items() if k in serve_fields}
-    bench_kwargs = {k: v for k, v in kwargs.items() if k in bench_fields}
-    unknown = sorted(set(kwargs) - serve_fields - bench_fields)
-    if unknown:
-        raise SpecError(
-            f"unknown replay override(s) {unknown}; valid names are "
-            "ServeSpec/BenchSpec fields"
-        )
-    autoscale = serve_kwargs.get("autoscale")
-    if isinstance(autoscale, dict):
-        serve_kwargs["autoscale"] = AutoscaleSpec(**autoscale)
-    if isinstance(serve_kwargs.get("tenants"), dict):
-        serve_kwargs["tenants"] = tuple(serve_kwargs["tenants"].items())
-    return BenchSpec(
-        serve=ServeSpec(**serve_kwargs),
-        scenario=None if trace_file is not None else name,
-        trace=trace_file,
-        slices=slices,
-        obs=obs,
-        **bench_kwargs,
-    )
-
-
-def replay_scenario(
-    name: str,
-    *,
-    root: str = ".",
-    trace_file: str | None = None,
-    slices: int = 1,
-    audit: bool = False,
-    obs: bool = False,
-    **overrides: Any,
-) -> dict[str, Any]:
-    """Replay catalog scenario ``name`` and return the stamped artifact.
-
-    Builds the declarative :func:`replay_spec` (committed trace or
-    ``trace_file``, catalog defaults plus keyword ``overrides``) and
-    hands it to :func:`repro.serve.bench.run_bench` — single-process by
-    default or slice-parallel with ``slices > 1``; ``audit`` attaches the
-    live invariant auditors either way.
-    """
-    from repro.serve.bench import run_bench
-
-    spec = replay_spec(
-        name,
-        root=root,
-        trace_file=trace_file,
-        slices=slices,
-        obs=obs,
-        **overrides,
-    )
-    return run_bench(spec, root=root, audit=audit)

@@ -451,7 +451,7 @@ def simulate(
         generator = LoadGenerator(kernel, cluster.router, load, admit=admit)
     else:
         load = LoadSpec(
-            rate_rps=spec.rate if spec.rate is not None else 2_000.0,
+            rate_rps=spec.rate,
             duration_s=seconds,
             keydist=spec.keydist,
             keyspace=spec.keyspace,
@@ -515,7 +515,7 @@ def simulate(
         "shards": serve.shards,
         "backend": serve.backend,
         "seconds": seconds,
-        "rate": None if spec.clients is not None else (spec.rate or 2_000.0),
+        "rate": spec.rate,
         "clients": spec.clients,
         "policy": serve.policy,
         "admission": serve.admission,
@@ -772,7 +772,10 @@ def build_artifact(
             "freq_hz": freq_hz,
             "lanes": [TOTAL_LANE, *shard_lanes, *tenant_lanes],
             "records": records,
-            "spilled": dict(sorted(obs["spilled"].items())),
+            "spilled": {
+                lane: dict(sorted(counters.items()))
+                for lane, counters in sorted(obs["spilled"].items())
+            },
             "anomalies": AnomalyDetector().observe_all(records),
         }
     if outcome["autoscale"] is not None:

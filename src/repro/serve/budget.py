@@ -43,42 +43,38 @@ class WorkerBudgetArbiter:
         self.grants: dict[Any, int] = {}
         #: Times a request was clipped below what was asked.
         self.clipped = 0
-        #: Cap trajectory as ``(since_cycles, cap)`` steps — the
-        #: autoscaler retunes the cap per control window, and the fleet
-        #: accounting integrates provisioned worker-cycles over it.
-        self._cap_history: list[tuple[float, int]] = [(0.0, cap)]
+        #: ∫ cap(t) dt over the closed cap steps, and where the open
+        #: (current) step began: the autoscaler retunes the cap per
+        #: control window, and the fleet accounting integrates
+        #: provisioned worker-cycles over the trajectory.
+        self._closed_integral = 0.0
+        self._since = 0.0
 
-    def set_cap(self, cap: int, *, at: float = 0.0) -> None:
-        """Retune the global cap (autoscaler surface).
+    def set_cap(self, cap: int, *, at: float) -> None:
+        """Retune the global cap from simulated cycle ``at`` on
+        (autoscaler surface).
 
         Existing grants are not clawed back — each shard's next argmin
         re-sweep passes through :meth:`grant` and lands under the new
-        cap within a quantum.  ``at`` (simulated cycles) stamps the step
-        for :meth:`cap_integral`.
+        cap within a quantum.
         """
         if cap < 0:
             raise ValueError("worker budget cap must be >= 0")
+        if at > self._since:
+            self._closed_integral += self.cap * (at - self._since)
         self.cap = cap
-        self._cap_history.append((at, cap))
+        self._since = at
 
     def cap_integral(self, end: float) -> float:
-        """Provisioned worker-cycles: ∫ cap(t) dt over ``[0, end]``.
+        """Provisioned worker-cycles: ∫ cap(t) dt over ``[0, end]``, for
+        an ``end`` at or after the last :meth:`set_cap` step.
 
         This is the *budgeted* fleet capacity the wasted-cycle objective
         charges for, whether or not the shards spun workers up to it.
         """
-        total = 0.0
-        for step, (since, cap) in enumerate(self._cap_history):
-            until = (
-                self._cap_history[step + 1][0]
-                if step + 1 < len(self._cap_history)
-                else end
-            )
-            if since >= end:
-                break
-            if until > since:
-                total += cap * (min(until, end) - since)
-        return total
+        if end > self._since:
+            return self._closed_integral + self.cap * (end - self._since)
+        return self._closed_integral
 
     @property
     def in_use(self) -> int:

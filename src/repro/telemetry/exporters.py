@@ -101,6 +101,10 @@ def _event_records(captures: Sequence["CellCapture"]) -> Iterator[dict]:
             "events_dropped": capture.events_dropped,
             "event_counts": capture.event_counts,
             "call_events": len(capture.call_events),
+            "calls_dropped": capture.calls_dropped,
+            "sched_dropped": (
+                capture.sched_trace.dropped if capture.sched_trace is not None else 0
+            ),
             "n_cpus": snapshot.n_cpus if snapshot is not None else None,
             "freq_hz": capture.freq_hz,
             "backend_stats": capture.backend_stats,

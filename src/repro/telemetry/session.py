@@ -65,6 +65,7 @@ class CapturePayload:
     now_cycles: float
     sched_trace: SchedTrace | None
     call_events: list[Any]
+    calls_dropped: int
     latency_samples: list[float]
     snapshot: LedgerSnapshot | None
     worker_timeline: list[tuple[float, float]]
@@ -99,6 +100,7 @@ class FrozenCapture:
         self.now_cycles = payload.now_cycles
         self.sched_trace = payload.sched_trace
         self.call_events = payload.call_events
+        self.calls_dropped = payload.calls_dropped
         self.snapshot = payload.snapshot
         self.worker_timeline = payload.worker_timeline
         self.backend_stats = payload.backend_stats
@@ -161,6 +163,9 @@ class CellCapture:
         self.now_cycles = 0.0
         #: The detached tracer, kept so call_events can materialize lazily.
         self._done_tracer: CallTracer | None = None
+        self._call_events: list[Any] | None = None
+        #: Calls the tracer's ring dropped (oldest first).
+        self.calls_dropped = 0
         self.worker_timeline: list[tuple[float, float]] = []
         self.backend_stats: dict[str, Any] = {}
         self.finalized = False
@@ -212,6 +217,7 @@ class CellCapture:
         self.event_counts = dict(self.bus.counts)
         if self.tracer is not None:
             self.tracer.uninstall()
+            self.calls_dropped = self.tracer.dropped
             self._done_tracer = self.tracer
             self.tracer = None
         self._snapshot_metrics(kernel)
@@ -307,9 +313,13 @@ class CellCapture:
 
         CallEvent construction is deferred until an exporter asks — it
         costs host time proportional to the call count, and finalize runs
-        inside the window the overhead guard measures.
+        inside the window the overhead guard measures — and built once.
         """
-        return self._done_tracer.events if self._done_tracer is not None else []
+        if self._done_tracer is None:
+            return []
+        if self._call_events is None:
+            self._call_events = self._done_tracer.events
+        return self._call_events
 
     def latency_summary(self) -> dict[str, float]:
         """p50/p95/p99 summary of the captured end-to-end call latencies."""
@@ -337,6 +347,7 @@ class CellCapture:
             now_cycles=self.now_cycles,
             sched_trace=self.sched_trace,
             call_events=list(self.call_events),
+            calls_dropped=self.calls_dropped,
             latency_samples=tracer.latency_samples() if tracer is not None else [],
             snapshot=self.snapshot,
             worker_timeline=self.worker_timeline,

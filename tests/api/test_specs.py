@@ -111,6 +111,7 @@ class TestBenchSpecValidation:
             (dict(slices=0), "slices must be >= 1"),
             (dict(slices=4), "must not exceed shards"),
             (dict(obs_interval=0.0), "obs_interval"),
+            (dict(rate=None), "the open loop needs a rate"),
         ],
     )
     def test_invalid_combinations_raise_spec_error(self, kwargs, message):

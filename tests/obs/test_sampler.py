@@ -37,6 +37,25 @@ def _stream(result):
     )
 
 
+@pytest.fixture(scope="module")
+def long_stream():
+    """One 16-shard run on a 4,000-window grid, and the records the
+    sampler emitted live."""
+    live = []
+    result = run_bench(
+        BenchSpec(
+            serve=ServeSpec(shards=16, budget=32),
+            seconds=0.02,
+            rate=4_000.0,
+            obs=True,
+            obs_interval=13_000.0,
+        ),
+        telemetry=False,
+        obs_on_window=lambda index, records, anomalies: live.extend(records),
+    )
+    return result, live
+
+
 class TestWindowing:
     def _sampler(self, interval=100.0, windows=4, **kw):
         kernel = Kernel(server_machine())
@@ -80,9 +99,9 @@ class TestWindowing:
         )
         sampler.detach()
         assert sampler.spilled == {
-            "total": 1,
-            shard_lane(1): 1,
-            tenant_lane("t"): 1,
+            "total": {"submitted": 1},
+            shard_lane(1): {"submitted": 1},
+            tenant_lane("t"): {"submitted": 1},
         }
         assert all(not raw["lanes"] for raw in sampler.raw_windows)
 
@@ -140,26 +159,30 @@ class TestBenchIntegration:
         assert totals["submitted"] == result["totals"]["submitted"]
         assert result["obs"]["spilled"] == {}
 
-    def test_long_streams_keep_every_window(self):
+    def test_long_streams_keep_every_window(self, long_stream):
         # 4,000 windows x 17 lanes = 68,000 records: the artifact keeps
         # every one of them, record for record what the sampler emitted
         # live, starting at window 0.
-        live = []
-        result = run_bench(
-            BenchSpec(
-                serve=ServeSpec(shards=16, budget=32),
-                seconds=0.02,
-                rate=4_000.0,
-                obs=True,
-                obs_interval=13_000.0,
-            ),
-            telemetry=False,
-            obs_on_window=lambda index, records, anomalies: live.extend(records),
-        )
+        result, live = long_stream
         records = result["obs"]["records"]
         assert len(records) == 4_000 * 17
         assert records[0]["window"] == 0 and records[-1]["window"] == 3_999
         assert records == live
+
+    def test_windowed_plus_spilled_totals_reconcile(self, long_stream):
+        # Requests reach the router a parse delay after their arrival, so
+        # the last ones land past this grid's horizon: the total lane's
+        # windows plus its spill must still add up to the router's totals.
+        result, _ = long_stream
+        spilled = result["obs"]["spilled"]["total"]
+        assert spilled["submitted"] > 0
+        for counter in ("submitted", "completed", "shed", "failed"):
+            windowed = sum(
+                record[counter]
+                for record in result["obs"]["records"]
+                if record["lane"] == "total"
+            )
+            assert windowed + spilled.get(counter, 0) == result["totals"][counter], counter
 
     def test_obs_interval_validation(self):
         with pytest.raises(SpecError, match="obs_interval"):
@@ -271,7 +294,12 @@ class TestMergeHelpers:
         }
 
     def test_merge_spilled_sums_lanes(self):
-        assert merge_spilled([{"total": 1}, {"total": 2, "shard0": 1}]) == {
-            "total": 3,
-            "shard0": 1,
+        assert merge_spilled(
+            [
+                {"total": {"submitted": 1}},
+                {"total": {"submitted": 2, "completed": 1}, "shard0": {"completed": 1}},
+            ]
+        ) == {
+            "total": {"submitted": 3, "completed": 1},
+            "shard0": {"completed": 1},
         }

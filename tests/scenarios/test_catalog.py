@@ -67,7 +67,7 @@ class TestCommittedTraces:
         path = baseline_path(name, ROOT)
         assert os.path.exists(path), (
             f"missing committed baseline {path}; run "
-            f"'repro scenarios replay {name} --out {path}'"
+            f"'repro serve bench --scenario {name} --shards 4 --budget 16 --out {path}'"
         )
         baseline = read_artifact(path, ("serve-bench",))
         assert baseline["params"]["scenario"] == name

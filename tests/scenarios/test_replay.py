@@ -13,7 +13,6 @@ import os
 import pytest
 
 from repro.scenarios.generate import ScenarioSpec, generate_trace
-from repro.scenarios.replay import replay_scenario
 from repro.api import BenchSpec, ServeSpec
 from repro.regress.baselines import BASELINES, compare_serve
 from repro.scenarios.trace import write_trace
@@ -122,7 +121,8 @@ class TestReplayBasics:
 
 class TestReplayAudit:
     def test_one_slice_replay_runs_the_auditors(self):
-        result = replay_scenario("steady-mixed", root=REPO_ROOT, audit=True)
+        spec = BenchSpec(serve=ServeSpec(shards=4, budget=16), scenario="steady-mixed")
+        result = run_bench(spec, root=REPO_ROOT, audit=True)
         assert result["audit"]["ok"] is True
         assert [cell["cell"] for cell in result["audit"]["cells"]] == ["serve-zcx4"]
 

@@ -52,3 +52,16 @@ class TestArbiter:
         for _ in range(5):
             assert arbiter.grant(a, 3) == 3
         assert arbiter.in_use == 3
+
+    def test_cap_integral_is_the_stepwise_sum(self):
+        # A step at 0, two steps at one instant (the first lasts no time)
+        # and a zero cap, at cycle stamps that are not exact in binary:
+        # the integral must add the same products in the same order.
+        arbiter = WorkerBudgetArbiter(8)
+        for at, cap in [(0.0, 6), (1_000.1, 3), (2_500.7, 9), (2_500.7, 0), (4_000.3, 5)]:
+            arbiter.set_cap(cap, at=at)
+        closed = 6 * (1_000.1 - 0.0) + 3 * (2_500.7 - 1_000.1) + 0 * (4_000.3 - 2_500.7)
+        end = 7_777.7
+        assert arbiter.cap == 5
+        assert arbiter.cap_integral(4_000.3) == closed
+        assert arbiter.cap_integral(end) == closed + 5 * (end - 4_000.3)

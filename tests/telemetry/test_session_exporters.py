@@ -132,3 +132,41 @@ class TestExporters:
         summary = capture.latency_summary()
         assert summary["count"] == len(capture.call_events) > 0
         assert summary["p50"] <= summary["p99"] <= summary["max"]
+
+
+class TestRingDrops:
+    def test_every_completed_ocall_is_traced_or_counted_dropped(self):
+        # A 16-entry call ring and a 4-entry sched ring under 200 zc
+        # ocalls: telemetry.meta must account for every completed call and
+        # report the sched drops, in the live session and in a session
+        # that absorbed the cell as a pool worker's payload.
+        from repro.sim import Compute
+        from repro.telemetry.exporters import _event_records
+
+        with telemetry.TelemetrySession(
+            tracer_max_events=16, sched_trace_entries=4
+        ) as session:
+            stack = build_stack(zc_spec())
+            enclave = stack.enclave
+
+            def handler():
+                yield Compute(500, tag="host")
+
+            enclave.urts.register("f", handler)
+
+            def app():
+                for _ in range(100):
+                    yield from enclave.ocall("f")
+
+            stack.kernel.join(*(stack.kernel.spawn(app()) for _ in range(2)))
+            stats = enclave.stats
+            completed = stats.total_regular + stats.total_switchless + stats.total_fallback
+            stack.finish()
+        assert completed == 200
+        absorbed = telemetry.TelemetrySession()
+        absorbed.absorb(session.to_payload())
+        for captures in (session.captures, absorbed.captures):
+            (meta,) = [r for r in _event_records(captures) if r["event"] == "telemetry.meta"]
+            assert meta["call_events"] == 16
+            assert meta["call_events"] + meta["calls_dropped"] == completed
+            assert meta["sched_dropped"] == captures[0].sched_trace.dropped > 0

@@ -331,23 +331,24 @@ class TestScenarioCommands:
             assert name in out
 
     def test_gen_replay_and_gate_round_trip(self, capsys, tmp_path, monkeypatch):
-        # gen writes a deterministic trace; replay writes its artifact,
-        # which is its own baseline: diff re-runs its spec and passes.
+        # gen writes a deterministic trace; a serve bench replaying it
+        # writes its artifact, which is its own baseline: diff re-runs
+        # its spec and passes.
         monkeypatch.chdir(tmp_path)
         assert main(["scenarios", "gen", "hotkey-shift"]) == 0
         assert (tmp_path / "traces" / "hotkey-shift.trace.jsonl").exists()
         assert main(["scenarios", "gen", "hotkey-shift", "--check"]) == 0
         out = tmp_path / "bench.json"
         assert main([
-            "scenarios", "replay", "hotkey-shift",
-            "--shards", "2", "--out", str(out),
+            "serve", "bench", "--scenario", "hotkey-shift",
+            "--shards", "2", "--budget", "16", "--out", str(out),
         ]) == 0
         capsys.readouterr()
         assert main(["diff", str(out)]) == 0
         assert "serve baseline gate: OK" in capsys.readouterr().out
         # The gate refuses a replay of another spec.
         assert main([
-            "scenarios", "replay", "hotkey-shift", "--shards", "3",
+            "serve", "bench", "--scenario", "hotkey-shift", "--shards", "3", "--budget", "16",
             "--out", str(tmp_path / "other.json"), "--baseline", str(out),
         ]) == 1
         assert "serve.shards 3 vs baseline 2" in capsys.readouterr().out
@@ -363,12 +364,16 @@ class TestScenarioCommands:
 
     def test_replay_unknown_scenario_fails_cleanly(self):
         with pytest.raises(SystemExit, match="choices"):
-            main(["scenarios", "replay", "nope"])
+            main(["serve", "bench", "--scenario", "nope", "--shards", "4", "--budget", "16"])
 
     def test_replay_missing_trace_fails_cleanly(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit, match="scenarios gen"):
-            main(["scenarios", "replay", "flash-crowd"])
+            main(["serve", "bench", "--scenario", "flash-crowd", "--shards", "4", "--budget", "16"])
+
+    def test_sweep_unknown_scenario_fails_cleanly(self):
+        with pytest.raises(SystemExit, match="choices"):
+            main(["autoscale", "sweep", "--scenario", "nope"])
 
 
 class TestBaselineFiles:
@@ -428,7 +433,8 @@ class TestBaselineFiles:
         out = str(tmp_path / "out.json")
         argv, accepted = {
             "serve": ([*self.SERVE, "--out", out], "serve-bench"),
-            "replay": (["scenarios", "replay", "steady-mixed", "--out", out], "serve-bench"),
+            "replay": (["serve", "bench", "--scenario", "steady-mixed", "--shards", "4",
+                        "--budget", "16", "--out", out], "serve-bench"),
             "sweep": (["autoscale", "sweep", "--out", out], "autoscale-sweep"),
             "evidence": (["evidence", "build", "--out", str(tmp_path / "pack"),
                           "--shards", "1", "--seconds", "0.005"], "serve-bench"),
@@ -710,8 +716,12 @@ class TestSpecFlags:
             (lambda doc: doc.update(seedd=9), "BenchSpec: unknown field(s) seedd"),
             (lambda doc: doc["serve"].update(budgett=3), "ServeSpec: unknown field(s) budgett"),
             (lambda doc: doc.pop("keyspace"), "BenchSpec: missing field(s) keyspace"),
+            (
+                lambda doc: doc.update(rate=None),
+                "the open loop needs a rate (None only with clients or a trace)",
+            ),
         ],
-        ids=["unknown", "unknown-nested", "missing"],
+        ids=["unknown", "unknown-nested", "missing", "rate-less-open-loop"],
     )
     def test_spec_file_is_never_half_read(self, spec_file, tmp_path, change, message):
         doc = read_artifact(spec_file)
