@@ -45,7 +45,7 @@ def run_cell(machine_name: str, spec) -> dict[str, float]:
     mean_workers = 0.0
     if hasattr(backend, "stats") and hasattr(backend.stats, "mean_worker_count"):
         mean_workers = backend.stats.mean_worker_count(kernel.now)
-    stack.finish()
+    stack.close()
     return {
         "machine": machine_name,
         "config": spec.label,

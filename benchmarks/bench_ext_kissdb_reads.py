@@ -42,7 +42,7 @@ def run_mode(spec, read_fraction: float) -> dict[str, float]:
     stats = enclave.stats.by_name
     reads = stats["fread"].calls
     writes = stats["fwrite"].calls
-    stack.finish()
+    stack.close()
     return {
         "config": spec.label,
         "read_frac": read_fraction,

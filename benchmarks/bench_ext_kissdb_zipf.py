@@ -38,7 +38,7 @@ def run_distribution(name: str) -> dict[str, float]:
     kernel.join(kernel.spawn(client(), name="client"))
     elapsed_us_per_op = kernel.seconds(kernel.now) * 1e6 / N_OPS
     stats = enclave.stats.by_name
-    stack.finish()
+    stack.close()
     return {
         "distribution": name,
         "op_us": elapsed_us_per_op,

@@ -35,7 +35,7 @@ def run_config(spec) -> dict[str, float]:
         yield from bench.teardown()
 
     kernel.join(kernel.spawn(program(), name="lat", kind="app"))
-    stack.finish()
+    stack.close()
     return latencies
 
 

@@ -96,7 +96,6 @@ def test_disabled_runs_carry_no_instrumentation():
     # code the seed did, so its host time stays within noise of the seed.
     kernel = simulate_ocall_storm(True)
     assert kernel.bus is None
-    assert kernel.sched_bus is None
     assert kernel.ledger is None
     assert all(thread.ledger_cells is None for thread in kernel.threads)
 

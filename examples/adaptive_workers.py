@@ -16,6 +16,7 @@ from repro.profiler import CallTracer
 from repro.profiler.timeline import bucket_events, render_timeline
 from repro.sgx import Enclave, UntrustedRuntime
 from repro.sim import Compute, Kernel, Sleep, paper_machine
+from repro.telemetry import EventBus
 
 BURST_S = 0.03
 GAP_S = 0.03
@@ -24,6 +25,8 @@ BURSTS = 3
 
 def main():
     kernel = Kernel(paper_machine())
+    # The scheduler records each decision as a zc.sched.decision event.
+    kernel.bus = EventBus(clock=lambda: kernel.now)
     fs = HostFileSystem()
     fs.mount_device("/dev/null", DevNull())
     urts = UntrustedRuntime()
@@ -48,8 +51,11 @@ def main():
 
     print("scheduler decisions (time ms -> active workers):")
     assert backend.scheduler is not None
-    for t_cycles, _, chosen in backend.scheduler.decisions:
-        print(f"  {kernel.seconds(t_cycles) * 1e3:7.1f} ms -> {chosen} workers")
+    for decision in kernel.bus.events_named("zc.sched.decision"):
+        print(
+            f"  {kernel.seconds(decision.t_cycles) * 1e3:7.1f} ms -> "
+            f"{decision.fields['chosen']} workers"
+        )
 
     print("\nlifetime share per worker count (paper §V-B style):")
     for count, frac in backend.stats.worker_count_histogram(kernel.now).items():

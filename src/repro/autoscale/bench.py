@@ -146,7 +146,6 @@ def evaluate_sweep(arms: dict[str, dict[str, Any]]) -> list[str]:
 def run_autoscale_sweep(
     scenario: str = DEFAULT_SCENARIO,
     *,
-    root: str = ".",
     static_grid: tuple[tuple[int, int], ...] = STATIC_GRID,
 ) -> dict[str, Any]:
     """Run every arm and return the stamped ``autoscale-sweep`` artifact.
@@ -160,7 +159,7 @@ def run_autoscale_sweep(
     specs: dict[str, dict[str, Any]] = {}
     trace_digest: str | None = None
     for name, spec in sweep_specs(scenario, static_grid=static_grid):
-        result = run_bench(spec, root=root)
+        result = run_bench(spec)
         arms_out[name] = _arm_summary(result)
         specs[name] = spec.to_json()
         trace_digest = result["params"].get("trace_digest", trace_digest)

@@ -1377,7 +1377,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         metavar="FILE",
-        help="trace output path (default traces/<name>.trace.jsonl)",
+        help="trace output path (default: the checkout's traces/<name>.trace.jsonl)",
     )
     scen_gen.add_argument(
         "--check",

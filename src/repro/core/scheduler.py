@@ -23,6 +23,11 @@ Two worker-cost accountings are supported (see
 ``i · µ · Q`` term, and the default ``IDLE_WASTE`` variant that prices a
 probe's workers by their *measured* busy-wait cycles — which is what
 reproduces the worker-count histograms the paper reports.
+
+Each decision is recorded once, as a ``zc.sched.decision`` event on the
+kernel's bus (with the probe utilities ``[U_0..U_k]`` and the chosen
+``M'``); each probe as a ``zc.sched.probe`` event.  With no bus attached
+the scheduler keeps no log.
 """
 
 from __future__ import annotations
@@ -51,8 +56,6 @@ class ZcScheduler:
         self.backend = backend
         self.config = config
         self._stop = False
-        #: (decision time, [U_0..U_k], chosen M') — exposed for analysis.
-        self.decisions: list[tuple[float, list[float], int]] = []
 
     def stop(self) -> None:
         """Request shutdown of this component's threads."""
@@ -128,12 +131,11 @@ class ZcScheduler:
             yield Compute(config.decision_cycles, tag="zc-sched-decide")
             backend.set_active_workers(best_m)
             backend.stats.scheduler_decisions += 1
-            self.decisions.append((kernel.now, utilities, best_m))
             bus = kernel.bus
             if bus is not None:
                 bus.emit(
                     "zc.sched.decision",
-                    utilities=list(utilities),
+                    utilities=utilities,
                     chosen=best_m,
                     source=backend.enclave.name,
                     tenant="",

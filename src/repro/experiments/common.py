@@ -6,22 +6,19 @@ handlers, one enclave, and the call backend named by a
 :class:`BackendSpec` — exactly the three modes the paper evaluates
 (``no_sl``, Intel switchless with a static configuration, and zc).
 
-Construction is delegated to :func:`repro.api.Runtime.create`;
-:class:`Stack` survives as a thin experiment-facing wrapper that keeps
-the historical attribute names (``stack.finish()`` etc.) used throughout
-:mod:`repro.experiments`.
+Construction is delegated to :meth:`repro.api.Runtime.create`:
+:func:`build_stack` returns the :class:`~repro.api.Runtime`, which the
+cell runs on and closes with ``close()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.api import Runtime, SwitchlessConfig, ZcConfig
-from repro.faults import FaultInjector
-from repro.hostos import CpuUsageMonitor, HostFileSystem, ProcStat, SyscallCostModel
-from repro.sgx import Enclave, SgxCostModel
-from repro.sim import Kernel, MachineSpec
-from repro.telemetry.session import CellCapture
+from repro.hostos import SyscallCostModel
+from repro.sgx import SgxCostModel
+from repro.sim import MachineSpec
 
 
 @dataclass(frozen=True)
@@ -73,54 +70,6 @@ def zc_spec(config: ZcConfig | None = None) -> BackendSpec:
     return BackendSpec(label="zc", kind="zc", zc_config=config)
 
 
-@dataclass
-class Stack:
-    """One fully-built system under test (wraps a :class:`repro.api.Runtime`)."""
-
-    spec: BackendSpec
-    runtime: Runtime = field(repr=False)
-
-    @property
-    def kernel(self) -> Kernel:
-        return self.runtime.kernel
-
-    @property
-    def fs(self) -> HostFileSystem:
-        return self.runtime.fs
-
-    @property
-    def enclave(self) -> Enclave:
-        return self.runtime.enclave
-
-    @property
-    def procstat(self) -> ProcStat:
-        return self.runtime.procstat
-
-    @property
-    def monitor(self) -> CpuUsageMonitor | None:
-        return self.runtime.monitor
-
-    @property
-    def telemetry(self) -> CellCapture | None:
-        return self.runtime.telemetry
-
-    @property
-    def faults(self) -> FaultInjector | None:
-        return self.runtime.faults
-
-    def start_measuring(self) -> None:
-        """Snapshot CPU counters; usage is measured from here."""
-        self.runtime.start_measuring()
-
-    def cpu_usage_pct(self) -> float:
-        """Mean CPU usage since :meth:`start_measuring`."""
-        return self.runtime.cpu_usage_pct()
-
-    def finish(self) -> None:
-        """Stop backend threads and the monitor, drain remaining events."""
-        self.runtime.close()
-
-
 def build_stack(
     spec: BackendSpec,
     machine: MachineSpec | None = None,
@@ -129,14 +78,14 @@ def build_stack(
     files: dict[str, bytes] | None = None,
     monitor_interval_s: float | None = None,
     memcpy_model: object | None = None,
-) -> Stack:
+) -> Runtime:
     """Build a machine + enclave + backend for one experiment cell.
 
     ``memcpy_model`` overrides the enclave's marshalling memcpy (used by
     the Fig. 7 / Fig. 13 experiments); note the zc backend installs its
     own ``rep movsb`` model on attach regardless.
     """
-    runtime = Runtime.create(
+    return Runtime.create(
         backend=spec.kind,
         config=spec.backend_config(),
         machine=machine,
@@ -147,4 +96,3 @@ def build_stack(
         memcpy_model=memcpy_model,
         label=spec.label,
     )
-    return Stack(spec=spec, runtime=runtime)

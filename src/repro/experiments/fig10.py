@@ -136,7 +136,7 @@ def run_one(
     latency = kernel.seconds(kernel.now - start)
     cpu = stack.cpu_usage_pct()
     switchless_fraction = stack.enclave.stats.switchless_fraction()
-    stack.finish()
+    stack.close()
     return Fig10Row(
         label=spec.label,
         latency_s=latency,

@@ -138,7 +138,7 @@ def run_one(backend: BackendSpec, spec: DynamicSpec = DEFAULT_SPEC) -> LmbenchRu
     kernel.join(reader, writer)
     assert stack.monitor is not None
     cpu_series = stack.monitor.series()
-    stack.finish()
+    stack.close()
     return LmbenchRun(
         label=backend.label,
         reader_periods=reader_periods,

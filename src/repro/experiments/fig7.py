@@ -76,7 +76,7 @@ def measure_write_throughput(
     thread = kernel.spawn(app(), name="writer")
     kernel.join(thread)
     elapsed_s = kernel.seconds(kernel.now - start)
-    stack.finish()
+    stack.close()
     return size * ops / elapsed_s / 1e9
 
 

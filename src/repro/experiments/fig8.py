@@ -24,7 +24,6 @@ from repro.analysis.report import format_table
 from repro.apps import KissDB
 from repro.experiments.common import (
     BackendSpec,
-    Stack,
     build_stack,
     intel_spec,
     no_sl_spec,
@@ -112,7 +111,7 @@ class Fig8Result:
 
 def run_one(spec: BackendSpec, n_keys: int, n_threads: int = DEFAULT_THREADS) -> Fig8Row:
     """One (configuration, key count) cell of Fig. 8."""
-    stack: Stack = build_stack(spec)
+    stack = build_stack(spec)
     kernel = stack.kernel
     enclave = stack.enclave
     recorder = LatencyRecorder()
@@ -144,7 +143,7 @@ def run_one(spec: BackendSpec, n_keys: int, n_threads: int = DEFAULT_THREADS) ->
     backend = enclave.backend
     if hasattr(backend, "stats") and hasattr(backend.stats, "pool_reallocs"):
         pool_reallocs = backend.stats.pool_reallocs
-    stack.finish()
+    stack.close()
     return Fig8Row(
         label=spec.label,
         n_keys=n_keys,

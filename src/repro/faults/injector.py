@@ -133,7 +133,7 @@ class FaultInjector:
     def detach(self) -> None:
         """Cancel pending fault timers and restore unperturbed state.
 
-        Called by ``Stack.finish()`` *before* the teardown drain so
+        Called by ``Runtime.close()`` *before* the teardown drain so
         not-yet-fired faults (and respawn/redelivery timers) cannot drag
         the drain out to their firing instants.  Idempotent.
         """

@@ -11,7 +11,7 @@ keeps ``jobs=N`` output bit-identical to ``jobs=1``.
 
 Telemetry crosses the process boundary explicitly: when the parent has an
 active :class:`~repro.telemetry.session.TelemetrySession`, each worker
-opens its own session (same configuration), runs the cell, and ships a
+opens its own session, runs the cell, and ships a
 :class:`~repro.telemetry.session.SessionPayload` back; the parent absorbs
 payloads in cell order, so capture labels and metrics match a serial run.
 
@@ -70,7 +70,7 @@ def _run_cell_inline(spec: CellSpec) -> Any:
 
 
 def _pool_run_cell(
-    spec: CellSpec, telemetry_config: dict[str, Any] | None
+    spec: CellSpec, telemetry: bool
 ) -> tuple[Any, float, SessionPayload | None]:
     """Pool-worker entry point: run one cell, return (row, wall, payload).
 
@@ -80,8 +80,8 @@ def _pool_run_cell(
     back as plain data.
     """
     started = time.perf_counter()
-    if telemetry_config is not None:
-        with TelemetrySession(**telemetry_config) as session:
+    if telemetry:
+        with TelemetrySession() as session:
             row = _run_cell_inline(spec)
         payload = session.to_payload()
     else:
@@ -128,12 +128,11 @@ class CellRunner:
                 if self.cache is not None:
                     self.cache.store(specs[i], row)
         else:
-            telemetry_config = session.config_kwargs() if session is not None else None
             context = multiprocessing.get_context("fork")
             workers = min(self.jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
                 futures = {
-                    i: pool.submit(_pool_run_cell, specs[i], telemetry_config)
+                    i: pool.submit(_pool_run_cell, specs[i], session is not None)
                     for i in pending
                 }
                 # Collect — and absorb telemetry — in spec order, so rows,

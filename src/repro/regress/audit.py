@@ -242,11 +242,6 @@ class ConservationChecker(Checker):
         capture = auditor.capture
         if self._dead or capture is None or capture.kernel is None:
             return
-        # Scheduler-dispatch events are emitted from inside the kernel's
-        # dispatch loop, where flushing accounting would observe a thread
-        # mid-handoff; every other event comes from running program code.
-        if event.name.startswith("sched."):
-            return
         if self._next_boundary is None:
             window = self.window_cycles
             if window is None:
@@ -811,7 +806,7 @@ def attach_auditor(
     """Put a live auditor on one cell's bus (the fixture entry point).
 
     Call while the cell is live (right after the session attaches it);
-    call :meth:`InvariantAuditor.finish` after ``Stack.finish()`` has
+    call :meth:`InvariantAuditor.finish` after ``Runtime.close()`` has
     finalized the capture so the conservation checker sees the final
     snapshot.
     """

@@ -34,8 +34,15 @@ import os
 
 from repro.scenarios.generate import ScenarioSpec
 
-#: Where committed eval traces live, relative to the repo root.
+#: Where committed eval traces live, relative to the checkout root.
 TRACE_DIR = "traces"
+
+#: The checkout holding this ``repro`` package (``<checkout>/src/repro``):
+#: committed traces and baselines resolve here, whatever the working
+#: directory.
+CHECKOUT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+)
 
 #: The scenario library, in catalog order.
 CATALOG: tuple[ScenarioSpec, ...] = (
@@ -119,11 +126,11 @@ def get_scenario(name: str) -> ScenarioSpec:
         ) from None
 
 
-def trace_path(name: str, root: str = ".") -> str:
-    """The committed trace file for scenario ``name`` under ``root``."""
-    return os.path.join(root, TRACE_DIR, f"{name}.trace.jsonl")
+def trace_path(name: str) -> str:
+    """The committed trace file for scenario ``name``."""
+    return os.path.join(CHECKOUT, TRACE_DIR, f"{name}.trace.jsonl")
 
 
-def baseline_path(name: str, root: str = ".") -> str:
+def baseline_path(name: str) -> str:
     """The committed baseline snapshot for scenario ``name``."""
-    return os.path.join(root, "baselines", f"scenario-{name}.json")
+    return os.path.join(CHECKOUT, "baselines", f"scenario-{name}.json")

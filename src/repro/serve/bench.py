@@ -254,7 +254,6 @@ def run_bench(
     *,
     machine: MachineSpec | None = None,
     telemetry: TelemetrySession | bool | None = None,
-    root: str = ".",
     audit: bool = False,
     plan: FaultPlan | str | None = None,
     trace: Any = None,
@@ -267,7 +266,6 @@ def run_bench(
     Everything *declarative* — topology, load shape, windows, slices,
     scenario, contracts — lives in the spec; the keyword arguments are
     runner plumbing.  ``machine`` is every slice's simulated host,
-    ``root`` resolves ``spec.scenario`` against the committed traces,
     ``audit`` attaches the live invariant auditors to every slice kernel
     (their verdicts become the ``audit`` section) and ``jobs`` caps the
     slice processes.  ``telemetry``, ``plan`` (overrides
@@ -296,7 +294,7 @@ def run_bench(
     plumbing = dict(telemetry=telemetry, plan=plan, trace=trace,
                     span_sink=span_sink, obs_on_window=obs_on_window)
     if spec.slices == 1:
-        outcomes = [simulate(spec, machine=machine, root=root, audit=audit, **plumbing)]
+        outcomes = [simulate(spec, machine=machine, audit=audit, **plumbing)]
     else:
         refused = [name for name, value in plumbing.items() if value not in (None, False)]
         if refused:
@@ -304,7 +302,7 @@ def run_bench(
                 f"slices={spec.slices} runs each slice in its own process; "
                 f"drop {', '.join(refused)} (or run one slice)"
             )
-        outcomes = run_slices(spec, machine=machine, root=root, audit=audit, jobs=jobs)
+        outcomes = run_slices(spec, machine=machine, audit=audit, jobs=jobs)
     return build_artifact(merge_outcomes(outcomes), spec=spec, contracts=contracts)
 
 
@@ -313,7 +311,6 @@ def simulate(
     *,
     machine: MachineSpec | None = None,
     telemetry: TelemetrySession | bool | None = None,
-    root: str = ".",
     audit: bool = False,
     plan: FaultPlan | str | None = None,
     trace: Any = None,
@@ -345,7 +342,7 @@ def simulate(
             on_attach=lambda capture: auditors.append(attach_auditor(capture))
         ) as session:
             outcome = simulate(
-                spec, machine=machine, telemetry=session, root=root, plan=plan,
+                spec, machine=machine, telemetry=session, plan=plan,
                 trace=trace, span_sink=span_sink, obs_on_window=obs_on_window,
                 shard_ids=shard_ids, admit=admit,
             )
@@ -374,7 +371,7 @@ def simulate(
     if trace is None and spec.scenario is not None:
         from repro.scenarios.catalog import trace_path
 
-        trace = trace_path(spec.scenario, root)
+        trace = trace_path(spec.scenario)
     elif trace is None and spec.trace is not None:
         trace = spec.trace
 

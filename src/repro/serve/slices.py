@@ -111,8 +111,8 @@ def run_cell(spec: CellSpec) -> dict[str, Any]:
 
     The cell carries its whole configuration as one serialized
     :class:`repro.api.BenchSpec` (``spec_json``) plus the slice plumbing:
-    global shard count, owned shard ids, simulated machine, repo root
-    and the audit switch.
+    global shard count, owned shard ids, simulated machine and the audit
+    switch.
     """
     from repro.serve.bench import simulate
 
@@ -122,7 +122,6 @@ def run_cell(spec: CellSpec) -> dict[str, Any]:
         BenchSpec.from_json(kw["spec_json"]),
         machine=kw["machine"],
         telemetry=False,
-        root=kw["root"],
         audit=kw["audit"],
         shard_ids=shard_ids,
         admit=make_admit(shard_ids, kw["shards"]),
@@ -136,7 +135,6 @@ def slice_cells(
     spec: BenchSpec,
     *,
     machine: MachineSpec | None = None,
-    root: str = ".",
     audit: bool = False,
 ) -> list[CellSpec]:
     """The sliced run as cell specs — one ``serve-slice`` cell per slice.
@@ -183,7 +181,6 @@ def slice_cells(
                 shard_ids=shard_ids,
                 spec_json=slice_spec.to_json(),
                 machine=machine,
-                root=root,
                 audit=audit,
             )
         )
@@ -194,7 +191,6 @@ def run_slices(
     spec: BenchSpec,
     *,
     machine: MachineSpec | None = None,
-    root: str = ".",
     audit: bool = False,
     jobs: int | str | None = None,
 ) -> list[dict[str, Any]]:
@@ -205,7 +201,7 @@ def run_slices(
     runs inline.
     """
     runner = CellRunner(jobs="auto" if jobs is None else jobs)
-    cells = slice_cells(spec, machine=machine, root=root, audit=audit)
+    cells = slice_cells(spec, machine=machine, audit=audit)
     return [done.row for done in runner.run(cells)]
 
 

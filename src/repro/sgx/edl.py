@@ -104,7 +104,7 @@ class EnclaveInterface:
             enclave.trts.register(function.name, function.handler)
         return self
 
-    def switchless_config(self, **config_kwargs) -> SwitchlessConfig:
+    def switchless_config(self, **overrides) -> SwitchlessConfig:
         """Derive the Intel SDK configuration from the EDL attributes."""
         return SwitchlessConfig(
             switchless_ocalls=frozenset(
@@ -113,7 +113,7 @@ class EnclaveInterface:
             switchless_ecalls=frozenset(
                 f.name for f in self.trusted_functions if f.switchless
             ),
-            **config_kwargs,
+            **overrides,
         )
 
     def describe(self) -> str:

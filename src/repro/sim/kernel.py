@@ -21,12 +21,13 @@ Raw-speed design (see docs/performance.md for the measured profile):
 - **Timers** live in one binary heap of ``(when, seq, Timer)`` tuples
   (:mod:`repro.sim.timerqueue`) with lazy cancellation, compacted once
   cancelled entries outnumber live ones.
-- **Telemetry is zero-cost when detached.**  Instead of ``if bus is not
+- **Telemetry is zero-cost when detached.**  Instead of ``if trace is not
   None`` checks on every dispatch/park/finish/accounting call, the kernel
-  binds lean or instrumented variants of its hot functions whenever
-  ``trace``/``sched_bus``/``ledger`` change (they are properties); the
-  detached path executes no telemetry branches, string formatting or dict
-  building at all.
+  binds lean or traced variants of its hot functions whenever ``trace``
+  or ``ledger`` change (they are properties); the detached path executes
+  no telemetry branches at all.  The :class:`SchedTrace` ring is the
+  kernel's one record of its dispatches; a traced variant records to it
+  and then runs the lean body.
 - **Accounting is slotted.**  Per-thread compute/spin cycles are two
   float slots (``cycles_by`` remains as a read-only dict view) and
   per-core per-kind cycles use a run-length accumulator folded into the
@@ -256,12 +257,15 @@ class LogicalCPU:
 
 
 class SchedTrace:
-    """Optional ring buffer of scheduling events, for debugging.
+    """The kernel's record of its scheduling events, as a bounded ring.
 
     Entries are ``(time_cycles, event, thread_name, cpu_index)`` tuples;
-    ``event`` is one of ``dispatch``, ``preempt``, ``park``, ``finish``.
-    Enable with ``Kernel(..., trace=SchedTrace())`` — tracing costs host
-    time only, never simulated cycles.
+    ``event`` is one of ``dispatch``, ``preempt``, ``park``, ``finish``
+    (a thread finished off-core has ``cpu_index`` -1).  A full ring drops
+    its oldest entry and counts it in ``dropped``.  Enable with
+    ``Kernel(..., trace=SchedTrace())``; a telemetry session attaches one
+    to every kernel and draws the Chrome trace's CPU lanes from it.
+    Tracing costs host time only, never simulated cycles.
     """
 
     __slots__ = ("max_entries", "entries", "dropped")
@@ -305,13 +309,11 @@ class Kernel:
         #: Optional telemetry hooks (see :mod:`repro.telemetry`); all stay
         #: None unless a TelemetrySession attaches.  ``bus`` is read by
         #: runtime components (router, backends, enclaves) that gate their
-        #: own emits on it.  ``sched_bus`` is the bus again iff the session
-        #: captures scheduler events — pre-resolved by whoever attaches.
-        #: ``sched_bus``/``ledger``/``trace`` are properties: assigning
-        #: them rebinds the kernel's hot functions, so the detached path
-        #: carries no telemetry branches at all (see _bind_hot_paths).
+        #: own emits on it; the kernel itself never publishes to it.
+        #: ``ledger``/``trace`` are properties: assigning them rebinds the
+        #: kernel's hot functions, so the detached path carries no
+        #: telemetry branches at all (see _bind_hot_paths).
         self.bus: Any = None
-        self._sched_bus: Any = None
         self._ledger: Any = None
         self._trace = trace
         #: Optional fault injector (see :mod:`repro.faults`).  None on
@@ -356,16 +358,6 @@ class Kernel:
         self._bind_hot_paths()
 
     @property
-    def sched_bus(self) -> Any:
-        """Bus for sched.* events; assigning rebinds hot paths."""
-        return self._sched_bus
-
-    @sched_bus.setter
-    def sched_bus(self, value: Any) -> None:
-        self._sched_bus = value
-        self._bind_hot_paths()
-
-    @property
     def ledger(self) -> Any:
         """Cycle ledger; assigning rebinds the accounting path."""
         return self._ledger
@@ -376,22 +368,22 @@ class Kernel:
         self._bind_hot_paths()
 
     def _bind_hot_paths(self) -> None:
-        """Select lean or instrumented variants of the hot functions.
+        """Select lean or traced variants of the hot functions.
 
-        Called whenever ``trace``/``sched_bus``/``ledger`` change.  The
-        bound methods live in the instance dict, shadowing nothing (the
-        class only defines the suffixed variants), so every internal call
-        site — ``self._run_on(...)`` etc. — dispatches straight to the
-        right variant with zero per-event telemetry checks.
+        Called whenever ``trace``/``ledger`` change.  The bound methods
+        live in the instance dict, shadowing nothing (the class only
+        defines the suffixed variants), so every internal call site —
+        ``self._run_on(...)`` etc. — dispatches straight to the right
+        variant with zero per-event telemetry checks.
         """
-        if self._trace is None and self._sched_bus is None:
+        if self._trace is None:
             self._run_on = self._run_on_lean
             self._release_core = self._release_core_lean
             self._finish_thread = self._finish_thread_lean
         else:
-            self._run_on = self._run_on_instrumented
-            self._release_core = self._release_core_instrumented
-            self._finish_thread = self._finish_thread_instrumented
+            self._run_on = self._run_on_traced
+            self._release_core = self._release_core_traced
+            self._finish_thread = self._finish_thread_traced
         if self._ledger is None:
             self._apply_progress = self._apply_progress_lean
         else:
@@ -621,9 +613,8 @@ class Kernel:
             run_on(core, thread)
         self._ready = deferred
 
-    # The _run_on/_release_core/_finish_thread lean and instrumented
-    # variants must stay in lockstep: the instrumented one is the lean body
-    # plus trace/bus emits at the exact points the seed kernel emitted.
+    # Each traced variant records one SchedTrace entry, then runs the lean
+    # body; the lean bodies are the only copies of the scheduling logic.
 
     def _run_on_lean(self, core: LogicalCPU, thread: SimThread) -> None:
         thread.state = ThreadState.RUNNING
@@ -648,33 +639,9 @@ class Kernel:
         else:
             self._start_work(core, thread, "compute", pending.cycles, tag=pending.tag)
 
-    def _run_on_instrumented(self, core: LogicalCPU, thread: SimThread) -> None:
-        thread.state = ThreadState.RUNNING
-        thread.core = core
-        core.thread = thread
-        thread.slice_end = self.now + self.spec.timeslice_cycles
-        if self._trace is not None:
-            self._trace.record(self.now, "dispatch", thread.name, core.index)
-        bus = self._sched_bus
-        if bus is not None:
-            bus.emit("sched.dispatch", thread=thread.name, cpu=core.index)
-        self._sibling_changed(core)
-        pending = thread._pending
-        thread._pending = None
-        if pending is None:
-            value = thread._resume_value
-            thread._resume_value = None
-            self._step(thread, value)
-        elif pending.__class__ is Spin:
-            if thread._spin_result is not None or pending.event.fired:
-                thread._spin_result = None
-                self._step(thread, True)
-            else:
-                self._start_work(
-                    core, thread, "spin", pending.timeout, pending.event, tag=pending.tag
-                )
-        else:
-            self._start_work(core, thread, "compute", pending.cycles, tag=pending.tag)
+    def _run_on_traced(self, core: LogicalCPU, thread: SimThread) -> None:
+        self._trace.record(self.now, "dispatch", thread.name, core.index)
+        self._run_on_lean(core, thread)
 
     def _release_core_lean(self, thread: SimThread) -> None:
         core = thread.core
@@ -690,26 +657,12 @@ class Kernel:
             self._dispatch_queued = True
             self._micro.append(self._try_dispatch)
 
-    def _release_core_instrumented(self, thread: SimThread) -> None:
+    def _release_core_traced(self, thread: SimThread) -> None:
         core = thread.core
-        if core is None:
-            return
-        if thread.state is not ThreadState.DONE:
+        if core is not None and thread.state is not ThreadState.DONE:
             event = "preempt" if thread.state is ThreadState.RUNNING else "park"
-            if self._trace is not None:
-                self._trace.record(self.now, event, thread.name, core.index)
-            bus = self._sched_bus
-            if bus is not None:
-                bus.emit(f"sched.{event}", thread=thread.name, cpu=core.index)
-        thread.core = None
-        core.thread = None
-        core.activity = None
-        if core.index < self._idle_scan_start:
-            self._idle_scan_start = core.index
-        self._sibling_changed(core)
-        if not self._dispatch_queued:
-            self._dispatch_queued = True
-            self._micro.append(self._try_dispatch)
+            self._trace.record(self.now, event, thread.name, core.index)
+        self._release_core_lean(thread)
 
     def _sibling_changed(self, core: LogicalCPU) -> None:
         """Re-time the sibling's running activity after occupancy changed."""
@@ -798,18 +751,10 @@ class Kernel:
             self._release_core(thread)
         thread.done_event.fire(result)
 
-    def _finish_thread_instrumented(self, thread: SimThread, result: Any) -> None:
-        thread.state = ThreadState.DONE
-        thread.result = result
-        if self._trace is not None:
-            cpu = thread.core.index if thread.core is not None else -1
-            self._trace.record(self.now, "finish", thread.name, cpu)
-        bus = self._sched_bus
-        if bus is not None:
-            bus.emit("sched.finish", thread=thread.name)
-        if thread.core is not None:
-            self._release_core(thread)
-        thread.done_event.fire(result)
+    def _finish_thread_traced(self, thread: SimThread, result: Any) -> None:
+        cpu = thread.core.index if thread.core is not None else -1
+        self._trace.record(self.now, "finish", thread.name, cpu)
+        self._finish_thread_lean(thread, result)
 
     def _wake_sleeper(self, thread: SimThread) -> None:
         if thread.state is ThreadState.SLEEPING:

@@ -3,9 +3,6 @@
 Every instrumented layer publishes to the bus installed on its simulation
 kernel (``kernel.bus``):
 
-- :mod:`repro.sim.kernel` — scheduler events (``sched.dispatch``,
-  ``sched.preempt``, ``sched.park``, ``sched.finish``), published only
-  under ``TelemetrySession(capture_sched=True)`` because of their volume;
 - :mod:`repro.sgx.enclave` — ``ecall.complete`` with the execution mode
   the backend chose.  The dense per-ocall record lives in
   :class:`repro.profiler.tracer.CallTracer` instead; the JSONL exporter
@@ -14,12 +11,16 @@ kernel (``kernel.bus``):
   pool vs. exhausted retry budget) and worker sleep/wake transitions;
 - :mod:`repro.core` — ``zc.fallback`` / ``zc.pool_realloc`` /
   ``zc.workers`` and the scheduler's per-probe ``zc.sched.probe`` (each
-  candidate's ``U_i``) and ``zc.sched.decision`` (the chosen argmin);
+  candidate's ``U_i``) and ``zc.sched.decision`` (the chosen argmin; the
+  decision's only record);
+- :mod:`repro.hostos` — ``syscall`` with the handler name and host cycles.
 
 Successful switchless completions deliberately have no event of their
 own: the enclave's per-call ``ocall.complete`` already carries the mode
-the backend chose, so only exceptional paths cost an emit.
-- :mod:`repro.hostos` — ``syscall`` with the handler name and host cycles.
+the backend chose, so only exceptional paths cost an emit.  The kernel
+publishes nothing: its dispatches, preemptions, parks and finishes are
+recorded once, in its :class:`~repro.sim.kernel.SchedTrace` ring, which
+feeds the Chrome trace's CPU lanes.
 
 Publishing costs host time only, never simulated cycles; with no bus
 installed (``kernel.bus is None``) the instrumentation is a single

@@ -2,14 +2,17 @@
 
 A :class:`TelemetrySession` is a context manager an experiment runner (or
 the CLI's ``--telemetry`` / ``--trace`` flags) wraps around
-``module.run(...)``.  While active, :func:`repro.experiments.common.
-build_stack` attaches a :class:`CellCapture` to every kernel it creates:
-an :class:`~repro.telemetry.events.EventBus`, a
-:class:`~repro.telemetry.ledger.CycleLedger`, a scheduler trace and a
-:class:`~repro.profiler.tracer.CallTracer`.  ``Stack.finish()`` finalizes
-the capture — snapshotting the ledger, backend statistics and metrics and
-releasing the simulation objects — so a session accumulates one compact
-capture per experiment cell, exported together at the end.
+``module.run(...)``.  While active, :meth:`repro.api.Runtime.create`
+attaches a :class:`CellCapture` to every kernel it creates: an
+:class:`~repro.telemetry.events.EventBus`, a
+:class:`~repro.telemetry.ledger.CycleLedger`, the kernel's
+:class:`~repro.sim.kernel.SchedTrace` ring and a
+:class:`~repro.profiler.tracer.CallTracer`.  ``Runtime.close()``
+finalizes the capture — snapshotting the ledger, backend statistics and
+metrics and releasing the simulation objects — so a session accumulates
+one compact capture per experiment cell, exported together at the end.
+A cell run in a pool worker comes back as a :class:`CapturePayload`, the
+finished capture as plain data, which the parent keeps and exports as is.
 
 Telemetry is opt-in: with no active session, nothing is installed and the
 instrumented code paths stay on their single ``is None`` check.
@@ -42,6 +45,15 @@ if TYPE_CHECKING:
 #: Stack of active sessions; the innermost wins (supports nesting in tests).
 _ACTIVE: list["TelemetrySession"] = []
 
+#: Event-bus retention bound per cell.
+MAX_EVENTS_PER_CELL = 200_000
+
+#: Ring size of the per-kernel scheduler trace.
+SCHED_TRACE_ENTRIES = 100_000
+
+#: Ring size of the per-enclave call tracer.
+TRACER_MAX_EVENTS = 100_000
+
 
 def active_session() -> "TelemetrySession | None":
     """The innermost active session, or None when telemetry is off."""
@@ -50,11 +62,12 @@ def active_session() -> "TelemetrySession | None":
 
 @dataclass
 class CapturePayload:
-    """One finalized capture as plain picklable data.
+    """One finished capture as plain picklable data.
 
-    What a pool worker ships back to the parent process: everything the
-    exporters read from a capture, with the live objects (kernel, bus
-    clock closure, tracer) already reduced to lists and snapshots.
+    What a pool worker ships back to the parent process, and what the
+    parent keeps and exports: everything the exporters read from a
+    capture, with the live objects (kernel, bus clock closure, tracer)
+    already reduced to lists and snapshots.
     """
 
     label: str
@@ -71,6 +84,17 @@ class CapturePayload:
     worker_timeline: list[tuple[float, float]]
     backend_stats: dict[str, Any]
 
+    def assert_balanced(self, rel_tol: float = 1e-6) -> None:
+        """Assert cycle conservation on the shipped snapshot."""
+        assert self.snapshot is not None
+        self.snapshot.assert_balanced(rel_tol)
+
+    def latency_summary(self) -> dict[str, float]:
+        """p50/p95/p99 summary of the captured end-to-end call latencies."""
+        recorder = LatencyRecorder()
+        recorder.record_many(self.latency_samples)
+        return recorder.summary()
+
 
 @dataclass
 class SessionPayload:
@@ -78,48 +102,6 @@ class SessionPayload:
 
     captures: list[CapturePayload] = field(default_factory=list)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-
-
-class FrozenCapture:
-    """An absorbed capture: exporter-compatible, plain data only.
-
-    Quacks like a finalized :class:`CellCapture` for every exporter and
-    summary path (label, events, sched trace, call events, snapshot,
-    ``assert_balanced``, ``latency_summary``) but holds no simulation
-    objects — it is rebuilt from a :class:`CapturePayload` in the parent
-    process after a pool worker ran the cell.
-    """
-
-    def __init__(self, payload: CapturePayload, label: str) -> None:
-        self.label = label
-        self.freq_hz = payload.freq_hz
-        self.kernel = None
-        self.events = payload.events
-        self.events_dropped = payload.events_dropped
-        self.event_counts = payload.event_counts
-        self.now_cycles = payload.now_cycles
-        self.sched_trace = payload.sched_trace
-        self.call_events = payload.call_events
-        self.calls_dropped = payload.calls_dropped
-        self.snapshot = payload.snapshot
-        self.worker_timeline = payload.worker_timeline
-        self.backend_stats = payload.backend_stats
-        self._latency_samples = payload.latency_samples
-        self.finalized = True
-
-    def finalize(self) -> None:
-        """No-op: a frozen capture is finalized by construction."""
-
-    def assert_balanced(self, rel_tol: float = 1e-6) -> None:
-        """Assert cycle conservation on the absorbed snapshot."""
-        assert self.snapshot is not None
-        self.snapshot.assert_balanced(rel_tol)
-
-    def latency_summary(self) -> dict[str, float]:
-        """p50/p95/p99 summary of the captured end-to-end call latencies."""
-        recorder = LatencyRecorder()
-        recorder.record_many(self._latency_samples)
-        return recorder.summary()
 
 
 class CellCapture:
@@ -136,22 +118,15 @@ class CellCapture:
         # reference: the session holds its captures, and a backref would
         # make every capture cyclic garbage (collector-only reclaim).
         self._registry = session.registry
-        self._tracer_max_events = session.tracer_max_events
         self.label = label
         self.kernel: Kernel | None = kernel
         self.freq_hz = kernel.spec.freq_hz
-        self.bus = EventBus(
-            clock=lambda: kernel.now,
-            max_events=session.max_events_per_cell,
-        )
+        self.bus = EventBus(clock=lambda: kernel.now, max_events=MAX_EVENTS_PER_CELL)
         self.ledger = CycleLedger()
         kernel.bus = self.bus
-        # The kernel's dispatch path reads the pre-resolved ``sched_bus``
-        # instead of checking a capture flag per dispatch.
-        kernel.sched_bus = self.bus if session.capture_sched else None
         kernel.ledger = self.ledger
         if kernel.trace is None:
-            kernel.trace = SchedTrace(session.sched_trace_entries)
+            kernel.trace = SchedTrace(SCHED_TRACE_ENTRIES)
         self.sched_trace: SchedTrace | None = kernel.trace
         self.tracer: CallTracer | None = None
         self._enclave: "Enclave | None" = None
@@ -173,7 +148,7 @@ class CellCapture:
     def bind_enclave(self, enclave: "Enclave") -> None:
         """Install the call tracer on the cell's enclave."""
         self._enclave = enclave
-        self.tracer = CallTracer(max_events=self._tracer_max_events).install(enclave)
+        self.tracer = CallTracer(max_events=TRACER_MAX_EVENTS).install(enclave)
 
     @property
     def enclave(self) -> "Enclave | None":
@@ -201,7 +176,7 @@ class CellCapture:
     def finalize(self) -> None:
         """Snapshot everything and release the simulation objects.
 
-        Idempotent; called by ``Stack.finish()`` after the kernel drains
+        Idempotent; called by ``Runtime.close()`` after the kernel drains
         (so worker exit-cleanup cycles are attributed) and defensively by
         the session's exporters.
         """
@@ -222,7 +197,6 @@ class CellCapture:
             self.tracer = None
         self._snapshot_metrics(kernel)
         kernel.bus = None
-        kernel.sched_bus = None
         kernel.ledger = None
         self.kernel = None
         self._enclave = None
@@ -359,35 +333,18 @@ class TelemetrySession:
     """Context manager collecting one :class:`CellCapture` per stack.
 
     Args:
-        capture_sched: Also publish per-dispatch scheduler events on the
-            bus (high volume; the sched trace covers the Chrome trace's
-            needs without it).
-        max_events_per_cell: Event-bus retention bound per cell.
-        sched_trace_entries: Ring size of the per-kernel scheduler trace.
-        tracer_max_events: Ring size of the per-enclave call tracer.
         on_attach: Called with each new :class:`CellCapture` right after
             it is attached — the hook the ``--audit-invariants`` pytest
-            fixture uses to put live checkers on every cell's bus.  Not
-            forwarded to pool workers (:meth:`config_kwargs`): callbacks
-            don't cross process boundaries.
+            fixture uses to put live checkers on every cell's bus.  Pool
+            workers open their own session without it: callbacks don't
+            cross process boundaries.
     """
 
-    def __init__(
-        self,
-        capture_sched: bool = False,
-        max_events_per_cell: int = 200_000,
-        sched_trace_entries: int = 100_000,
-        tracer_max_events: int = 100_000,
-        on_attach: "Callable[[CellCapture], None] | None" = None,
-    ) -> None:
-        self.capture_sched = capture_sched
-        self.max_events_per_cell = max_events_per_cell
-        self.sched_trace_entries = sched_trace_entries
-        self.tracer_max_events = tracer_max_events
+    def __init__(self, on_attach: "Callable[[CellCapture], None] | None" = None) -> None:
         self.on_attach = on_attach
         #: Holds :class:`CellCapture` for cells run in-process and
-        #: :class:`FrozenCapture` for cells absorbed from pool workers.
-        self.captures: list[CellCapture | FrozenCapture] = []
+        #: :class:`CapturePayload` for cells absorbed from pool workers.
+        self.captures: list[CellCapture | CapturePayload] = []
         self.registry = MetricsRegistry()
         self._label_counts: dict[str, int] = {}
 
@@ -416,27 +373,14 @@ class TelemetrySession:
         return capture
 
     def finalize_all(self) -> None:
-        """Finalize any capture whose stack never called ``finish()``."""
+        """Finalize any capture whose runtime never called ``close()``."""
         for capture in self.captures:
-            if not capture.finalized and capture.kernel is not None:
+            if isinstance(capture, CellCapture):
                 capture.finalize()
 
     # ------------------------------------------------------------------
     # Cross-process transfer (repro.parallel)
     # ------------------------------------------------------------------
-    def config_kwargs(self) -> dict[str, Any]:
-        """The constructor kwargs that recreate this session's config.
-
-        The parallel runner passes these to the child process so each
-        pool worker instruments its cell exactly as the parent would.
-        """
-        return {
-            "capture_sched": self.capture_sched,
-            "max_events_per_cell": self.max_events_per_cell,
-            "sched_trace_entries": self.sched_trace_entries,
-            "tracer_max_events": self.tracer_max_events,
-        }
-
     def to_payload(self) -> SessionPayload:
         """Reduce every capture to plain data for the trip to the parent."""
         self.finalize_all()
@@ -465,7 +409,8 @@ class TelemetrySession:
                 original = capture_payload.label
             unique = self._unique_label(original)
             relabel[capture_payload.label] = unique
-            self.captures.append(FrozenCapture(capture_payload, unique))
+            capture_payload.label = unique
+            self.captures.append(capture_payload)
         self.registry.merge(payload.registry, relabel_cell=relabel)
 
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ from repro.core import ZcConfig, wasted_cycles
 from repro.core.backend import ZcSwitchlessBackend
 from repro.sgx import Enclave, UntrustedRuntime
 from repro.sim import Compute, Kernel, MachineSpec, Sleep
+from repro.telemetry import EventBus
 
 
 class TestWastedCyclesModel:
@@ -37,11 +38,20 @@ class TestWastedCyclesModel:
 
 def build_system(config, spec=None):
     kernel = Kernel(spec or MachineSpec(n_cores=4, smt=2))
+    kernel.bus = EventBus(clock=lambda: kernel.now, max_events=0)
     urts = UntrustedRuntime()
     enclave = Enclave(kernel, urts)
     backend = ZcSwitchlessBackend(config)
     enclave.set_backend(backend)
     return kernel, urts, enclave, backend
+
+
+def recorded_decisions(kernel):
+    """The scheduler's ``(t, [U_0..U_k], M')`` decisions, read off the bus."""
+    return [
+        (event.t_cycles, event.fields["utilities"], event.fields["chosen"])
+        for event in kernel.bus.events_named("zc.sched.decision")
+    ]
 
 
 def busy_caller(kernel, enclave, stop_at_cycles, enclave_work=2_000.0):
@@ -65,7 +75,7 @@ class TestSchedulerAdaptation:
         horizon = kernel.cycles(0.02)
         kernel.run(until_time=horizon)
         assert backend.scheduler is not None
-        decisions = [m for _, _, m in backend.scheduler.decisions]
+        decisions = [m for _, _, m in recorded_decisions(kernel)]
         assert decisions, "scheduler never decided"
         # With no ocall traffic, every F_i is 0 and i=0 minimises U.
         assert all(m == 0 for m in decisions)
@@ -84,7 +94,7 @@ class TestSchedulerAdaptation:
             for i in range(2)
         ]
         kernel.join(*apps)
-        decisions = [m for _, _, m in backend.scheduler.decisions]
+        decisions = [m for _, _, m in recorded_decisions(kernel)]
         assert decisions
         # Two hot callers: the steady-state decision is >= 1 worker (the
         # paper reports 2 workers for 84.4% of its two-thread benchmark).
@@ -118,7 +128,7 @@ class TestSchedulerAdaptation:
             for i in range(2)
         ]
         kernel.join(*apps)
-        decisions = [m for _, _, m in backend.scheduler.decisions]
+        decisions = [m for _, _, m in recorded_decisions(kernel)]
         assert decisions
         steady = decisions[1:]
         assert sum(m == 0 for m in steady) > len(steady) / 2
@@ -138,14 +148,14 @@ class TestSchedulerAdaptation:
         ]
         kernel.join(*apps)
         kernel.run(until_time=kernel.now + kernel.cycles(0.02))
-        decisions = backend.scheduler.decisions
+        decisions = recorded_decisions(kernel)
         # Final decisions (after the burst) must be back at 0 workers.
         assert decisions[-1][2] == 0
 
     def test_decisions_record_probe_utilities(self):
         kernel, urts, enclave, backend = build_system(self.CONFIG)
         kernel.run(until_time=kernel.cycles(0.01))
-        _, utilities, chosen = backend.scheduler.decisions[0]
+        _, utilities, chosen = recorded_decisions(kernel)[0]
         # N/2 + 1 probes on a 8-logical-CPU machine: i in 0..4.
         assert len(utilities) == 5
         assert utilities[chosen] == min(utilities)
@@ -172,7 +182,7 @@ class TestSchedulerAdaptation:
         then (N/2+1 micro-quanta + decision + quantum) per cycle."""
         kernel, urts, enclave, backend = build_system(self.CONFIG)
         kernel.run(until_time=kernel.cycles(0.05))
-        decisions = backend.scheduler.decisions
+        decisions = recorded_decisions(kernel)
         assert len(decisions) >= 3
         times = [t for t, _, _ in decisions]
         quantum = self.CONFIG.quantum_cycles(kernel.spec)

@@ -29,7 +29,7 @@ class TestBuildStack:
     def test_no_sl_uses_regular_backend(self):
         stack = build_stack(no_sl_spec())
         assert isinstance(stack.enclave.backend, RegularBackend)
-        stack.finish()
+        stack.close()
 
     def test_intel_backend_with_config(self):
         stack = build_stack(intel_spec("all", {"read", "write"}, 3))
@@ -37,19 +37,19 @@ class TestBuildStack:
         assert isinstance(backend, IntelSwitchlessBackend)
         assert backend.config.num_uworkers == 3
         assert backend.config.is_switchless("read")
-        stack.finish()
+        stack.close()
 
     def test_zc_backend(self):
         stack = build_stack(zc_spec())
         assert isinstance(stack.enclave.backend, ZcSwitchlessBackend)
-        stack.finish()
+        stack.close()
 
     def test_devices_and_files_present(self):
         stack = build_stack(no_sl_spec(), files={"/data": b"abc"})
         assert stack.fs.exists("/dev/null")
         assert stack.fs.exists("/dev/zero")
         assert stack.fs.contents("/data") == b"abc"
-        stack.finish()
+        stack.close()
 
     def test_cpu_measurement_window(self):
         from repro.sim import Compute
@@ -64,17 +64,17 @@ class TestBuildStack:
         stack.kernel.join(t)
         usage = stack.cpu_usage_pct()
         assert usage == pytest.approx(100.0 / 8, rel=0.05)
-        stack.finish()
+        stack.close()
 
     def test_measurement_requires_start(self):
         stack = build_stack(no_sl_spec())
         with pytest.raises(RuntimeError):
             stack.cpu_usage_pct()
-        stack.finish()
+        stack.close()
 
     def test_finish_stops_backend_threads(self):
         stack = build_stack(zc_spec())
         stack.kernel.run(until_time=100_000)
-        stack.finish()
+        stack.close()
         backend = stack.enclave.backend
         assert all(t.done for t in backend.worker_threads)

@@ -47,7 +47,7 @@ def test_zc_crashes_preserve_conservation_and_immediate_fallback():
         assert total == 800  # crashes recovered, never dropped
         crash_names = [name for _, name, _ in stack.faults.fault_log]
         assert crash_names.count("fault.worker.crash") == 2
-        stack.finish()
+        stack.close()
     violations = [v for auditor in auditors for v in auditor.finish()]
     assert not violations, "\n".join(str(v) for v in violations)
 

@@ -39,7 +39,7 @@ def run_stack_once():
     now = stack.kernel.now
     stats = stack.enclave.stats
     counts = (stats.total_switchless, stats.total_fallback, stats.total_regular)
-    stack.finish()
+    stack.close()
     return log, now, counts
 
 

@@ -13,6 +13,7 @@ from repro.sgx import Enclave, UntrustedRuntime
 from repro.sim import Compute, Kernel, MachineSpec
 from repro.api import make_backend
 from repro.switchless import SwitchlessConfig
+from repro.telemetry import EventBus
 
 
 def build():
@@ -223,10 +224,11 @@ class TestZcEcalls:
 
     def test_scheduler_releases_trusted_workers_when_idle(self):
         kernel, enclave = build()
+        kernel.bus = EventBus(clock=lambda: kernel.now)
         runtime = ZcEcallRuntime(ZcConfig(quantum_seconds=0.002)).attach(enclave)
         kernel.run(until_time=kernel.cycles(0.02))
         assert runtime.scheduler is not None
-        decisions = [m for _, _, m in runtime.scheduler.decisions]
+        decisions = [e.fields["chosen"] for e in kernel.bus.events_named("zc.sched.decision")]
         assert decisions and all(m == 0 for m in decisions)
 
     def test_pool_recycle_stays_inside_enclave(self):

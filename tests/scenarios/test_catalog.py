@@ -15,8 +15,6 @@ from repro.scenarios import (
 )
 from repro.telemetry.schema import read_artifact
 
-ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-
 
 class TestCatalog:
     def test_names_unique_and_ordered(self):
@@ -51,7 +49,7 @@ class TestCommittedTraces:
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_committed_trace_matches_regeneration(self, name):
-        path = trace_path(name, ROOT)
+        path = trace_path(name)
         assert os.path.exists(path), (
             f"missing committed trace {path}; run 'repro scenarios gen {name}'"
         )
@@ -64,7 +62,7 @@ class TestCommittedTraces:
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_committed_baseline_exists_and_points_at_the_trace(self, name):
-        path = baseline_path(name, ROOT)
+        path = baseline_path(name)
         assert os.path.exists(path), (
             f"missing committed baseline {path}; run "
             f"'repro serve bench --scenario {name} --shards 4 --budget 16 --out {path}'"
@@ -72,7 +70,7 @@ class TestCommittedTraces:
         baseline = read_artifact(path, ("serve-bench",))
         assert baseline["params"]["scenario"] == name
         assert baseline["spec"]["scenario"] == name
-        committed = load_trace(trace_path(name, ROOT))
+        committed = load_trace(trace_path(name))
         assert baseline["params"]["trace_digest"] == committed.digest
         assert baseline["params"]["trace_events"] == len(committed.events)
         assert baseline["totals"]["issued"] == len(committed.events)

@@ -8,7 +8,6 @@ may not).
 """
 
 import copy
-import os
 
 import pytest
 
@@ -18,8 +17,6 @@ from repro.regress.baselines import BASELINES, compare_serve
 from repro.scenarios.trace import write_trace
 from repro.serve.bench import run_bench
 from repro.telemetry.schema import read_artifact, write_artifact
-
-REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..")
 
 LIGHT = ServeSpec(
     shards=2,
@@ -122,7 +119,7 @@ class TestReplayBasics:
 class TestReplayAudit:
     def test_one_slice_replay_runs_the_auditors(self):
         spec = BenchSpec(serve=ServeSpec(shards=4, budget=16), scenario="steady-mixed")
-        result = run_bench(spec, root=REPO_ROOT, audit=True)
+        result = run_bench(spec, audit=True)
         assert result["audit"]["ok"] is True
         assert [cell["cell"] for cell in result["audit"]["cells"]] == ["serve-zcx4"]
 

@@ -16,8 +16,69 @@ import pytest
 from repro.api import BenchSpec, ServeSpec
 from repro.profiler.meta import run_storm
 from repro.serve.bench import run_bench
-from repro.sim import Compute, Kernel, Sleep, paper_machine
+from repro.sim import (
+    Block,
+    Compute,
+    Kernel,
+    MachineSpec,
+    SchedTrace,
+    Sleep,
+    Spin,
+    YieldCPU,
+    paper_machine,
+)
 from repro.sim.timerqueue import COMPACT_MIN_CANCELLED, Timer, TimerHeap
+
+
+def run_random_programs(seed):
+    """The kernel's scheduling trace under seeded random thread programs.
+
+    Four logical CPUs (two SMT pairs) and a short timeslice carry eight
+    threads, some pinned by affinity masks, that mix Compute, Spin, Block,
+    Sleep and YieldCPU; a signaller thread fires the shared events one by
+    one (so every Block ends) and two threads are killed mid-run.
+    """
+    spec = MachineSpec(n_cores=2, smt=2, timeslice_cycles=6_000.0)
+    trace = SchedTrace(max_entries=1_000_000)
+    kernel = Kernel(spec, trace=trace)
+    rng = random.Random(seed)
+    events = [kernel.event(f"e{i}") for i in range(10)]
+
+    def program(r):
+        for _ in range(r.randint(15, 40)):
+            op = r.random()
+            if op < 0.35:
+                yield Compute(r.uniform(200.0, 20_000.0), tag=r.choice(("a", "b", None)))
+            elif op < 0.5:
+                yield Spin(r.choice(events), r.uniform(100.0, 9_000.0), tag="spin")
+            elif op < 0.6:
+                yield Block(r.choice(events))
+            elif op < 0.8:
+                yield Sleep(r.uniform(50.0, 12_000.0))
+            else:
+                yield YieldCPU()
+
+    def signaller(r):
+        for event in events:
+            yield Sleep(r.uniform(2_000.0, 15_000.0))
+            event.fire(event.name)
+
+    masks = (None, None, None, frozenset({0}), frozenset({1, 3}), frozenset({2, 3}))
+    threads = [
+        kernel.spawn(
+            program(random.Random(rng.random())),
+            name=f"t{i}",
+            kind=rng.choice(("app", "worker")),
+            affinity=rng.choice(masks),
+        )
+        for i in range(8)
+    ]
+    threads.append(kernel.spawn(signaller(random.Random(rng.random())), name="signaller"))
+    for victim in rng.sample(threads[:8], 2):
+        kernel.call_at(rng.uniform(5_000.0, 60_000.0), lambda t=victim: kernel.kill(t))
+    kernel.join(*threads)
+    assert trace.dropped == 0
+    return trace
 
 
 def drain(queue):
@@ -253,3 +314,18 @@ class TestPinnedOutcomes:
         del result["meta"]  # version stamp, not a simulated outcome
         digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
         assert digest == "156a1ba33465d3e0d4e74f02cf9a287c8d6e54b2611f1eda79e0505022f6c4a5"
+
+    @pytest.mark.parametrize(
+        ("seed", "entries", "digest"),
+        [
+            (1, 397, "0e4cca1c4b93db1f42c1420a7a6be0ecbd9a722bcc4dc9a0398f2270cfd684a1"),
+            (2, 293, "c188730a25569066bf88a86ef6e0b4664521627af814465c7346f78c3797634a"),
+            (3, 379, "cf40617c712655a666aec7c72b2c8dd9fe0d3ec77c92cff7e0fbd33f6ad44bca"),
+        ],
+    )
+    def test_sched_trace_of_random_programs(self, seed, entries, digest):
+        # Every dispatch, preempt, park and finish, in order, with its
+        # cycle stamp and CPU: the kernel's scheduling decisions exactly.
+        trace = run_random_programs(seed)
+        recorded = json.dumps(list(trace.entries)).encode()
+        assert (len(trace.entries), hashlib.sha256(recorded).hexdigest()) == (entries, digest)

@@ -21,7 +21,7 @@ class TestSessionAttachment:
             assert stack.telemetry is not None
             assert stack.kernel.bus is stack.telemetry.bus
             assert stack.kernel.ledger is stack.telemetry.ledger
-            stack.finish()
+            stack.close()
         capture = session.captures[0]
         assert capture.finalized
         assert capture.label == "no_sl"
@@ -31,26 +31,9 @@ class TestSessionAttachment:
 
     def test_duplicate_labels_get_unique_suffixes(self):
         with telemetry.TelemetrySession() as session:
-            build_stack(no_sl_spec()).finish()
-            build_stack(no_sl_spec()).finish()
+            build_stack(no_sl_spec()).close()
+            build_stack(no_sl_spec()).close()
         assert [c.label for c in session.captures] == ["no_sl", "no_sl#1"]
-
-    def test_capture_sched_publishes_dispatch_events(self):
-        # sched events flow only when opted in: the kernel's dispatch path
-        # reads the pre-resolved ``sched_bus``, so the session must wire it.
-        with telemetry.TelemetrySession(capture_sched=True) as session:
-            fig8.run_one(no_sl_spec(), n_keys=40)
-        capture = session.captures[0]
-        assert capture.event_counts.get("sched.dispatch", 0) > 0
-
-    def test_sched_events_off_by_default(self):
-        with telemetry.TelemetrySession() as session:
-            stack = build_stack(no_sl_spec())
-            assert stack.kernel.sched_bus is None
-            fig8.run_one(no_sl_spec(), n_keys=40)
-            stack.finish()
-        for capture in session.captures:
-            assert capture.event_counts.get("sched.dispatch", 0) == 0
 
     def test_active_session_stack(self):
         assert telemetry.active_session() is None
@@ -85,6 +68,8 @@ class TestExporters:
         assert cells == {"no_sl", "zc"}
         assert any(r["event"] == "ocall.complete" for r in records)
         assert any(r["event"] == "syscall" for r in records)
+        # The kernel's dispatches live in the sched trace ring, not the log.
+        assert not any(r["event"].startswith("sched.") for r in records)
         # Every cell closes with a meta line carrying the drop counters
         # and the machine context replay needs.
         metas = [r for r in records if r["event"] == "telemetry.meta"]
@@ -135,17 +120,18 @@ class TestExporters:
 
 
 class TestRingDrops:
-    def test_every_completed_ocall_is_traced_or_counted_dropped(self):
+    def test_every_completed_ocall_is_traced_or_counted_dropped(self, monkeypatch):
         # A 16-entry call ring and a 4-entry sched ring under 200 zc
         # ocalls: telemetry.meta must account for every completed call and
         # report the sched drops, in the live session and in a session
         # that absorbed the cell as a pool worker's payload.
         from repro.sim import Compute
+        from repro.telemetry import session as session_module
         from repro.telemetry.exporters import _event_records
 
-        with telemetry.TelemetrySession(
-            tracer_max_events=16, sched_trace_entries=4
-        ) as session:
+        monkeypatch.setattr(session_module, "TRACER_MAX_EVENTS", 16)
+        monkeypatch.setattr(session_module, "SCHED_TRACE_ENTRIES", 4)
+        with telemetry.TelemetrySession() as session:
             stack = build_stack(zc_spec())
             enclave = stack.enclave
 
@@ -161,7 +147,7 @@ class TestRingDrops:
             stack.kernel.join(*(stack.kernel.spawn(app()) for _ in range(2)))
             stats = enclave.stats
             completed = stats.total_regular + stats.total_switchless + stats.total_fallback
-            stack.finish()
+            stack.close()
         assert completed == 200
         absorbed = telemetry.TelemetrySession()
         absorbed.absorb(session.to_payload())

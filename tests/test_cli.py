@@ -10,6 +10,7 @@ import pytest
 from repro.api import AutoscaleSpec, BenchSpec, ServeSpec
 from repro.cli import QUICK_KWARGS, build_parser, main, run_experiment
 from repro.experiments import EXPERIMENTS
+from repro.scenarios import catalog
 from repro.telemetry.schema import read_artifact, stamp, write_artifact
 
 BASELINES_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "baselines")
@@ -335,6 +336,7 @@ class TestScenarioCommands:
         # writes its artifact, which is its own baseline: diff re-runs
         # its spec and passes.
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(catalog, "CHECKOUT", str(tmp_path))
         assert main(["scenarios", "gen", "hotkey-shift"]) == 0
         assert (tmp_path / "traces" / "hotkey-shift.trace.jsonl").exists()
         assert main(["scenarios", "gen", "hotkey-shift", "--check"]) == 0
@@ -355,6 +357,7 @@ class TestScenarioCommands:
 
     def test_gen_check_flags_drift(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(catalog, "CHECKOUT", str(tmp_path))
         assert main(["scenarios", "gen", "diurnal-kv"]) == 0
         path = tmp_path / "traces" / "diurnal-kv.trace.jsonl"
         lines = path.read_text().splitlines()
@@ -368,12 +371,28 @@ class TestScenarioCommands:
 
     def test_replay_missing_trace_fails_cleanly(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(catalog, "CHECKOUT", str(tmp_path))
         with pytest.raises(SystemExit, match="scenarios gen"):
             main(["serve", "bench", "--scenario", "flash-crowd", "--shards", "4", "--budget", "16"])
 
     def test_sweep_unknown_scenario_fails_cleanly(self):
         with pytest.raises(SystemExit, match="choices"):
             main(["autoscale", "sweep", "--scenario", "nope"])
+
+    def test_committed_traces_resolve_outside_the_checkout(self, tmp_path, monkeypatch):
+        # The committed traces belong to the checkout, not the working
+        # directory: a scenario baseline gates, and a scenario replay
+        # rewrites it byte for byte, from any directory.
+        monkeypatch.chdir(tmp_path)
+        baseline = os.path.abspath(os.path.join(BASELINES_DIR, "scenario-steady-mixed.json"))
+        assert main(["diff", baseline]) == 0
+        out = tmp_path / "steady-mixed.json"
+        assert main([
+            "serve", "bench", "--scenario", "steady-mixed", "--shards", "4",
+            "--budget", "16", "--out", str(out),
+        ]) == 0
+        with open(baseline, "rb") as committed:
+            assert out.read_bytes() == committed.read()
 
 
 class TestBaselineFiles:
