@@ -2,11 +2,13 @@
 
 from benchmarks.conftest import emit
 from repro.experiments import fig3
+from repro.experiments.suite import run_experiment
 
 
 def test_fig3_g_duration_sweep(benchmark):
     result = benchmark.pedantic(
-        fig3.run,
+        run_experiment,
+        args=("fig3",),
         kwargs={
             "total_calls": 6_000,
             "workers": (1, 3, 5),
@@ -14,6 +16,6 @@ def test_fig3_g_duration_sweep(benchmark):
         },
         rounds=1,
         iterations=1,
-    )
+    ).result
     emit("Fig. 3 g-duration sweep", fig3.report(result))
     assert fig3.check_shape(result) == []

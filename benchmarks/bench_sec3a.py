@@ -2,11 +2,16 @@
 
 from benchmarks.conftest import emit
 from repro.experiments import sec3a
+from repro.experiments.suite import run_experiment
 
 
 def test_sec3a_config_ordering(benchmark):
     result = benchmark.pedantic(
-        sec3a.run, kwargs={"total_calls": 20_000}, rounds=1, iterations=1
-    )
+        run_experiment,
+        args=("sec3a",),
+        kwargs={"total_calls": 20_000},
+        rounds=1,
+        iterations=1,
+    ).result
     emit("§III-A synthetic configurations", sec3a.report(result))
     assert sec3a.check_shape(result) == []

@@ -7,22 +7,29 @@ Usage::
     python -m repro run fig8 --quick    # scaled-down smoke run
     python -m repro run all --quick
 
-Each run prints the series the paper's figure plots and the result of the
-shape check; the exit code is non-zero if any shape expectation is
-violated.  ``--csv DIR`` additionally writes each figure's data table as
-``<experiment>.csv`` for external plotting.
+``repro run`` is the one way to run an experiment.  Each run prints the
+series the paper's figure plots and the result of the shape check; the
+exit code is non-zero if any shape expectation is violated.  ``--csv
+DIR`` additionally writes each figure's data table as ``<experiment>.csv``
+for external plotting, and ``--report FILE`` writes every experiment's
+table and verdict as one markdown report.  In one invocation, an
+experiment whose cells equal an earlier one's (fig9 = fig8, fig12 =
+fig11) reuses its rows instead of running them again.
 
 Observability (see ``docs/observability.md``):
 
 - ``--telemetry DIR`` captures the full telemetry suite per experiment —
   JSONL event log, Chrome trace, Prometheus-style metrics and a
   cycle-budget table (also printed after the report);
-- ``--trace DIR`` writes just the Chrome trace (scheduler lanes + ocalls).
+- ``--trace DIR`` writes just the Chrome trace (scheduler lanes + ocalls);
+- ``--audit`` attaches the live paper-invariant checkers to every cell;
+  their violations drive the exit code.
 
 Performance (see ``docs/performance.md``):
 
 - ``--jobs N`` fans independent cells over N worker processes
-  (``auto`` = host CPU count) with bit-identical results;
+  (``auto`` = host CPU count) with bit-identical results; ``--audit``
+  and ``--plan`` keep cells in-process;
 - ``--no-cache`` / ``--cache-dir DIR`` control the content-addressed
   result cache (default ``.repro_cache/``).
 
@@ -35,16 +42,16 @@ Regression sentinel (see the "Regression workflow" section of
   snapshot's experiments, or the spec a serve-family baseline embeds),
   or reads a second file with ``--against``, and fails on confirmed
   regressions;
-- ``repro audit`` runs the paper-invariant checkers live over an
-  experiment, or replays an exported ``*.events.jsonl``.
+- ``repro audit --events FILE`` replays an exported ``*.events.jsonl``
+  through the paper-invariant checkers.
 
 Fault injection (see ``docs/faults.md``):
 
 - ``repro faults list`` / ``repro faults show PLAN`` inspect the named
   fault plans (and ``show`` pretty-prints any plan JSON file);
-- ``repro faults run EXPERIMENT --plan PLAN`` runs one experiment under
-  a fault plan — optionally with ``--audit`` (live invariant checkers;
-  gates the exit code) and ``--telemetry DIR``;
+- ``repro run EXPERIMENT --plan PLAN`` runs experiments under a fault
+  plan: the shape check turns informational, the fault events are
+  counted, and files are named ``<experiment>-<plan>.*``;
 - ``repro baseline --plan PLAN`` captures a faulty-run baseline, and
   ``repro diff`` re-runs under the baseline's recorded plan, gating on
   the ``fault`` cycle category (the fault_overhead bound).
@@ -66,6 +73,7 @@ packs" section of ``docs/observability.md``):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -90,52 +98,6 @@ QUICK_KWARGS: dict[str, dict[str, Any]] = {
     "sec5d": {"record_sizes": (4_096, 16_384), "records": 60},
     "serve": {"shard_counts": (1, 2), "seconds": 0.05},
 }
-
-
-def run_experiment(
-    exp_id: str,
-    quick: bool,
-    csv_dir: str | None = None,
-    telemetry_dir: str | None = None,
-    trace_dir: str | None = None,
-    jobs: int | str = 1,
-    cache: Any | None = None,
-) -> int:
-    """Run one experiment; returns the number of shape violations."""
-    module = EXPERIMENTS[exp_id]
-    kwargs = QUICK_KWARGS.get(exp_id, {}) if quick else {}
-    started = time.monotonic()
-    session = None
-    if telemetry_dir is not None or trace_dir is not None:
-        from repro.telemetry import TelemetrySession
-
-        session = TelemetrySession()
-        # A cache hit skips the cell, so nothing would be captured; an
-        # observed run must execute every cell.
-        cache = None
-    if session is not None:
-        with session:
-            result = module.run(**kwargs, jobs=jobs, cache=cache)
-    else:
-        result = module.run(**kwargs, jobs=jobs, cache=cache)
-    elapsed = time.monotonic() - started
-    print(module.report(result))
-    if session is not None:
-        if telemetry_dir is not None:
-            _export_telemetry(session, telemetry_dir, exp_id)
-        if trace_dir is not None:
-            path = session.export_trace(trace_dir, exp_id)
-            print(f"[trace written to {path}]")
-    if csv_dir is not None:
-        headers, rows = module.table(result)
-        path = os.path.join(csv_dir, f"{exp_id}.csv")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(to_csv(headers, rows))
-        print(f"[csv written to {path}]")
-    print()
-    violations = _print_check("shape check", module.check_shape(result), "matches the paper")
-    print(f"[{exp_id}: {elapsed:.1f}s wall]")
-    return violations
 
 
 def _print_check(label: str, violations: Sequence[str], ok_note: str) -> int:
@@ -277,27 +239,6 @@ def _print_verdicts(result: dict[str, Any]) -> int:
     ]
     print("\n" + render_verdicts(verdicts))
     return result["slo"]["hard_breaches"]
-
-
-def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
-    """The shared --jobs/--no-cache/--cache-dir flags (run + report)."""
-    parser.add_argument(
-        "--jobs",
-        default="1",
-        metavar="N",
-        help="run cells over N worker processes ('auto' = CPU count; default 1)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="always execute cells, even when a cached result exists",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result-cache location (default .repro_cache)",
-    )
 
 
 def _make_cache(args: argparse.Namespace) -> Any | None:
@@ -504,99 +445,26 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    """Run the invariant checkers, live or over an exported event log."""
-    from repro.regress import attach_auditor, audit_jsonl
+    """Replay an exported event log through the invariant checkers."""
+    from repro.regress import audit_jsonl
 
-    auditors = []
-    if args.events is not None:
-        auditors = list(audit_jsonl(args.events).values())
-    else:
-        if args.experiment is None:
-            raise SystemExit("audit needs an experiment id or --events FILE")
-        from repro.telemetry import TelemetrySession
-
-        module = EXPERIMENTS[args.experiment]
-        kwargs = QUICK_KWARGS.get(args.experiment, {}) if args.quick else {}
-        live = []
-        # jobs=1: the checkers subscribe to in-process buses; pool workers
-        # would run their cells in children the auditors cannot see.
-        with TelemetrySession(on_attach=lambda c: live.append(attach_auditor(c))):
-            module.run(**kwargs, jobs=1, cache=None)
-        for auditor in live:
-            auditor.finish()
-        auditors = live
-    return 1 if _print_auditors(auditors) else 0
+    return 1 if _print_auditors(list(audit_jsonl(args.events).values())) else 0
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    """Inspect fault plans, or run one experiment under a plan."""
-    from repro.faults import NAMED_PLANS, activate_plan
-
-    if args.faults_cmd == "list":
-        for name, plan in NAMED_PLANS.items():
-            kinds: dict[str, int] = {}
-            for spec in plan.faults:
-                kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
-            summary = ", ".join(f"{n}x {kind}" for kind, n in sorted(kinds.items()))
-            print(f"{name:14s} seed={plan.seed:<7d} {summary}")
-        return 0
-    plan = _resolve_plan(args.plan)
+    """List the named fault plans, or print one plan as JSON."""
     if args.faults_cmd == "show":
-        print(plan.to_json())
+        print(_resolve_plan(args.plan).to_json())
         return 0
+    from repro.faults import NAMED_PLANS
 
-    # faults run
-    module = EXPERIMENTS[args.experiment]
-    kwargs = QUICK_KWARGS.get(args.experiment, {}) if args.quick else {}
-    from repro.telemetry import TelemetrySession
-
-    live: list[Any] = []
-    on_attach = None
-    if args.audit:
-        from repro.regress import attach_auditor
-
-        on_attach = lambda capture: live.append(attach_auditor(capture))  # noqa: E731
-    started = time.monotonic()
-    # jobs=1: the active plan is process-global state, serial cells keep
-    # the injected schedule deterministic, and (with --audit) the live
-    # checkers subscribe to in-process buses.
-    with TelemetrySession(on_attach=on_attach) as session:
-        with activate_plan(plan):
-            result = module.run(**kwargs, jobs=1, cache=None)
-    elapsed = time.monotonic() - started
-    print(module.report(result))
-
-    fault_counts: dict[str, int] = {}
-    for capture in session.captures:
-        for name, count in capture.event_counts.items():
-            if name.startswith("fault."):
-                fault_counts[name] = fault_counts.get(name, 0) + count
-    print(f"\nfault plan '{plan.name}' (seed {plan.seed}):")
-    if fault_counts:
-        for name in sorted(fault_counts):
-            print(f"  {name:30s} {fault_counts[name]}")
-    else:
-        print("  no fault events fired (all fault instants past the run's end?)")
-
-    if args.telemetry is not None:
-        _export_telemetry(session, args.telemetry, f"{args.experiment}-{plan.name}")
-
-    # Under injected faults the paper-shape envelopes may legitimately
-    # move: report the shape check, but gate on the invariant audit only.
-    print()
-    _print_check(
-        "shape check (informational under faults)",
-        module.check_shape(result),
-        "matches the paper even under faults",
-    )
-
-    audit_violations = 0
-    if args.audit:
-        for auditor in live:
-            auditor.finish()
-        audit_violations = _print_auditors(live)
-    print(f"[{args.experiment} under '{plan.name}': {elapsed:.1f}s wall]")
-    return 1 if audit_violations else 0
+    for name, plan in NAMED_PLANS.items():
+        kinds: dict[str, int] = {}
+        for spec in plan.faults:
+            kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
+        summary = ", ".join(f"{n}x {kind}" for kind, n in sorted(kinds.items()))
+        print(f"{name:14s} seed={plan.seed:<7d} {summary}")
+    return 0
 
 
 def _committed_trace(name: str) -> str:
@@ -1070,57 +938,123 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    """Run every experiment and write the markdown report."""
-    from repro.experiments.suite import render_markdown, run_suite
+def _print_fault_counts(session: Any, plan: Any) -> None:
+    """Print how often each fault event fired across a session's cells."""
+    counts: dict[str, int] = {}
+    for capture in session.captures:
+        for name, count in capture.event_counts.items():
+            if name.startswith("fault."):
+                counts[name] = counts.get(name, 0) + count
+    print(f"\nfault plan '{plan.name}' (seed {plan.seed}):")
+    if counts:
+        for name in sorted(counts):
+            print(f"  {name:30s} {counts[name]}")
+    else:
+        print("  no fault events fired (all fault instants past the run's end?)")
 
-    overrides = QUICK_KWARGS if args.quick else {}
-    cache = _make_cache(args)
-    outcomes = run_suite(overrides=overrides, jobs=args.jobs, cache=cache)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(render_markdown(outcomes))
+
+def _run_one(
+    exp_id: str, args: argparse.Namespace, plan: Any, cache: Any, earlier: list[Any]
+) -> tuple[Any, int]:
+    """Run, print, export and check one experiment under the flags;
+    returns its outcome and its failure count (shape violations outside
+    a fault plan, audit violations always)."""
+    from repro.experiments.suite import run_experiment
+
+    session = None
+    auditors: list[Any] = []
+    if args.telemetry or args.trace or args.audit or plan is not None:
+        from repro.telemetry import TelemetrySession
+
+        on_attach = None
+        if args.audit:
+            from repro.regress import attach_auditor
+
+            on_attach = lambda capture: auditors.append(attach_auditor(capture))  # noqa: E731
+        session = TelemetrySession(on_attach=on_attach)
+    with contextlib.ExitStack() as scope:
+        if session is not None:
+            scope.enter_context(session)
+        if plan is not None:
+            from repro.faults import activate_plan
+
+            scope.enter_context(activate_plan(plan))
+        outcome = run_experiment(
+            exp_id,
+            jobs=args.jobs,
+            cache=cache,
+            earlier=earlier,
+            **(QUICK_KWARGS.get(exp_id, {}) if args.quick else {}),
+        )
+    print(EXPERIMENTS[exp_id].report(outcome.result))
+    name = exp_id if plan is None else f"{exp_id}-{plan.name}"
+    if outcome.shared_with is not None:
+        # Its cells ran (and were observed) once, as the earlier experiment's.
+        files = "" if session is None else "; its files, fault counts and audit cover them"
+        print(f"[cells shared with {outcome.shared_with}{files}]")
+    elif session is not None:
+        if plan is not None:
+            _print_fault_counts(session, plan)
+        if args.telemetry is not None:
+            _export_telemetry(session, args.telemetry, name)
+        if args.trace is not None:
+            print(f"[trace written to {session.export_trace(args.trace, name)}]")
     if args.csv is not None:
-        os.makedirs(args.csv, exist_ok=True)
-        for outcome in outcomes:
-            path = os.path.join(args.csv, f"{outcome.exp_id}.csv")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(to_csv(outcome.headers, outcome.rows))
-    failed = [o.exp_id for o in outcomes if not o.ok]
-    print(f"report written to {args.out}")
-    hits = sum(o.cache_hits for o in outcomes)
-    misses = sum(o.cache_misses for o in outcomes)
-    cache_note = "cache disabled" if cache is None else f"{hits} cached, {misses} run"
-    print(f"[jobs {outcomes[0].jobs if outcomes else 1} · cells: {cache_note}]")
-    if failed:
-        print(f"shape violations in: {', '.join(failed)}")
-    return 1 if failed else 0
+        path = os.path.join(args.csv, f"{name}.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(to_csv(outcome.headers, outcome.rows))
+        print(f"[csv written to {path}]")
+    print()
+    failures = 0
+    if plan is None:
+        failures += _print_check("shape check", outcome.violations, "matches the paper")
+    else:
+        # Under injected faults the paper-shape envelopes may legitimately
+        # move: report the shape check, but gate on the invariant audit only.
+        _print_check(
+            "shape check (informational under faults)",
+            outcome.violations,
+            "matches the paper even under faults",
+        )
+    if args.audit and outcome.shared_with is None:
+        for auditor in auditors:
+            auditor.finish()
+        failures += _print_auditors(auditors)
+    under = "" if plan is None else f" under '{plan.name}'"
+    print(f"[{exp_id}{under}: {outcome.wall_seconds:.1f}s wall]")
+    return outcome, failures
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """Run one experiment (or all) and shape-check it."""
+    """Run one experiment (or all); optionally write the markdown report."""
+    plan = _resolve_plan(args.plan)
     if args.csv is not None:
         os.makedirs(args.csv, exist_ok=True)
     cache = _make_cache(args)
     targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    total_violations = 0
+    outcomes: list[Any] = []
+    failures = 0
     for exp_id in targets:
         print(f"\n### {exp_id} " + "#" * 50)
-        total_violations += run_experiment(
-            exp_id,
-            args.quick,
-            args.csv,
-            args.telemetry,
-            args.trace,
-            jobs=args.jobs,
-            cache=cache,
-        )
-    return 1 if total_violations else 0
+        outcome, failed = _run_one(exp_id, args, plan, cache, outcomes)
+        outcomes.append(outcome)
+        failures += failed
+    if args.report is not None:
+        from repro.experiments.suite import render_markdown
+
+        with open(args.report, "w", encoding="utf-8") as handle:
+            handle.write(render_markdown(outcomes))
+        print(f"report written to {args.report}")
+        hits = sum(o.cache_hits for o in outcomes)
+        misses = sum(o.cache_misses for o in outcomes)
+        cache_note = "cache disabled" if cache is None else f"{hits} cached, {misses} run"
+        print(f"[jobs {outcomes[0].jobs} · cells: {cache_note}]")
+    return 1 if failures else 0
 
 
 _COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
-    "report": _cmd_report,
     "baseline": _cmd_baseline,
     "diff": _cmd_diff,
     "audit": _cmd_audit,
@@ -1140,7 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce figures of 'SGX Switchless Calls Made Configless'",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
-            "parallelism and caching (run/report subcommands):\n"
+            "parallelism and caching (run subcommand):\n"
             "  --jobs N       fan independent experiment cells over N worker\n"
             "                 processes ('auto' = host CPU count).  Results are\n"
             "                 bit-identical to --jobs 1: cells own their kernels\n"
@@ -1149,7 +1083,9 @@ def build_parser() -> argparse.ArgumentParser:
             "                 default cells whose (code, parameters) were already\n"
             "                 computed are served from .repro_cache/.\n"
             "  --cache-dir D  keep the cache somewhere else.\n"
-            "  Runs with --telemetry/--trace always execute every cell.\n"
+            "  Runs with --telemetry/--trace/--audit/--plan always execute every\n"
+            "  cell, and --audit/--plan run every cell in-process: live checkers\n"
+            "  and the active fault plan do not cross process boundaries.\n"
             "  See docs/performance.md for details."
         ),
     )
@@ -1171,18 +1107,47 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--trace", metavar="DIR", help="write a Chrome trace per experiment into DIR"
     )
-    _add_parallel_args(run_parser)
-    report_parser = sub.add_parser(
-        "report", help="run every experiment and write a markdown report"
+    run_parser.add_argument(
+        "--plan",
+        default=None,
+        metavar="PLAN",
+        help=(
+            "run under a fault plan (name or JSON file): the shape check turns "
+            "informational, fault events are counted, files are named "
+            "<experiment>-<plan>.*"
+        ),
     )
-    report_parser.add_argument("--out", default="report.md", help="output file")
-    report_parser.add_argument(
-        "--quick", action="store_true", help="scaled-down parameters"
+    run_parser.add_argument(
+        "--audit",
+        action="store_true",
+        help="attach live invariant checkers to every cell; violations drive the exit code",
     )
-    report_parser.add_argument(
-        "--csv", metavar="DIR", help="also write each experiment's CSV into DIR"
+    run_parser.add_argument(
+        "--report",
+        default=None,
+        metavar="FILE",
+        help="also write every experiment's table and verdict as markdown",
     )
-    _add_parallel_args(report_parser)
+    run_parser.add_argument(
+        "--jobs",
+        default="1",
+        metavar="N",
+        help=(
+            "run cells over N worker processes ('auto' = CPU count; default 1); "
+            "--audit and --plan keep cells in-process"
+        ),
+    )
+    run_parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="always execute cells, even when a cached result exists",
+    )
+    run_parser.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="result-cache location (default .repro_cache)",
+    )
 
     baseline_parser = sub.add_parser(
         "baseline", help="snapshot a run for later regression diffs"
@@ -1255,45 +1220,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     audit_parser = sub.add_parser(
-        "audit", help="check paper invariants, live or from an event log"
+        "audit", help="replay an exported event log through the invariant checkers"
     )
     audit_parser.add_argument(
-        "experiment", nargs="?", choices=list(EXPERIMENTS), help="run live"
-    )
-    audit_parser.add_argument(
-        "--events", default=None, metavar="FILE", help="replay an exported *.events.jsonl"
-    )
-    audit_parser.add_argument(
-        "--quick", action="store_true", help="scaled-down parameters"
+        "--events", required=True, metavar="FILE", help="an exported *.events.jsonl"
     )
 
-    faults_parser = sub.add_parser(
-        "faults", help="inspect fault plans / run an experiment under one"
-    )
+    faults_parser = sub.add_parser("faults", help="inspect the named fault plans")
     faults_sub = faults_parser.add_subparsers(dest="faults_cmd", required=True)
     faults_sub.add_parser("list", help="list the named fault plans")
     faults_show = faults_sub.add_parser("show", help="print a plan as JSON")
     faults_show.add_argument("plan", help="plan name or JSON file")
-    faults_run = faults_sub.add_parser(
-        "run", help="run one experiment under a fault plan (always jobs=1, no cache)"
-    )
-    faults_run.add_argument("experiment", choices=list(EXPERIMENTS))
-    faults_run.add_argument(
-        "--plan", default="crash-heavy", help="plan name or JSON file (default crash-heavy)"
-    )
-    faults_run.add_argument(
-        "--quick", action="store_true", help="scaled-down parameters"
-    )
-    faults_run.add_argument(
-        "--audit",
-        action="store_true",
-        help="attach live invariant checkers; violations drive the exit code",
-    )
-    faults_run.add_argument(
-        "--telemetry",
-        metavar="DIR",
-        help="capture telemetry (events/trace/metrics/cycle budget) into DIR",
-    )
     serve_parser = sub.add_parser(
         "serve", help="sharded multi-enclave serving layer"
     )

@@ -1,9 +1,12 @@
-"""One runner per paper figure/table.
+"""One module per paper figure/table.
 
-Every module exposes:
+Every module exposes its grid as data — ``cells(**params)``,
+``run_cell(spec)`` (on the module each cell's ``exp_id`` names) and
+``assemble(rows, **params)``, which
+:func:`repro.experiments.suite.run_experiment` drives (accepting
+scaled-down parameters for quick runs) — and:
 
-- ``run(...) -> <Figure>Result`` — executes the experiment (accepting
-  scaled-down parameters for quick runs) and returns structured rows;
+- ``table(result)`` — the figure's (headers, rows), for reports and CSV;
 - ``report(result) -> str`` — the rows/series the paper's figure plots,
   as an aligned text table;
 - ``check_shape(result) -> list[str]`` — the qualitative expectations the

@@ -33,7 +33,7 @@ from repro.experiments.common import (
     no_sl_spec,
     zc_spec,
 )
-from repro.parallel import CellSpec, ResultCache, cell, run_cells
+from repro.parallel import CellSpec, cell
 
 CRYPTO_OCALL_SETS: dict[str, frozenset[str]] = {
     "fr": frozenset({"fread"}),
@@ -183,24 +183,6 @@ def assemble(
     )
 
 
-def run(
-    worker_counts: tuple[int, ...] = (2, 4),
-    chunks_per_file: int = 128,
-    files_per_thread: int = 6,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> Fig10Result:
-    """Execute the experiment and return its structured result."""
-    rows = run_cells(
-        cells(worker_counts, chunks_per_file, files_per_thread),
-        jobs=jobs,
-        cache=cache,
-    )
-    return assemble(
-        rows, chunks_per_file=chunks_per_file, files_per_thread=files_per_thread
-    )
-
-
 def table(result: Fig10Result) -> tuple[list[str], list[list]]:
     """(headers, rows) of the figure's data, for reports and CSV export."""
     rows = [
@@ -227,13 +209,18 @@ def check_shape(result: Fig10Result) -> list[str]:
     violations = []
     zc = result.latency("zc")
     no_sl = result.latency("no_sl")
+    # A scaled-down grid may sweep one worker count: check the ones run.
+    swept = [workers for workers in (2, 4) if f"i-frwoc-{workers}" in result.labels]
     # At 2 workers the fully-selected config is Intel's best; at 4 the
     # extra spinning workers cost SMT throughput, so only check 2.
-    intel2 = {tag: result.latency(f"i-{tag}-2") for tag in CRYPTO_OCALL_SETS}
-    best_tag = min(intel2, key=intel2.get)
-    if best_tag != "frwoc":
-        violations.append(f"expected i-frwoc-2 to be Intel's best, got i-{best_tag}-2")
-    for workers in (2, 4):
+    if 2 in swept:
+        intel2 = {tag: result.latency(f"i-{tag}-2") for tag in CRYPTO_OCALL_SETS}
+        best_tag = min(intel2, key=intel2.get)
+        if best_tag != "frwoc":
+            violations.append(
+                f"expected i-frwoc-2 to be Intel's best, got i-{best_tag}-2"
+            )
+    for workers in swept:
         intel = {
             tag: result.latency(f"i-{tag}-{workers}") for tag in CRYPTO_OCALL_SETS
         }
@@ -258,10 +245,12 @@ def check_shape(result: Fig10Result) -> list[str]:
     if not zc < no_sl:
         violations.append("expected zc faster than no_sl")
     # CPU: zc below the Intel-4 configurations.
-    zc_cpu = result.cpu("zc")
-    intel4_cpu = max(result.cpu(f"i-{tag}-4") for tag in CRYPTO_OCALL_SETS)
-    if not zc_cpu < intel4_cpu:
-        violations.append(
-            f"expected zc CPU below Intel-4 configs ({zc_cpu:.1f}% vs {intel4_cpu:.1f}%)"
-        )
+    if 4 in swept:
+        zc_cpu = result.cpu("zc")
+        intel4_cpu = max(result.cpu(f"i-{tag}-4") for tag in CRYPTO_OCALL_SETS)
+        if not zc_cpu < intel4_cpu:
+            violations.append(
+                f"expected zc CPU below Intel-4 configs "
+                f"({zc_cpu:.1f}% vs {intel4_cpu:.1f}%)"
+            )
     return violations

@@ -30,7 +30,7 @@ from repro.experiments.common import (
     no_sl_spec,
     zc_spec,
 )
-from repro.parallel import CellSpec, ResultCache, cell, run_cells
+from repro.parallel import CellSpec, cell
 from repro.workloads.dynamic import DynamicSpec, build_schedule, paced_thread
 
 LMBENCH_OCALL_SETS: dict[str, frozenset[str]] = {
@@ -176,17 +176,6 @@ def assemble(
 ) -> Fig11Result:
     """Build the structured result from rows in ``cells()`` order."""
     return Fig11Result(runs=list(runs), spec=spec)
-
-
-def run(
-    worker_counts: tuple[int, ...] = (2, 4),
-    spec: DynamicSpec = DEFAULT_SPEC,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> Fig11Result:
-    """Execute the experiment and return its structured result."""
-    runs = run_cells(cells(worker_counts, spec), jobs=jobs, cache=cache)
-    return assemble(runs, spec=spec)
 
 
 def table(result: Fig11Result) -> tuple[list[str], list[list]]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.analysis.report import format_table
 from repro.experiments import fig11 as _fig11
 from repro.experiments.fig11 import Fig11Result, LmbenchRun
-from repro.parallel import CellSpec, ResultCache, run_cells
+from repro.parallel import CellSpec
 from repro.workloads.dynamic import DynamicSpec
 
 
@@ -39,15 +39,10 @@ def cells(
     """Fig. 11's cells verbatim: the same runs feed both figures.
 
     The specs carry ``exp_id="fig11"``, so the runner dispatches to
-    Fig. 11's ``run_cell`` and the cache shares one entry per cell across
-    both figures.
+    Fig. 11's ``run_cell``, the cache shares one entry per cell across
+    both figures, and one ``repro run`` invocation executes them once.
     """
     return _fig11.cells(worker_counts, spec)
-
-
-def run_cell(cell_spec: CellSpec) -> LmbenchRun:
-    """Execute one cell of the grid (delegates to Fig. 11)."""
-    return _fig11.run_cell(cell_spec)
 
 
 def assemble(
@@ -57,20 +52,6 @@ def assemble(
 ) -> Fig12Result:
     """Build the structured result from rows in ``cells()`` order."""
     return Fig12Result(base=_fig11.assemble(runs, spec=spec))
-
-
-def run(
-    worker_counts: tuple[int, ...] = (2, 4),
-    spec: DynamicSpec = _fig11.DEFAULT_SPEC,
-    base: Fig11Result | None = None,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> Fig12Result:
-    """Reuses a Fig. 11 result when provided (same runs feed both)."""
-    if base is not None:
-        return Fig12Result(base=base)
-    runs = run_cells(cells(worker_counts, spec), jobs=jobs, cache=cache)
-    return assemble(runs, spec=spec)
 
 
 def _phase_means(run_, spec: DynamicSpec) -> tuple[float, float, float]:

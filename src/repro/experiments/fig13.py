@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from repro.analysis.report import format_table
 from repro.experiments import fig7 as _fig7
 from repro.experiments.fig7 import SIZES, Fig7Result, ThroughputPoint
-from repro.parallel import CellSpec, ResultCache, run_cells
+from repro.parallel import CellSpec
 from repro.sgx.memcpy import VanillaMemcpy, ZcMemcpy
 
 #: The paper's headline large-buffer speedups.
@@ -57,11 +57,6 @@ def cells(sizes: tuple[int, ...] = SIZES, ops: int = 300) -> list[CellSpec]:
     return [replace(spec, index=index) for index, spec in enumerate(specs)]
 
 
-def run_cell(spec: CellSpec) -> ThroughputPoint:
-    """Execute one cell of the grid (delegates to Fig. 7)."""
-    return _fig7.run_cell(spec)
-
-
 def assemble(
     points: list[ThroughputPoint],
     sizes: tuple[int, ...] = SIZES,
@@ -73,17 +68,6 @@ def assemble(
         vanilla=_fig7.assemble(points[:half], ops=ops),
         zc=_fig7.assemble(points[half:], ops=ops),
     )
-
-
-def run(
-    sizes: tuple[int, ...] = SIZES,
-    ops: int = 300,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> Fig13Result:
-    """Execute the experiment and return its structured result."""
-    points = run_cells(cells(sizes, ops), jobs=jobs, cache=cache)
-    return assemble(points, ops=ops)
 
 
 def table(result: Fig13Result) -> tuple[list[str], list[list]]:

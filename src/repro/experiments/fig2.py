@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_table
-from repro.parallel import CellSpec, ResultCache, cell, run_cells
+from repro.parallel import CellSpec, cell
 from repro.workloads.synthetic import SyntheticResult, SyntheticSpec, run_synthetic
 
 CONFIGS = ("C1", "C2", "C3", "C4", "C5")
@@ -89,21 +89,6 @@ def assemble(
         rows=list(rows),
         spec=SyntheticSpec(total_calls=total_calls, g_pauses=g_pauses),
     )
-
-
-def run(
-    total_calls: int = 10_000,
-    workers: tuple[int, ...] = WORKER_COUNTS,
-    configs: tuple[str, ...] = CONFIGS,
-    g_pauses: int = 500,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> Fig2Result:
-    """Sweep (config x workers); scaled by ``total_calls``."""
-    rows = run_cells(
-        cells(total_calls, workers, configs, g_pauses), jobs=jobs, cache=cache
-    )
-    return assemble(rows, total_calls=total_calls, g_pauses=g_pauses)
 
 
 def table(result: Fig2Result) -> tuple[list[str], list[list]]:

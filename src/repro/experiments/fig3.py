@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_table
-from repro.parallel import CellSpec, ResultCache, cell, run_cells
+from repro.parallel import CellSpec, cell
 from repro.workloads.synthetic import SyntheticResult, SyntheticSpec, run_synthetic
 
 CONFIGS = ("C1", "C2", "C4", "C5")
@@ -94,27 +94,6 @@ def assemble(
                 index += 1
     return Fig3Result(
         rows=list(rows), g_sweep=g_sweep, total_calls=total_calls, g_of_row=g_of_row
-    )
-
-
-def run(
-    total_calls: int = 6_000,
-    workers: tuple[int, ...] = (1, 3, 5),
-    configs: tuple[str, ...] = CONFIGS,
-    g_sweep: tuple[int, ...] = G_PAUSES,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> Fig3Result:
-    """Execute the experiment and return its structured result."""
-    rows = run_cells(
-        cells(total_calls, workers, configs, g_sweep), jobs=jobs, cache=cache
-    )
-    return assemble(
-        rows,
-        total_calls=total_calls,
-        workers=workers,
-        configs=configs,
-        g_sweep=g_sweep,
     )
 
 

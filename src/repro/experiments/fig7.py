@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.analysis.report import format_table
 from repro.experiments.common import build_stack, no_sl_spec
-from repro.parallel import CellSpec, ResultCache, cell, run_cells
+from repro.parallel import CellSpec, cell
 from repro.sgx.memcpy import MemcpyModel, VanillaMemcpy
 
 SIZES = (512, 1024, 2048, 4096, 8192, 16_384, 32_768)
@@ -117,18 +117,6 @@ def assemble(
 ) -> Fig7Result:
     """Build the structured result from rows in ``cells()`` order."""
     return Fig7Result(points=list(points), ops=ops)
-
-
-def run(
-    sizes: tuple[int, ...] = SIZES,
-    ops: int = 300,
-    memcpy_model: MemcpyModel | None = None,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> Fig7Result:
-    """Execute the experiment and return its structured result."""
-    points = run_cells(cells(sizes, ops, memcpy_model), jobs=jobs, cache=cache)
-    return assemble(points, ops=ops)
 
 
 def table(result: Fig7Result) -> tuple[list[str], list[list]]:

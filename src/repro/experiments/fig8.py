@@ -29,7 +29,7 @@ from repro.experiments.common import (
     no_sl_spec,
     zc_spec,
 )
-from repro.parallel import CellSpec, ResultCache, cell, run_cells
+from repro.parallel import CellSpec, cell
 
 #: The paper's Intel configuration tags and their switchless ocall sets.
 KISSDB_OCALL_SETS: dict[str, frozenset[str]] = {
@@ -190,20 +190,6 @@ def assemble(
 ) -> Fig8Result:
     """Build the structured result from rows in ``cells()`` order."""
     return Fig8Result(rows=list(rows), n_threads=n_threads)
-
-
-def run(
-    n_keys_sweep: tuple[int, ...] = DEFAULT_N_KEYS,
-    worker_counts: tuple[int, ...] = (2, 4),
-    n_threads: int = DEFAULT_THREADS,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> Fig8Result:
-    """Execute the experiment and return its structured result."""
-    rows = run_cells(
-        cells(n_keys_sweep, worker_counts, n_threads), jobs=jobs, cache=cache
-    )
-    return assemble(rows, n_threads=n_threads)
 
 
 def table(result: Fig8Result) -> tuple[list[str], list[list]]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.analysis.report import format_table
 from repro.experiments import fig8 as _fig8
 from repro.experiments.fig8 import Fig8Result, Fig8Row
-from repro.parallel import CellSpec, ResultCache, run_cells
+from repro.parallel import CellSpec
 
 
 @dataclass
@@ -37,15 +37,10 @@ def cells(
     """Fig. 8's cells verbatim: the same runs feed both figures.
 
     The specs carry ``exp_id="fig8"``, so the runner dispatches to
-    Fig. 8's ``run_cell`` and the cache shares one entry per cell across
-    both figures.
+    Fig. 8's ``run_cell``, the cache shares one entry per cell across
+    both figures, and one ``repro run`` invocation executes them once.
     """
     return _fig8.cells(n_keys_sweep, worker_counts, n_threads)
-
-
-def run_cell(spec: CellSpec) -> Fig8Row:
-    """Execute one cell of the grid (delegates to Fig. 8)."""
-    return _fig8.run_cell(spec)
 
 
 def assemble(
@@ -56,23 +51,6 @@ def assemble(
 ) -> Fig9Result:
     """Build the structured result from rows in ``cells()`` order."""
     return Fig9Result(base=_fig8.assemble(rows, n_threads=n_threads))
-
-
-def run(
-    n_keys_sweep: tuple[int, ...] = _fig8.DEFAULT_N_KEYS,
-    worker_counts: tuple[int, ...] = (2, 4),
-    n_threads: int = _fig8.DEFAULT_THREADS,
-    base: Fig8Result | None = None,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> Fig9Result:
-    """Reuses a Fig. 8 result when provided (same runs feed both figures)."""
-    if base is not None:
-        return Fig9Result(base=base)
-    rows = run_cells(
-        cells(n_keys_sweep, worker_counts, n_threads), jobs=jobs, cache=cache
-    )
-    return assemble(rows, n_threads=n_threads)
 
 
 def table(result: Fig9Result) -> tuple[list[str], list[list]]:

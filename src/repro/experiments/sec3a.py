@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_table
-from repro.parallel import CellSpec, ResultCache, cell, run_cells
+from repro.parallel import CellSpec, cell
 from repro.workloads.synthetic import SyntheticResult, SyntheticSpec, run_synthetic
 
 #: The paper's reported runtimes (seconds), for reference in reports.
@@ -72,18 +72,6 @@ def assemble(
         rows=list(rows),
         spec=SyntheticSpec(total_calls=total_calls, g_pauses=g_pauses),
     )
-
-
-def run(
-    total_calls: int = 20_000,
-    workers: int = 2,
-    g_pauses: int = 500,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> Sec3aResult:
-    """Run C1–C5 once each (scaled to ``total_calls``)."""
-    rows = run_cells(cells(total_calls, workers, g_pauses), jobs=jobs, cache=cache)
-    return assemble(rows, total_calls=total_calls, workers=workers, g_pauses=g_pauses)
 
 
 def table(result: Sec3aResult) -> tuple[list[str], list[list]]:

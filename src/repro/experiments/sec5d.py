@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_table
-from repro.parallel import CellSpec, ResultCache, cell, run_cells
+from repro.parallel import CellSpec, cell
 from repro.sgx import Enclave, UntrustedRuntime
 from repro.sgx.memcpy import MemcpyModel, VanillaMemcpy, ZcMemcpy
 from repro.sim import Block, Compute, Kernel, paper_machine
@@ -157,17 +157,6 @@ def assemble(
         for i, size in enumerate(record_sizes)
     ]
     return Sec5dResult(points=points, records=records)
-
-
-def run(
-    record_sizes: tuple[int, ...] = RECORD_SIZES,
-    records: int = 200,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> Sec5dResult:
-    """Execute the experiment and return its structured result."""
-    rows = run_cells(cells(record_sizes, records), jobs=jobs, cache=cache)
-    return assemble(rows, record_sizes=record_sizes, records=records)
 
 
 def table(result: Sec5dResult) -> tuple[list[str], list[list]]:

@@ -19,7 +19,7 @@ from typing import Any
 
 from repro.analysis.report import format_table
 from repro.api import BenchSpec, ServeSpec
-from repro.parallel import CellSpec, ResultCache, cell, run_cells
+from repro.parallel import CellSpec, cell
 from repro.serve.bench import run_bench
 
 SHARD_COUNTS = (1, 2, 4)
@@ -93,23 +93,6 @@ def assemble(
 ) -> ServeResult:
     """Build the structured result from rows in ``cells()`` order."""
     return ServeResult(rows=rows, seconds=seconds, rate=rate)
-
-
-def run(
-    shard_counts: tuple[int, ...] = SHARD_COUNTS,
-    seconds: float = 0.5,
-    rate: float = 2_000.0,
-    budget: int = 8,
-    jobs: int | str = 1,
-    cache: ResultCache | None = None,
-) -> ServeResult:
-    """Execute the experiment and return its structured result."""
-    rows = run_cells(
-        cells(shard_counts, seconds=seconds, rate=rate, budget=budget),
-        jobs=jobs,
-        cache=cache,
-    )
-    return assemble(rows, seconds=seconds, rate=rate)
 
 
 def table(result: ServeResult) -> tuple[list[str], list[list]]:

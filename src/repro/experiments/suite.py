@@ -1,16 +1,17 @@
-"""Run experiment suites and render a combined markdown report.
+"""Run an experiment, and render a combined markdown report.
 
-``python -m repro report --quick --out report.md`` regenerates an
-EXPERIMENTS.md-style document from live runs: one section per experiment
-with its data table (as markdown) and its shape-check verdict.  Useful
-for verifying a changed cost model or scheduler against every figure at
-once.
-
-Every experiment exposes its grid as data (``cells()`` / ``run_cell()``
-/ ``assemble()``, see ``docs/extending.md``) and is executed through
+:func:`run_experiment` is the one way to run a paper experiment.  Every
+experiment exposes its grid as data (``cells()`` / ``run_cell()`` /
+``assemble()``, see ``docs/extending.md``) and is executed through
 :class:`repro.parallel.CellRunner`, which adds ``jobs=N``
 process-level parallelism and content-addressed result caching while
 keeping rows bit-identical to a serial run.
+
+``python -m repro run all --quick --report report.md`` regenerates an
+EXPERIMENTS.md-style document from live runs through
+:func:`render_markdown`: one section per experiment with its data table
+(as markdown) and its shape-check verdict.  Useful for verifying a
+changed cost model or scheduler against every figure at once.
 """
 
 from __future__ import annotations
@@ -20,72 +21,95 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.experiments import EXPERIMENTS
-from repro.parallel import CellRunner, ResultCache, resolve_jobs
+from repro.parallel import CellOutcome, CellRunner, ResultCache
 
 
 @dataclass(frozen=True)
 class ExperimentOutcome:
-    """One experiment's run, table and verdict."""
+    """One experiment's run: its result, table and verdict."""
 
     exp_id: str
     headers: list[str]
     rows: list[list[Any]]
     violations: list[str]
     wall_seconds: float
-    #: Wall seconds per cell, in cell order (0.0 for cache hits).
-    cell_seconds: tuple[float, ...] = ()
-    cache_hits: int = 0
-    cache_misses: int = 0
+    #: The module's structured result (what ``report``/``table`` read).
+    result: Any = None
+    #: The executed (or cache-served) cells, in cell order; empty when
+    #: the rows came from an earlier experiment's cells.
+    cells: tuple[CellOutcome, ...] = ()
     jobs: int = 1
+    #: The earlier experiment whose cells this one reused, if any.
+    shared_with: str | None = None
 
     @property
     def ok(self) -> bool:
         """Whether the shape check passed."""
         return not self.violations
 
+    @property
+    def cell_seconds(self) -> tuple[float, ...]:
+        """Wall seconds per cell, in cell order (0.0 for cache hits)."""
+        return tuple(cell.wall_seconds for cell in self.cells)
 
-def run_suite(
-    experiment_ids: Sequence[str] | None = None,
-    overrides: dict[str, dict[str, Any]] | None = None,
+    @property
+    def cache_hits(self) -> int:
+        """Cells served from the result cache."""
+        return sum(1 for cell in self.cells if cell.cached)
+
+    @property
+    def cache_misses(self) -> int:
+        """Cells executed."""
+        return len(self.cells) - self.cache_hits
+
+
+def run_experiment(
+    exp_id: str,
+    *,
     jobs: int | str = 1,
     cache: ResultCache | None = None,
-) -> list[ExperimentOutcome]:
-    """Run the given experiments (all by default) and collect outcomes.
+    earlier: Sequence[ExperimentOutcome] = (),
+    **params: Any,
+) -> ExperimentOutcome:
+    """Run one experiment: its cells, then ``assemble``, ``table`` and
+    ``check_shape``.
 
-    ``overrides`` maps experiment id to run() kwargs (e.g. the CLI's
-    quick presets).  ``jobs`` fans each experiment's cells over a process
-    pool (``"auto"`` = host CPU count); ``cache`` serves already-computed
-    cells.  Both leave the rows bit-identical to the serial, uncached
-    run.
+    ``params`` are the module's ``cells()`` parameters (the CLI's quick
+    presets, a test's scaled-down grid), which its ``assemble`` accepts
+    too.  ``jobs`` fans the cells over a process pool (``"auto"`` = host
+    CPU count) and ``cache`` serves already-computed cells; both leave
+    the rows bit-identical to a serial, uncached run.  What an observed
+    run needs is the runner's decision, not the caller's: under an
+    active telemetry session or fault plan no cell is served from the
+    cache, and hooks that live in this process (a session's
+    ``on_attach``, the active fault plan) keep every cell in-process.
+
+    ``earlier`` holds outcomes of the same invocation: when one of them
+    ran exactly this experiment's cells (Fig. 9 plots Fig. 8's runs), its
+    rows are reused and nothing is executed.
     """
-    ids = list(experiment_ids) if experiment_ids is not None else list(EXPERIMENTS)
-    overrides = overrides or {}
-    resolved_jobs = resolve_jobs(jobs)
-    outcomes = []
-    for exp_id in ids:
-        module = EXPERIMENTS[exp_id]
-        kwargs = overrides.get(exp_id, {})
-        started = time.monotonic()
-        runner = CellRunner(jobs=resolved_jobs, cache=cache)
-        cell_outcomes = runner.run(module.cells(**kwargs))
-        result = module.assemble([o.row for o in cell_outcomes], **kwargs)
-        cache_hits = sum(1 for o in cell_outcomes if o.cached)
-        wall = time.monotonic() - started
-        headers, rows = module.table(result)
-        outcomes.append(
-            ExperimentOutcome(
-                exp_id=exp_id,
-                headers=headers,
-                rows=rows,
-                violations=module.check_shape(result),
-                wall_seconds=wall,
-                cell_seconds=tuple(o.wall_seconds for o in cell_outcomes),
-                cache_hits=cache_hits,
-                cache_misses=len(cell_outcomes) - cache_hits,
-                jobs=resolved_jobs,
-            )
-        )
-    return outcomes
+    module = EXPERIMENTS[exp_id]
+    started = time.monotonic()
+    specs = module.cells(**params)
+    source = next(
+        (o for o in earlier if o.cells and [c.spec for c in o.cells] == specs), None
+    )
+    runner = CellRunner(jobs, cache)
+    cells = tuple(runner.run(specs)) if source is None else ()
+    rows = [cell.row for cell in (cells if source is None else source.cells)]
+    result = module.assemble(rows, **params)
+    headers, table_rows = module.table(result)
+    return ExperimentOutcome(
+        exp_id=exp_id,
+        headers=headers,
+        rows=table_rows,
+        violations=module.check_shape(result),
+        wall_seconds=time.monotonic() - started,
+        result=result,
+        cells=cells,
+        jobs=runner.jobs,
+        shared_with=None if source is None else source.exp_id,
+    )
 
 
 def _markdown_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -117,7 +141,9 @@ def render_markdown(outcomes: list[ExperimentOutcome]) -> str:
         lines.append(f"## {outcome.exp_id} — {first_doc_line}")
         lines.append("")
         lines.append(f"Shape check: **{verdict}** ({outcome.wall_seconds:.1f}s wall)")
-        if outcome.cell_seconds:
+        if outcome.shared_with is not None:
+            lines.append(f"Cells: shared with {outcome.shared_with}")
+        elif outcome.cell_seconds:
             executed = [s for s in outcome.cell_seconds if s > 0.0]
             slowest = max(outcome.cell_seconds)
             lines.append(

@@ -2,8 +2,8 @@
 
 A cell's row is a pure function of (source tree, repro version,
 experiment id, cell parameters, machine/cost-model defaults) — the
-simulator is deterministic — so re-running ``report``/``suite`` can skip
-any cell whose key was computed before.  The key is a SHA-256 over the
+simulator is deterministic — so re-running ``repro run`` can skip any
+cell whose key was computed before.  The key is a SHA-256 over the
 canonical form (:func:`repro.parallel.cells.canonical`) of exactly those
 inputs:
 

@@ -3,11 +3,13 @@
 Every experiment is a grid of independent *cells* — one (backend,
 parameter) point, each of which builds its own simulated machine.  A
 :class:`CellSpec` names one such point declaratively, which is what lets
-one interface feed three consumers:
+one interface feed every consumer:
 
-- the serial runner (``module.run()`` with ``jobs=1``),
-- the process-pool runner (:mod:`repro.parallel.runner`),
-- the content-addressed result cache (:mod:`repro.parallel.cache`).
+- the cell runner (:mod:`repro.parallel.runner`), serial or over a
+  process pool, behind :func:`repro.experiments.suite.run_experiment`;
+- the content-addressed result cache (:mod:`repro.parallel.cache`);
+- ``repro run``'s reuse of an earlier experiment's rows when two
+  experiments' cell lists are equal.
 
 Experiment modules expose ``cells(**kwargs) -> list[CellSpec]``,
 ``run_cell(spec) -> row`` and ``assemble(rows, **kwargs) -> Result``; see
@@ -32,7 +34,8 @@ class CellSpec:
         exp_id: Registry id of the module whose ``run_cell`` executes this
             spec (``repro.experiments.EXPERIMENTS``).  Derived figures
             reuse another experiment's cells — e.g. ``fig9`` returns
-            ``fig8`` specs — so identical work shares one cache entry.
+            ``fig8`` specs — so identical work shares one cache entry, and
+            a derived figure has no ``run_cell`` of its own.
         index: Position in the grid, for labelling/diagnostics only; the
             runner preserves list order and the cache key excludes it.
         params: The cell's keyword parameters, sorted by name.

@@ -4,19 +4,27 @@ Every experiment cell builds its own :class:`~repro.sim.kernel.Kernel`
 and simulated machine, so cells share no state and the grid is
 embarrassingly parallel.  :class:`CellRunner` executes a list of
 :class:`~repro.parallel.cells.CellSpec` either in-process (``jobs=1``,
-platforms without ``fork``, or when at most one cell misses the cache) or
-over a ``concurrent.futures.ProcessPoolExecutor``, and always returns
-outcomes **in spec order** regardless of completion order — which is what
-keeps ``jobs=N`` output bit-identical to ``jobs=1``.
+platforms without ``fork``, when at most one cell misses the cache, or
+when the run is observed by something that lives in this process — see
+below) or over a ``concurrent.futures.ProcessPoolExecutor``, and always
+returns outcomes **in spec order** regardless of completion order —
+which is what keeps ``jobs=N`` output bit-identical to ``jobs=1``.
 
 Telemetry crosses the process boundary explicitly: when the parent has an
 active :class:`~repro.telemetry.session.TelemetrySession`, each worker
 opens its own session, runs the cell, and ships a
 :class:`~repro.telemetry.session.SessionPayload` back; the parent absorbs
 payloads in cell order, so capture labels and metrics match a serial run.
+Callbacks do not cross processes, so a session with an ``on_attach`` hook
+(the live invariant auditors) keeps every cell in-process, and so does an
+active fault plan (:func:`repro.faults.activate_plan`), whose stack is
+process state.
 
 A :class:`~repro.parallel.cache.ResultCache` (optional) is consulted
-before any execution and fed after; hits skip the cell entirely.
+before any execution and fed after; hits skip the cell entirely.  An
+observed run — under an active session or fault plan — bypasses it: a hit
+would capture nothing, and a row computed under a fault plan must not be
+stored under its healthy key.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.faults import active_fault_plan
 from repro.parallel.cache import ResultCache
 from repro.parallel.cells import CellSpec
 from repro.telemetry.session import SessionPayload, TelemetrySession, active_session
@@ -95,7 +104,8 @@ class CellRunner:
 
     Args:
         jobs: Worker count; ``"auto"`` resolves to the host CPU count.
-        cache: A :class:`ResultCache`, or None to always execute.
+        cache: A :class:`ResultCache`, or None to always execute.  An
+            observed run (active session or fault plan) bypasses it.
     """
 
     def __init__(self, jobs: int | str = 1, cache: ResultCache | None = None) -> None:
@@ -104,20 +114,27 @@ class CellRunner:
 
     def run(self, specs: Sequence[CellSpec]) -> list[CellOutcome]:
         """Execute the specs; outcomes come back in spec order."""
+        session = active_session()
+        plan = active_fault_plan()
+        cache = self.cache if session is None and plan is None else None
         outcomes: list[CellOutcome | None] = [None] * len(specs)
         pending: list[int] = []
         for i, spec in enumerate(specs):
-            if self.cache is not None:
-                hit, row = self.cache.load(spec)
+            if cache is not None:
+                hit, row = cache.load(spec)
                 if hit:
                     outcomes[i] = CellOutcome(spec, row, 0.0, cached=True)
                     continue
             pending.append(i)
 
-        session = active_session()
+        in_process = plan is not None or (
+            session is not None and session.on_attach is not None
+        )
         # The pool only pays off with >= 2 cells to overlap; a platform
         # without fork falls back to the identical in-process path.
-        use_pool = self.jobs > 1 and len(pending) > 1 and fork_available()
+        use_pool = (
+            self.jobs > 1 and len(pending) > 1 and fork_available() and not in_process
+        )
         if not use_pool:
             for i in pending:
                 started = time.perf_counter()
@@ -125,8 +142,8 @@ class CellRunner:
                 outcomes[i] = CellOutcome(
                     specs[i], row, time.perf_counter() - started, cached=False
                 )
-                if self.cache is not None:
-                    self.cache.store(specs[i], row)
+                if cache is not None:
+                    cache.store(specs[i], row)
         else:
             context = multiprocessing.get_context("fork")
             workers = min(self.jobs, len(pending))
@@ -140,8 +157,8 @@ class CellRunner:
                 for i in pending:
                     row, wall, payload = futures[i].result()
                     outcomes[i] = CellOutcome(specs[i], row, wall, cached=False)
-                    if self.cache is not None:
-                        self.cache.store(specs[i], row)
+                    if cache is not None:
+                        cache.store(specs[i], row)
                     if session is not None and payload is not None:
                         session.absorb(payload)
         return [outcome for outcome in outcomes if outcome is not None]
@@ -167,7 +184,6 @@ def run_cells(
 ) -> list[Any]:
     """Convenience: execute specs and return just the rows, in spec order.
 
-    This is what every experiment module's ``run(...)`` delegates to;
-    with the defaults it degenerates to a plain serial loop.
+    With the defaults it degenerates to a plain serial loop.
     """
     return [outcome.row for outcome in CellRunner(jobs, cache).run(specs)]

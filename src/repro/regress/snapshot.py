@@ -1,9 +1,8 @@
 """Run snapshots: everything ``repro diff`` needs, as one JSON file.
 
 ``capture_run`` executes a set of experiments with telemetry attached
-(fanned out over :class:`repro.parallel.CellRunner` via each module's
-``run(jobs=...)``, result cache disabled so every cell actually runs)
-and collects, per repeat:
+(each through :func:`repro.experiments.suite.run_experiment` under its
+own session, so every cell actually runs) and collects, per repeat:
 
 - per-cell cycle-ledger categories (wall and work cycles) and simulated
   end time, from each cell's :class:`~repro.telemetry.ledger.LedgerSnapshot`;
@@ -31,6 +30,7 @@ import time
 from typing import Any, Mapping, Sequence
 
 from repro.experiments import EXPERIMENTS
+from repro.experiments.suite import run_experiment
 from repro.faults import FaultPlan, activate_plan
 from repro.telemetry.ledger import CATEGORIES
 from repro.telemetry.registry import MetricsRegistry
@@ -82,17 +82,18 @@ def capture_run(
 ) -> dict[str, Any]:
     """Execute the experiments and build a snapshot document.
 
-    ``overrides`` maps experiment id to ``run()`` kwargs (the CLI passes
-    its quick presets).  Each repeat runs every experiment once; samples
-    accumulate per (cell, category) and per metric so the diff can
-    bootstrap over them.
+    ``overrides`` maps experiment id to ``cells()`` parameters (the CLI
+    passes its quick presets).  Each repeat runs every experiment once,
+    each under its own session, even where two experiments share cells;
+    samples accumulate per (cell, category) and per metric so the diff
+    can bootstrap over them.
 
     ``fault_plan`` runs every cell under that fault plan (see
     :mod:`repro.faults`): ``build_stack`` attaches one injector per
     cell, the snapshot records the plan, and ``diff_snapshots`` refuses
-    to compare snapshots whose plans differ.  Fault plans force
-    ``jobs=1`` — the active-plan stack is process-global, and serial
-    cells keep the injected schedule deterministic.
+    to compare snapshots whose plans differ.  Under a plan the runner
+    keeps every cell in-process — the active-plan stack is process
+    state, and serial cells keep the injected schedule deterministic.
     """
     ids = list(experiment_ids) if experiment_ids is not None else list(EXPERIMENTS)
     # Read the input before anything runs: a bad file is refused up front.
@@ -101,8 +102,6 @@ def capture_run(
         if bench_meta_path is not None
         else None
     )
-    if fault_plan is not None:
-        jobs = 1
     overrides = overrides or {}
     experiments: dict[str, Any] = {}
     for exp_id in ids:
@@ -112,7 +111,6 @@ def capture_run(
 
     for _ in range(repeats):
         for exp_id in ids:
-            module = EXPERIMENTS[exp_id]
             kwargs = dict(overrides.get(exp_id, {}))
             record = experiments[exp_id]
             plan_scope = (
@@ -121,10 +119,8 @@ def capture_run(
                 else contextlib.nullcontext()
             )
             with TelemetrySession() as session, plan_scope:
-                # cache=None: a cache hit would skip the cell and capture
-                # nothing; a snapshot must observe every cell live.
-                result = module.run(**kwargs, jobs=jobs, cache=None)
-            record["violations"].append(module.check_shape(result))
+                outcome = run_experiment(exp_id, jobs=jobs, **kwargs)
+            record["violations"].append(outcome.violations)
             for capture in session.captures:
                 snapshot = capture.snapshot
                 if snapshot is None:

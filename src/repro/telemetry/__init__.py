@@ -4,9 +4,10 @@ See ``docs/observability.md`` for the category definitions, the event
 schema and the exporter formats.  Typical use::
 
     from repro import telemetry
+    from repro.experiments.suite import run_experiment
 
     with telemetry.TelemetrySession() as session:
-        results = fig8.run(**kwargs)          # stacks attach automatically
+        outcome = run_experiment("fig8", **kwargs)  # stacks attach automatically
     session.export("out/", "fig8")
 
 or end-to-end: ``python -m repro run fig8 --quick --telemetry out/``.

@@ -1,8 +1,9 @@
 """Telemetry sessions: attach instrumentation to every stack in a run.
 
-A :class:`TelemetrySession` is a context manager an experiment runner (or
-the CLI's ``--telemetry`` / ``--trace`` flags) wraps around
-``module.run(...)``.  While active, :meth:`repro.api.Runtime.create`
+A :class:`TelemetrySession` is a context manager a caller (or the CLI's
+``--telemetry`` / ``--trace`` / ``--audit`` flags) wraps around
+:func:`repro.experiments.suite.run_experiment`.  While active,
+:meth:`repro.api.Runtime.create`
 attaches a :class:`CellCapture` to every kernel it creates: an
 :class:`~repro.telemetry.events.EventBus`, a
 :class:`~repro.telemetry.ledger.CycleLedger`, the kernel's
@@ -334,10 +335,11 @@ class TelemetrySession:
 
     Args:
         on_attach: Called with each new :class:`CellCapture` right after
-            it is attached — the hook the ``--audit-invariants`` pytest
-            fixture uses to put live checkers on every cell's bus.  Pool
-            workers open their own session without it: callbacks don't
-            cross process boundaries.
+            it is attached — the hook ``repro run --audit`` and the
+            ``--audit-invariants`` pytest fixture use to put live checkers
+            on every cell's bus.  Callbacks don't cross process
+            boundaries, so the cell runner keeps every cell of a session
+            with this hook in-process.
     """
 
     def __init__(self, on_attach: "Callable[[CellCapture], None] | None" = None) -> None:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.experiments import (
     fig7,
-    fig8,
     fig9,
     fig10,
     fig11,
@@ -17,49 +16,52 @@ from repro.experiments import (
     sec3a,
     sec5d,
 )
+from repro.experiments.suite import run_experiment
 from repro.workloads.dynamic import DynamicSpec
 
 
 class TestSec3a:
     def test_small_run_and_report(self):
-        result = sec3a.run(total_calls=2000)
+        result = run_experiment("sec3a", total_calls=2000).result
         assert {row.config for row in result.rows} == {"C1", "C2", "C3", "C4", "C5"}
         text = sec3a.report(result)
         assert "C1" in text and "paper_scaled_s" in text
 
     def test_shape_holds_even_at_small_scale(self):
-        result = sec3a.run(total_calls=4000)
+        result = run_experiment("sec3a", total_calls=4000).result
         assert sec3a.check_shape(result) == []
 
 
 class TestFig7:
     def test_points_and_report(self):
-        result = fig7.run(sizes=(512, 32_768), ops=50)
+        result = run_experiment("fig7", sizes=(512, 32_768), ops=50).result
         assert len(result.points) == 4
         assert fig7.check_shape(result) == []
         assert "unaligned_GBps" in fig7.report(result)
 
     def test_throughput_positive_and_bounded(self):
-        result = fig7.run(sizes=(1024,), ops=20)
+        result = run_experiment("fig7", sizes=(1024,), ops=20).result
         for point in result.points:
             assert 0 < point.gbps < 50
 
 
 class TestFig13:
     def test_speedups_and_report(self):
-        result = fig13.run(sizes=(512, 32_768), ops=50)
+        result = run_experiment("fig13", sizes=(512, 32_768), ops=50).result
         assert fig13.check_shape(result) == []
         assert "speedup_un" in fig13.report(result)
 
     def test_speedup_accessor(self):
-        result = fig13.run(sizes=(32_768,), ops=20)
+        result = run_experiment("fig13", sizes=(32_768,), ops=20).result
         assert result.speedup(32_768, False) > result.speedup(32_768, True)
 
 
 class TestFig8And9:
     @pytest.fixture(scope="class")
     def small_result(self):
-        return fig8.run(n_keys_sweep=(400,), worker_counts=(2,), n_threads=2)
+        return run_experiment(
+            "fig8", n_keys_sweep=(400,), worker_counts=(2,), n_threads=2
+        ).result
 
     def test_rows_cover_all_configs(self, small_result):
         assert set(small_result.labels) == {
@@ -80,7 +82,7 @@ class TestFig8And9:
             assert row.mean_latency_us <= row.p99_latency_us <= row.max_latency_us
 
     def test_fig9_reuses_base(self, small_result):
-        result9 = fig9.run(base=small_result)
+        result9 = fig9.Fig9Result(base=small_result)
         assert result9.base is small_result
         assert "mean_cpu_pct" in fig9.report(result9)
         for label in small_result.labels:
@@ -89,7 +91,9 @@ class TestFig8And9:
 
 class TestFig10:
     def test_structure_small(self):
-        result = fig10.run(worker_counts=(2,), chunks_per_file=8, files_per_thread=1)
+        result = run_experiment(
+            "fig10", worker_counts=(2,), chunks_per_file=8, files_per_thread=1
+        ).result
         assert "zc" in result.labels
         assert all(row.latency_s > 0 for row in result.rows)
         assert "switchless_frac" in fig10.report(result)
@@ -97,13 +101,13 @@ class TestFig10:
 
 class TestSec5d:
     def test_speedup_in_paper_band_even_small(self):
-        result = sec5d.run(record_sizes=(4096, 16_384), records=40)
+        result = run_experiment("sec5d", record_sizes=(4096, 16_384), records=40).result
         assert sec5d.check_shape(result) == []
         assert "speedup_pct" in sec5d.report(result)
 
     def test_transfers_are_deterministic(self):
-        a = sec5d.run(record_sizes=(8192,), records=20)
-        b = sec5d.run(record_sizes=(8192,), records=20)
+        a = run_experiment("sec5d", record_sizes=(8192,), records=20).result
+        b = run_experiment("sec5d", record_sizes=(8192,), records=20).result
         assert a.points == b.points
 
 
@@ -112,7 +116,7 @@ class TestFig11And12:
 
     @pytest.fixture(scope="class")
     def small_result(self):
-        return fig11.run(worker_counts=(2,), spec=self.SPEC)
+        return run_experiment("fig11", worker_counts=(2,), spec=self.SPEC).result
 
     def test_period_counts(self, small_result):
         for run_ in small_result.runs:
@@ -127,11 +131,11 @@ class TestFig11And12:
         assert targets == [64, 128, 128, 128, 128, 64]
 
     def test_fig12_reuses_base(self, small_result):
-        result12 = fig12.run(base=small_result)
+        result12 = fig12.Fig12Result(base=small_result)
         assert "peak_cpu" in fig12.report(result12)
 
     def test_check_shape_handles_single_worker_count(self, small_result):
         """Regression: the shape checks must not assume both worker
         counts are present (quick runs sweep only one)."""
         fig11.check_shape(small_result)  # must not raise
-        fig12.check_shape(fig12.run(base=small_result))  # must not raise
+        fig12.check_shape(fig12.Fig12Result(base=small_result))  # must not raise

@@ -1,4 +1,4 @@
-"""Tests for the suite runner and markdown report generator."""
+"""Tests for the experiment runner and markdown report generator."""
 
 import pytest
 
@@ -8,31 +8,37 @@ from repro.experiments.suite import (
     ExperimentOutcome,
     _markdown_table,
     render_markdown,
-    run_suite,
+    run_experiment,
 )
 
 
 class TestRunSuite:
     @pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
     def test_every_experiment_exposes_the_cell_surface(self, exp_id):
-        # run_suite drives every experiment through cells()/assemble().
+        # run_experiment drives every experiment through cells()/assemble();
+        # the runner executes each cell on the module its exp_id names.
         module = EXPERIMENTS[exp_id]
-        for name in ("cells", "run_cell", "assemble", "table", "report", "check_shape"):
+        for name in ("cells", "assemble", "table", "report", "check_shape"):
             assert callable(getattr(module, name, None)), f"{exp_id} lacks {name}()"
+        for spec in module.cells():
+            runner_module = EXPERIMENTS[spec.exp_id]
+            assert callable(getattr(runner_module, "run_cell", None)), (
+                f"{spec.label()} names {spec.exp_id}, which lacks run_cell()"
+            )
 
     def test_serve_runs_through_the_suite(self):
-        (outcome,) = run_suite(["serve"], overrides=QUICK_KWARGS)
+        outcome = run_experiment("serve", **QUICK_KWARGS["serve"])
         assert outcome.ok, outcome.violations
         assert len(outcome.cell_seconds) == len(outcome.rows) == 2
 
     def test_subset_with_overrides(self):
-        outcomes = run_suite(
-            ["fig7", "sec5d"],
-            overrides={
-                "fig7": {"sizes": (512, 32_768), "ops": 40},
-                "sec5d": {"record_sizes": (4096,), "records": 30},
-            },
-        )
+        overrides = {
+            "fig7": {"sizes": (512, 32_768), "ops": 40},
+            "sec5d": {"record_sizes": (4096,), "records": 30},
+        }
+        outcomes = [
+            run_experiment(exp_id, **params) for exp_id, params in overrides.items()
+        ]
         assert [o.exp_id for o in outcomes] == ["fig7", "sec5d"]
         assert all(o.ok for o in outcomes)
         assert all(o.rows for o in outcomes)
@@ -90,6 +96,6 @@ class TestCliReport:
             {"fig7": experiments.EXPERIMENTS["fig7"]},
         )
         out = tmp_path / "report.md"
-        assert cli.main(["report", "--quick", "--out", str(out)]) == 0
+        assert cli.main(["run", "all", "--quick", "--report", str(out)]) == 0
         assert out.exists()
         assert "# Reproduction report" in out.read_text()

@@ -7,7 +7,7 @@ silently drop calls.  The live :class:`~repro.regress.InvariantAuditor`
 (the ``--audit-invariants`` machinery) is the judge.
 """
 
-from repro.experiments import sec3a
+from repro.experiments.suite import run_experiment
 from repro.experiments.common import build_stack, zc_spec
 from repro.faults import NAMED_PLANS, FaultPlan, FaultSpec, activate_plan
 from repro.regress import InvariantAuditor, RecoveryChecker, attach_auditor
@@ -58,7 +58,7 @@ def test_experiment_under_crash_plan_passes_full_audit():
         on_attach=lambda capture: auditors.append(attach_auditor(capture))
     ):
         with activate_plan(NAMED_PLANS["crash-heavy"]):
-            result = sec3a.run(total_calls=2_000)
+            result = run_experiment("sec3a", total_calls=2_000).result
     violations = [v for auditor in auditors for v in auditor.finish()]
     assert not violations, "\n".join(str(v) for v in violations)
     spec = result.spec

@@ -8,6 +8,7 @@ runs.
 """
 
 from repro.experiments import sec3a
+from repro.experiments.suite import run_experiment
 from repro.experiments.common import build_stack, zc_spec
 from repro.faults import NAMED_PLANS, FaultPlan, FaultSpec, activate_plan
 
@@ -60,12 +61,12 @@ def test_same_seed_same_fault_log_and_clock():
 def test_same_plan_same_figure_rows():
     plan = NAMED_PLANS["crash-heavy"]
     with activate_plan(plan):
-        run_a = sec3a.run(total_calls=2_000)
+        run_a = run_experiment("sec3a", total_calls=2_000).result
     with activate_plan(plan):
-        run_b = sec3a.run(total_calls=2_000)
+        run_b = run_experiment("sec3a", total_calls=2_000).result
     assert sec3a.table(run_a) == sec3a.table(run_b)
 
-    healthy = sec3a.run(total_calls=2_000)
+    healthy = run_experiment("sec3a", total_calls=2_000).result
     # The crash plan perturbs the run: identical rows would mean the
     # faults never took effect.
     assert sec3a.table(healthy) != sec3a.table(run_a)

@@ -8,8 +8,9 @@ import os
 import pytest
 
 from repro.api import AutoscaleSpec, BenchSpec, ServeSpec
-from repro.cli import QUICK_KWARGS, build_parser, main, run_experiment
-from repro.experiments import EXPERIMENTS
+from repro.cli import QUICK_KWARGS, build_parser, main
+from repro.experiments import EXPERIMENTS, fig8
+from repro.experiments.suite import run_experiment
 from repro.scenarios import catalog
 from repro.telemetry.schema import read_artifact, stamp, write_artifact
 
@@ -43,7 +44,7 @@ class TestCli:
             main(["run", "fig99"])
 
     def test_run_experiment_returns_violation_count(self, capsys):
-        assert run_experiment("fig13", quick=True) == 0
+        assert len(run_experiment("fig13", **QUICK_KWARGS["fig13"]).violations) == 0
 
     def test_csv_export(self, capsys, tmp_path):
         assert main(["run", "fig7", "--quick", "--csv", str(tmp_path)]) == 0
@@ -86,6 +87,33 @@ class TestTelemetryFlags:
     def test_no_flags_no_artifacts(self, capsys, tmp_path, tiny_fig8):
         assert main(["run", "fig8", "--quick"]) == 0
         assert list(tmp_path.iterdir()) == []
+
+    def test_shared_cells_run_once_per_invocation(
+        self, capsys, tmp_path, monkeypatch, tiny_fig8
+    ):
+        # fig9 plots fig8's runs: one invocation executes each cell once
+        # and writes its telemetry once, under fig8's name.
+        monkeypatch.setitem(QUICK_KWARGS, "fig9", QUICK_KWARGS["fig8"])
+        registry = {exp_id: EXPERIMENTS[exp_id] for exp_id in ("fig8", "fig9")}
+        monkeypatch.setattr("repro.cli.EXPERIMENTS", registry)
+        monkeypatch.setattr("repro.experiments.suite.EXPERIMENTS", registry)
+        executed = []
+        run_cell = fig8.run_cell
+
+        def counted_run_cell(spec):
+            executed.append(spec)
+            return run_cell(spec)
+
+        monkeypatch.setattr(fig8, "run_cell", counted_run_cell)
+        argv = ["run", "all", "--quick", "--no-cache", "--telemetry", str(tmp_path)]
+        assert main(argv) == 0
+        specs = fig8.cells(**QUICK_KWARGS["fig8"])
+        assert executed == specs
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"fig8.{suffix}"
+            for suffix in ("events.jsonl", "trace.json", "metrics.prom", "cycle_budget.txt")
+        )
+        assert "[cells shared with fig8" in capsys.readouterr().out
 
 
 class TestRegressCommands:
@@ -149,7 +177,7 @@ class TestRegressCommands:
             main(["baseline", "--experiments", "nope"])
 
     def test_audit_live(self, capsys, tiny_sec3a):
-        assert main(["audit", "sec3a", "--quick"]) == 0
+        assert main(["run", "sec3a", "--quick", "--audit"]) == 0
         out = capsys.readouterr().out
         assert "all invariants hold" in out
 
@@ -561,7 +589,7 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("plan", ["unknown-name", "not-json", "bad-plan"])
     @pytest.mark.parametrize(
-        "command", ["serve", "evidence", "baseline", "diff", "faults-run", "faults-show"]
+        "command", ["serve", "evidence", "baseline", "diff", "run", "faults-show"]
     )
     def test_fault_plan(self, files, tmp_path, capsys, command, plan):
         value = "nope" if plan == "unknown-name" else files[plan]
@@ -573,7 +601,7 @@ class TestMalformedInputs:
             "baseline": ["baseline", "--quick", "--experiments", "fig13",
                          "--out", out, "--plan", value],
             "diff": ["diff", os.path.join(BASELINES_DIR, "quick.json"), "--plan", value],
-            "faults-run": ["faults", "run", "fig13", "--quick", "--plan", value],
+            "run": ["run", "fig13", "--quick", "--plan", value],
             "faults-show": ["faults", "show", value],
         }[command]
         assert value in self.refusal(argv, capsys)
