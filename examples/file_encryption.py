@@ -13,12 +13,8 @@ Run:  python examples/file_encryption.py
 """
 
 from repro.apps import CryptoFileApp
-from repro.api import make_backend
-from repro.core import ZcConfig
+from repro.api import Runtime, ZcConfig
 from repro.crypto import RealAesCbcEngine
-from repro.hostos import HostFileSystem, PosixHost
-from repro.sgx import Enclave, UntrustedRuntime
-from repro.sim import Kernel, paper_machine
 
 KEY = bytes.fromhex(
     "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4"
@@ -32,63 +28,54 @@ PASSES = 8  # pipeline passes per thread, so the run spans several quanta
 ZC_CONFIG = ZcConfig(quantum_seconds=0.002)
 
 
-def build(mode: str):
-    kernel = Kernel(paper_machine())
-    fs = HostFileSystem()
-    fs.create("/secret.txt", PLAINTEXT)
-    urts = UntrustedRuntime()
-    PosixHost(fs).install(urts)
-    enclave = Enclave(kernel, urts)
-    if mode == "zc":
-        enclave.set_backend(make_backend("zc", ZC_CONFIG))
-    return kernel, fs, enclave
-
-
 def verify_round_trip():
     """Correctness pass: real AES, bitwise round-trip, no plaintext leak."""
-    kernel, fs, enclave = build("no_sl")
-    app = CryptoFileApp(enclave, lambda: RealAesCbcEngine(KEY, IV), chunk_bytes=4096)
+    with Runtime.create("baseline", files={"/secret.txt": PLAINTEXT}) as rt:
+        app = CryptoFileApp(
+            rt.enclave, lambda: RealAesCbcEngine(KEY, IV), chunk_bytes=4096
+        )
 
-    def pipeline():
-        yield from app.encrypt_file("/secret.txt", "/secret.enc", IV)
-        yield from app.decrypt_file("/secret.enc", "/roundtrip.txt")
+        def pipeline():
+            yield from app.encrypt_file("/secret.txt", "/secret.enc", IV)
+            yield from app.decrypt_file("/secret.enc", "/roundtrip.txt")
 
-    kernel.join(kernel.spawn(pipeline(), name="verify"))
-    assert fs.contents("/roundtrip.txt") == PLAINTEXT, "round-trip mismatch!"
-    assert PLAINTEXT[:64] not in fs.contents("/secret.enc"), "plaintext leak!"
+        rt.run_program(pipeline(), name="verify")
+        assert rt.fs.contents("/roundtrip.txt") == PLAINTEXT, "round-trip mismatch!"
+        assert PLAINTEXT[:64] not in rt.fs.contents("/secret.enc"), "plaintext leak!"
     print(f"verified: {len(PLAINTEXT)} B AES-256-CBC round-trip is bit-exact\n")
 
 
 def run_mode(mode: str) -> float:
-    kernel, fs, enclave = build(mode)
-    app = CryptoFileApp(enclave, lambda: RealAesCbcEngine(KEY, IV), chunk_bytes=4096)
+    config = ZC_CONFIG if mode == "zc" else None
+    with Runtime.create(mode, config, files={"/secret.txt": PLAINTEXT}) as rt:
+        enclave = rt.enclave
+        app = CryptoFileApp(enclave, lambda: RealAesCbcEngine(KEY, IV), chunk_bytes=4096)
 
-    def prepare():
-        yield from app.encrypt_file("/secret.txt", "/pre.enc", IV)
+        def prepare():
+            yield from app.encrypt_file("/secret.txt", "/pre.enc", IV)
 
-    kernel.join(kernel.spawn(prepare(), name="prepare"))
-    start = kernel.now
+        rt.run_program(prepare(), name="prepare")
+        start = rt.kernel.now
 
-    def encryptor():
-        for i in range(PASSES):
-            yield from app.encrypt_file("/secret.txt", f"/out-{i}.enc", IV)
+        def encryptor():
+            for i in range(PASSES):
+                yield from app.encrypt_file("/secret.txt", f"/out-{i}.enc", IV)
 
-    def decryptor():
-        for _ in range(PASSES):
-            yield from app.decrypt_file("/pre.enc")
+        def decryptor():
+            for _ in range(PASSES):
+                yield from app.decrypt_file("/pre.enc")
 
-    enc = kernel.spawn(encryptor(), name="encryptor")
-    dec = kernel.spawn(decryptor(), name="decryptor")
-    kernel.join(enc, dec)
-    elapsed_ms = kernel.seconds(kernel.now - start) * 1e3
-    print(
-        f"{mode:>6}: {PASSES}x{len(PLAINTEXT)} B per thread in "
-        f"{elapsed_ms:7.2f} ms simulated "
-        f"(memcpy: {type(enclave.memcpy_model).__name__}, "
-        f"switchless {enclave.stats.switchless_fraction() * 100:.0f}%)"
-    )
-    enclave.stop_backend()
-    kernel.run()
+        rt.join(
+            rt.spawn(encryptor(), name="encryptor"),
+            rt.spawn(decryptor(), name="decryptor"),
+        )
+        elapsed_ms = rt.kernel.seconds(rt.kernel.now - start) * 1e3
+        print(
+            f"{mode:>6}: {PASSES}x{len(PLAINTEXT)} B per thread in "
+            f"{elapsed_ms:7.2f} ms simulated "
+            f"(memcpy: {type(enclave.memcpy_model).__name__}, "
+            f"switchless {enclave.stats.switchless_fraction() * 100:.0f}%)"
+        )
     return elapsed_ms
 
 

@@ -9,65 +9,41 @@ Run:  python examples/kissdb_store.py
 """
 
 from repro.apps import KissDB
-from repro.api import make_backend
-from repro.core import ZcConfig
-from repro.hostos import HostFileSystem, PosixHost
-from repro.sgx import Enclave, UntrustedRuntime
-from repro.sim import Kernel, paper_machine
-from repro.switchless import SwitchlessConfig
+from repro.api import Runtime, SwitchlessConfig
 
 N_KEYS = 1500
-
-
-def build_enclave(mode: str):
-    kernel = Kernel(paper_machine())
-    fs = HostFileSystem()
-    urts = UntrustedRuntime()
-    PosixHost(fs).install(urts)
-    enclave = Enclave(kernel, urts)
-    if mode == "intel":
-        enclave.set_backend(
-            make_backend("intel",
-                SwitchlessConfig(
-                    switchless_ocalls=frozenset({"fseeko", "fread", "fwrite"}),
-                    num_uworkers=2,
-                )
-            )
-        )
-    elif mode == "zc":
-        enclave.set_backend(make_backend("zc", ZcConfig()))
-    return kernel, enclave
+#: The static Intel configuration: the three kissdb ocalls, two workers.
+INTEL_CONFIG = SwitchlessConfig(
+    switchless_ocalls=frozenset({"fseeko", "fread", "fwrite"}), num_uworkers=2
+)
 
 
 def run_mode(mode: str) -> float:
-    kernel, enclave = build_enclave(mode)
-    db = KissDB(enclave, "/demo.db", hash_table_size=128)
+    with Runtime.create(mode, INTEL_CONFIG if mode == "intel" else None) as rt:
+        db = KissDB(rt.enclave, "/demo.db", hash_table_size=128)
 
-    def client():
-        yield from db.open()
-        for i in range(N_KEYS):
-            yield from db.put(i.to_bytes(8, "big"), (i * i).to_bytes(8, "little"))
-        # Verify a few round trips while still inside the enclave.
-        for i in (0, 7, N_KEYS - 1):
-            value = yield from db.get(i.to_bytes(8, "big"))
-            assert value == (i * i).to_bytes(8, "little"), "lookup mismatch!"
-        missing = yield from db.get((10**9).to_bytes(8, "big"))
-        assert missing is None
-        yield from db.close()
+        def client():
+            yield from db.open()
+            for i in range(N_KEYS):
+                yield from db.put(i.to_bytes(8, "big"), (i * i).to_bytes(8, "little"))
+            # Verify a few round trips while still inside the enclave.
+            for i in (0, 7, N_KEYS - 1):
+                value = yield from db.get(i.to_bytes(8, "big"))
+                assert value == (i * i).to_bytes(8, "little"), "lookup mismatch!"
+            missing = yield from db.get((10**9).to_bytes(8, "big"))
+            assert missing is None
+            yield from db.close()
 
-    thread = kernel.spawn(client(), name="kissdb-client")
-    kernel.join(thread)
-    elapsed_ms = kernel.seconds(kernel.now) * 1e3
-    seeks = enclave.stats.by_name["fseeko"].calls
-    writes = enclave.stats.by_name["fwrite"].calls
-    print(
-        f"{mode:>6}: {N_KEYS} SETs in {elapsed_ms:7.2f} ms  "
-        f"({elapsed_ms * 1e3 / N_KEYS:6.1f} us/SET, "
-        f"{seeks} fseeko / {writes} fwrite ocalls, "
-        f"{db.table_count} hash-table pages)"
-    )
-    enclave.stop_backend()
-    kernel.run()
+        rt.run_program(client(), name="kissdb-client")
+        elapsed_ms = rt.kernel.seconds(rt.kernel.now) * 1e3
+        seeks = rt.enclave.stats.by_name["fseeko"].calls
+        writes = rt.enclave.stats.by_name["fwrite"].calls
+        print(
+            f"{mode:>6}: {N_KEYS} SETs in {elapsed_ms:7.2f} ms  "
+            f"({elapsed_ms * 1e3 / N_KEYS:6.1f} us/SET, "
+            f"{seeks} fseeko / {writes} fwrite ocalls, "
+            f"{db.table_count} hash-table pages)"
+        )
     return elapsed_ms
 
 

@@ -15,32 +15,16 @@ Run:  python examples/profile_and_advise.py
 """
 
 from repro.apps import KissDB
-from repro.api import make_backend
-from repro.core import ZcConfig
-from repro.hostos import HostFileSystem, PosixHost
+from repro.api import Runtime, SwitchlessConfig
 from repro.profiler import CallTracer, SwitchlessAdvisor, build_profiles
 from repro.profiler.advisor import format_recommendations
 from repro.profiler.profile import format_profiles
-from repro.sgx import Enclave, UntrustedRuntime
-from repro.sim import Kernel, paper_machine
-from repro.switchless import SwitchlessConfig
 
 N_KEYS = 1200
 
 
-def build(backend=None):
-    kernel = Kernel(paper_machine())
-    fs = HostFileSystem()
-    urts = UntrustedRuntime()
-    PosixHost(fs).install(urts)
-    enclave = Enclave(kernel, urts)
-    if backend is not None:
-        enclave.set_backend(backend)
-    return kernel, enclave
-
-
-def kissdb_workload(kernel, enclave):
-    db = KissDB(enclave, "/profiled.db", hash_table_size=128)
+def kissdb_workload(rt):
+    db = KissDB(rt.enclave, "/profiled.db", hash_table_size=128)
 
     def client():
         yield from db.open()
@@ -48,19 +32,15 @@ def kissdb_workload(kernel, enclave):
             yield from db.put(i.to_bytes(8, "big"), i.to_bytes(8, "little"))
         yield from db.close()
 
-    thread = kernel.spawn(client(), name="client")
-    kernel.join(thread)
-    elapsed_ms = kernel.seconds(kernel.now) * 1e3
-    enclave.stop_backend()
-    kernel.run()
-    return elapsed_ms
+    rt.run_program(client(), name="client")
+    return rt.kernel.seconds(rt.kernel.now) * 1e3
 
 
 def main():
     # Step 1+2: trace the workload under regular ocalls and profile it.
-    kernel, enclave = build()
-    tracer = CallTracer().install(enclave)
-    baseline_ms = kissdb_workload(kernel, enclave)
+    with Runtime.create("baseline") as rt:
+        tracer = CallTracer().install(rt.enclave)
+        baseline_ms = kissdb_workload(rt)
     profiles = build_profiles(tracer.events, tracer.window_cycles())
     print(format_profiles(profiles))
     print()
@@ -73,15 +53,12 @@ def main():
     print(f"\nadvised EDL switchless set: {sorted(chosen)}\n")
 
     # Step 4: measure advised-Intel and configless zc.
-    kernel, enclave = build(
-        make_backend("intel",
-            SwitchlessConfig(switchless_ocalls=chosen, num_uworkers=2)
-        )
-    )
-    advised_ms = kissdb_workload(kernel, enclave)
+    advised = SwitchlessConfig(switchless_ocalls=chosen, num_uworkers=2)
+    with Runtime.create("intel", advised) as rt:
+        advised_ms = kissdb_workload(rt)
 
-    kernel, enclave = build(make_backend("zc", ZcConfig()))
-    zc_ms = kissdb_workload(kernel, enclave)
+    with Runtime.create("zc") as rt:
+        zc_ms = kissdb_workload(rt)
 
     print(f"baseline (no switchless) : {baseline_ms:7.2f} ms")
     print(f"Intel, advisor-configured: {advised_ms:7.2f} ms")

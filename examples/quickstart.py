@@ -1,65 +1,47 @@
 #!/usr/bin/env python
 """Quickstart: run ocalls through ZC-SWITCHLESS on a simulated SGX machine.
 
-Builds the full stack in ~20 lines — machine, host OS, enclave, backend —
-then issues the same ocalls under the regular (always-transition) path and
-under ZC-SWITCHLESS, and prints the latency difference and call statistics.
+Builds the full stack — machine, host OS, enclave, backend — with one
+``Runtime.create`` call, then issues the same ocalls under the regular
+(always-transition) path and under ZC-SWITCHLESS, and prints the latency
+difference and call statistics.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.api import make_backend
-from repro.core import ZcConfig
-from repro.hostos import DevNull, DevZero, HostFileSystem, PosixHost
-from repro.sgx import Enclave, UntrustedRuntime
-from repro.sim import Kernel, paper_machine
+from repro.api import Runtime
 
 
-def build_stack(use_zc: bool):
-    """One simulated machine with a POSIX host and a single enclave."""
-    kernel = Kernel(paper_machine())  # 4 cores / 8 threads @ 3.8 GHz
-    fs = HostFileSystem()
-    fs.mount_device("/dev/null", DevNull())
-    fs.mount_device("/dev/zero", DevZero())
-    urts = UntrustedRuntime()
-    PosixHost(fs).install(urts)
-    enclave = Enclave(kernel, urts)
-    if use_zc:
-        enclave.set_backend(make_backend("zc", ZcConfig()))
-    return kernel, enclave
-
-
-def workload(kernel, enclave, n_ops=2000):
-    """An enclave thread writing one word to /dev/null n_ops times."""
+def workload(rt, n_ops=2000):
+    """Two enclave threads, each writing one word to /dev/null n_ops times."""
 
     def program():
-        fd = yield from enclave.ocall("open", "/dev/null", "w")
+        fd = yield from rt.enclave.ocall("open", "/dev/null", "w")
         for _ in range(n_ops):
-            yield from enclave.ocall("write", fd, bytes(8), in_bytes=8)
-        yield from enclave.ocall("close", fd)
+            yield from rt.enclave.ocall("write", fd, bytes(8), in_bytes=8)
+        yield from rt.enclave.ocall("close", fd)
 
     # Two concurrent enclave threads, as in the paper's benchmarks.
-    threads = [kernel.spawn(program(), name=f"app-{i}") for i in range(2)]
-    kernel.join(*threads)
-    return kernel.seconds(kernel.now)
+    rt.join(*[rt.spawn(program(), name=f"app-{i}") for i in range(2)])
+    return rt.kernel.seconds(rt.kernel.now)
 
 
 def main():
-    for label, use_zc in (("regular ocalls (no_sl)", False), ("ZC-SWITCHLESS", True)):
-        kernel, enclave = build_stack(use_zc)
-        elapsed = workload(kernel, enclave)
-        stats = enclave.stats
-        write_stats = stats.by_name["write"]
-        print(f"{label}:")
-        print(f"  elapsed            : {elapsed * 1e3:8.2f} ms (simulated)")
-        print(f"  mean write latency : {write_stats.mean_latency_cycles:8.0f} cycles")
-        print(
-            f"  calls              : {stats.total_calls} "
-            f"(switchless={stats.total_switchless}, "
-            f"fallback={stats.total_fallback}, regular={stats.total_regular})"
-        )
-        enclave.stop_backend()
-        kernel.run()
+    for label, backend in (("regular ocalls (no_sl)", "baseline"), ("ZC-SWITCHLESS", "zc")):
+        # One simulated machine (4 cores / 8 threads @ 3.8 GHz) with a
+        # POSIX host and a single enclave; closing it stops the backend.
+        with Runtime.create(backend) as rt:
+            elapsed = workload(rt)
+            stats = rt.enclave.stats
+            write_stats = stats.by_name["write"]
+            print(f"{label}:")
+            print(f"  elapsed            : {elapsed * 1e3:8.2f} ms (simulated)")
+            print(f"  mean write latency : {write_stats.mean_latency_cycles:8.0f} cycles")
+            print(
+                f"  calls              : {stats.total_calls} "
+                f"(switchless={stats.total_switchless}, "
+                f"fallback={stats.total_fallback}, regular={stats.total_regular})"
+            )
         print()
 
 

@@ -4,18 +4,16 @@
 Untrusted request handlers **ecall** into the enclave to increment sealed
 counters; the enclave periodically persists its state with fwrite
 **ocalls**.  Both directions run configless through ZC-SWITCHLESS
-(`make_backend("zc")` for ocalls, `ZcEcallRuntime` for ecalls — §IV-D's
+(`Runtime.create("zc")` for ocalls, `ZcEcallRuntime` for ecalls — §IV-D's
 symmetry made concrete), and the comparison against full transitions
 shows the benefit on a realistic request/response service.
 
 Run:  python examples/secure_counter_service.py
 """
 
-from repro.api import make_backend
+from repro.api import Runtime
 from repro.core import ZcConfig, ZcEcallRuntime
-from repro.hostos import HostFileSystem, PosixHost
-from repro.sgx import Enclave, UntrustedRuntime
-from repro.sim import Compute, Kernel, paper_machine
+from repro.sim import Compute
 
 N_REQUESTS = 4_000
 N_HOST_THREADS = 2
@@ -55,39 +53,33 @@ class CounterEnclave:
 
 
 def run(mode: str) -> float:
-    kernel = Kernel(paper_machine())
-    fs = HostFileSystem()
-    urts = UntrustedRuntime()
-    PosixHost(fs).install(urts)
-    enclave = Enclave(kernel, urts)
-    if mode == "zc":
-        enclave.set_backend(make_backend("zc", ZC_CONFIG))
-        ZcEcallRuntime(ZC_CONFIG).attach(enclave)
-    service = CounterEnclave(enclave)
+    with Runtime.create(mode, ZC_CONFIG if mode == "zc" else None) as rt:
+        kernel, enclave = rt.kernel, rt.enclave
+        if mode == "zc":
+            ZcEcallRuntime(ZC_CONFIG).attach(enclave)
+        service = CounterEnclave(enclave)
 
-    def host_worker(index: int):
-        """An untrusted request-handling thread."""
-        for i in range(N_REQUESTS // N_HOST_THREADS):
-            counter_id = (index * 7 + i) % 16
-            yield Compute(1_500, tag="request-parse")
-            yield from enclave.ecall_named("increment", counter_id, in_bytes=4, out_bytes=8)
+        def host_worker(index: int):
+            """An untrusted request-handling thread."""
+            for i in range(N_REQUESTS // N_HOST_THREADS):
+                counter_id = (index * 7 + i) % 16
+                yield Compute(1_500, tag="request-parse")
+                yield from enclave.ecall_named("increment", counter_id, in_bytes=4, out_bytes=8)
 
-    threads = [
-        kernel.spawn(host_worker(i), name=f"host-{i}") for i in range(N_HOST_THREADS)
-    ]
-    kernel.join(*threads)
-    elapsed_ms = kernel.seconds(kernel.now) * 1e3
-    total = sum(service.counters.values())
-    assert total == N_REQUESTS, f"lost updates: {total} != {N_REQUESTS}"
-    switchless_ecalls = enclave.ecall_stats.total_switchless
-    print(
-        f"{mode:>8}: {N_REQUESTS} increments in {elapsed_ms:7.2f} ms "
-        f"({elapsed_ms * 1e6 / N_REQUESTS:6.0f} ns/req, "
-        f"{switchless_ecalls} switchless ecalls, "
-        f"{service.persists} persists via ocalls)"
-    )
-    enclave.stop_backend()
-    kernel.run()
+        threads = [
+            kernel.spawn(host_worker(i), name=f"host-{i}") for i in range(N_HOST_THREADS)
+        ]
+        kernel.join(*threads)
+        elapsed_ms = kernel.seconds(kernel.now) * 1e3
+        total = sum(service.counters.values())
+        assert total == N_REQUESTS, f"lost updates: {total} != {N_REQUESTS}"
+        switchless_ecalls = enclave.ecall_stats.total_switchless
+        print(
+            f"{mode:>8}: {N_REQUESTS} increments in {elapsed_ms:7.2f} ms "
+            f"({elapsed_ms * 1e6 / N_REQUESTS:6.0f} ns/req, "
+            f"{switchless_ecalls} switchless ecalls, "
+            f"{service.persists} persists via ocalls)"
+        )
     return elapsed_ms
 
 

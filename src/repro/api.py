@@ -25,10 +25,12 @@ incantations with a single factory:
   ``regular``, ``zc-switchless``, ...) onto :data:`BACKEND_CHOICES`, the
   single vocabulary the CLI's ``--backend`` flags use.
 
-Sharded serving (:mod:`repro.serve`) builds N runtimes on one shared
-kernel by passing ``kernel=``/``fs=``: a runtime that does not own its
-kernel neither attaches ambient telemetry/fault plans (the shared-kernel
-owner does that exactly once) nor drains the kernel on close.
+Two runtimes can share one kernel by passing ``kernel=``/``fs=`` (the
+§V-D sender/receiver pair does): a runtime that does not own its kernel
+neither attaches the ambient telemetry session or fault plan (the
+kernel's owner does that exactly once) nor drains the kernel on close.
+The serve cluster (:func:`repro.serve.bench.build_cluster`) is the one
+other kernel owner: it puts N enclave shards on one kernel.
 
 The *declarative* serving surface lives here too: :class:`ServeSpec`
 describes a cluster, :class:`BenchSpec` describes a full benchmark run
@@ -55,7 +57,7 @@ from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator, TypeVar
 
 from repro.core.backend import ZcSwitchlessBackend
 from repro.core.config import ZcConfig
-from repro.faults import FaultInjector, FaultPlan, active_fault_plan, get_plan
+from repro.faults import FaultInjector, active_fault_plan
 from repro.hostos import (
     CpuUsageMonitor,
     DevNull,
@@ -71,7 +73,7 @@ from repro.sim import Kernel, MachineSpec, paper_machine
 from repro.switchless.backend import IntelSwitchlessBackend
 from repro.switchless.config import SwitchlessConfig
 from repro.telemetry.schema import check_stamp, stamp
-from repro.telemetry.session import CellCapture, TelemetrySession, active_session
+from repro.telemetry.session import CellCapture, active_session
 
 if TYPE_CHECKING:
     from repro.sim.kernel import Program, SimThread
@@ -787,8 +789,8 @@ class Runtime:
         syscall_costs: SyscallCostModel | None = None,
         memcpy_model: Any | None = None,
         monitor_interval_s: float | None = None,
-        telemetry: TelemetrySession | bool | None = None,
-        faults: FaultPlan | str | bool | None = None,
+        telemetry: bool = True,
+        faults: bool = True,
         arbiter: Any | None = None,
         label: str | None = None,
         name: str = "enclave",
@@ -801,9 +803,9 @@ class Runtime:
             machine: Simulated machine; default :func:`paper_machine`.
                 Ignored when ``kernel`` is given.
             kernel: Attach to an existing kernel instead of creating one
-                (shared-kernel mode, used by :mod:`repro.serve`).  The
-                runtime then neither drains the kernel on close nor
-                auto-attaches ambient telemetry/fault plans.
+                (shared-kernel mode, used by :mod:`repro.serve` and
+                §V-D).  The runtime then neither drains the kernel on
+                close nor attaches the ambient session or plan.
             fs: Share an existing host filesystem; by default a fresh one
                 is created with ``/dev/null`` and ``/dev/zero`` mounted.
             files: Initial file contents to create in the filesystem.
@@ -813,15 +815,13 @@ class Runtime:
                 installs its own ``rep movsb`` model on attach anyway).
             monitor_interval_s: When set, start a
                 :class:`CpuUsageMonitor` sampling at this period.
-            telemetry: ``None`` (default) attaches to the ambient
-                :func:`active_session` when this runtime owns its kernel;
-                ``False`` disables; ``True`` forces ambient attachment; a
-                :class:`TelemetrySession` attaches to that session.
-            faults: ``None`` (default) attaches the ambient
-                :func:`active_fault_plan` when this runtime owns its
-                kernel; ``False`` disables; ``True`` forces the ambient
-                plan; a :class:`FaultPlan` or plan name attaches that
-                plan's injector to this runtime's enclave.
+            telemetry: ``True`` (default) attaches the ambient
+                :func:`active_session`, if any, when this runtime owns
+                its kernel; ``False`` never attaches.
+            faults: ``True`` (default) attaches the ambient
+                :func:`active_fault_plan`'s injector, if any, to this
+                runtime's enclave when it owns its kernel; ``False``
+                never attaches.
             arbiter: Cross-enclave worker-budget arbiter installed on the
                 backend before attach (zc only; see
                 :class:`repro.serve.budget.WorkerBudgetArbiter`).
@@ -834,7 +834,7 @@ class Runtime:
         if kernel is None:
             kernel = Kernel(machine if machine is not None else paper_machine())
 
-        session = cls._resolve_session(telemetry, owns_kernel)
+        session = active_session() if telemetry and owns_kernel else None
         capture = session.attach(kernel, label=label) if session is not None else None
 
         if fs is None:
@@ -863,7 +863,7 @@ class Runtime:
         if capture is not None:
             capture.bind_enclave(enclave)
 
-        plan = cls._resolve_plan(faults, owns_kernel)
+        plan = active_fault_plan() if faults and owns_kernel else None
         injector = (
             FaultInjector(plan).attach(kernel, enclave) if plan is not None else None
         )
@@ -911,32 +911,6 @@ class Runtime:
             f"Runtime.serve takes a ServeSpec or BenchSpec, got "
             f"{type(spec).__name__}"
         )
-
-    @staticmethod
-    def _resolve_session(
-        telemetry: TelemetrySession | bool | None, owns_kernel: bool
-    ) -> TelemetrySession | None:
-        if telemetry is False:
-            return None
-        if telemetry is None:
-            return active_session() if owns_kernel else None
-        if telemetry is True:
-            return active_session()
-        return telemetry
-
-    @staticmethod
-    def _resolve_plan(
-        faults: FaultPlan | str | bool | None, owns_kernel: bool
-    ) -> FaultPlan | None:
-        if faults is False:
-            return None
-        if faults is None:
-            return active_fault_plan() if owns_kernel else None
-        if faults is True:
-            return active_fault_plan()
-        if isinstance(faults, str):
-            return get_plan(faults)
-        return faults
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -120,7 +120,12 @@ def _export_telemetry(session: Any, directory: str, name: str) -> None:
 
 
 def _print_auditors(auditors: list[Any]) -> int:
-    """Print finished auditors and the summary line; returns the violation count."""
+    """Print finished auditors and the summary line; returns the failure
+    count: the violations, or 1 when no cell was observed (an audit that
+    checked nothing must not pass)."""
+    if not auditors:
+        print("\naudit: 0 cell(s), nothing was observed")
+        return 1
     violations = 0
     for auditor in auditors:
         print(auditor.render())

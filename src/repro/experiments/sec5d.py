@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_table
+from repro.api import Runtime
 from repro.parallel import CellSpec, cell
-from repro.sgx import Enclave, UntrustedRuntime
 from repro.sgx.memcpy import MemcpyModel, VanillaMemcpy, ZcMemcpy
-from repro.sim import Block, Compute, Kernel, paper_machine
+from repro.sim import Block, Compute
 from repro.sim.kernel import Program
 
 #: SSL record processing cost (cipher + HMAC + framing) per byte; full
@@ -71,54 +71,63 @@ def _ssl_cycles(nbytes: int) -> float:
 def measure_transfer(
     record_bytes: int, memcpy_model: MemcpyModel, records: int = 200
 ) -> float:
-    """GB/s of an inter-enclave record stream with the given memcpy."""
-    kernel = Kernel(paper_machine())
-    urts = UntrustedRuntime()
-    sender = Enclave(kernel, urts, memcpy_model=memcpy_model, name="sender")
-    receiver = Enclave(kernel, urts, memcpy_model=memcpy_model, name="receiver")
+    """GB/s of an inter-enclave record stream with the given memcpy.
 
-    # A one-slot shared ring in untrusted memory: sender blocks when the
-    # slot is full, receiver blocks when it is empty.
-    slot: list[bytes | None] = [None]
-    space_free = [kernel.event("space")]
-    data_ready = [kernel.event("data")]
-    space_free[0].fire()
+    The sender runtime owns the kernel (and with it the cell's telemetry
+    capture and fault injector, labelled ``<model>-<record_bytes>B``);
+    the receiver runtime shares it.
+    """
+    model = type(memcpy_model).__name__.removesuffix("Memcpy").lower()
+    with Runtime.create(
+        "baseline",
+        memcpy_model=memcpy_model,
+        label=f"{model}-{record_bytes}B",
+        name="sender",
+    ) as sender, Runtime.create(
+        "baseline", kernel=sender.kernel, memcpy_model=memcpy_model, name="receiver"
+    ) as receiver:
+        kernel = sender.kernel
+        # A one-slot shared ring in untrusted memory: sender blocks when
+        # the slot is full, receiver blocks when it is empty.
+        slot: list[bytes | None] = [None]
+        space_free = [kernel.event("space")]
+        data_ready = [kernel.event("data")]
+        space_free[0].fire()
 
-    def send() -> Program:
-        for i in range(records):
-            yield Compute(_ssl_cycles(record_bytes), tag="ssl-encrypt")
-            if slot[0] is not None:
-                yield Block(space_free[0])
-            space_free[0] = kernel.event("space")
-            # Copy the record out of the enclave into shared memory.
-            yield Compute(
-                sender.memcpy_model.cycles(record_bytes, aligned=True),
-                tag="copy-out",
-            )
-            slot[0] = bytes(8)  # token standing in for the record
-            data_ready[0].fire_if_unfired()
-        return records
+        def send() -> Program:
+            for i in range(records):
+                yield Compute(_ssl_cycles(record_bytes), tag="ssl-encrypt")
+                if slot[0] is not None:
+                    yield Block(space_free[0])
+                space_free[0] = kernel.event("space")
+                # Copy the record out of the enclave into shared memory.
+                yield Compute(
+                    sender.enclave.memcpy_model.cycles(record_bytes, aligned=True),
+                    tag="copy-out",
+                )
+                slot[0] = bytes(8)  # token standing in for the record
+                data_ready[0].fire_if_unfired()
+            return records
 
-    def receive() -> Program:
-        for i in range(records):
-            if slot[0] is None:
-                yield Block(data_ready[0])
-            data_ready[0] = kernel.event("data")
-            yield Compute(
-                receiver.memcpy_model.cycles(record_bytes, aligned=True),
-                tag="copy-in",
-            )
-            slot[0] = None
-            space_free[0].fire_if_unfired()
-            yield Compute(_ssl_cycles(record_bytes), tag="ssl-decrypt")
-        return records
+        def receive() -> Program:
+            for i in range(records):
+                if slot[0] is None:
+                    yield Block(data_ready[0])
+                data_ready[0] = kernel.event("data")
+                yield Compute(
+                    receiver.enclave.memcpy_model.cycles(record_bytes, aligned=True),
+                    tag="copy-in",
+                )
+                slot[0] = None
+                space_free[0].fire_if_unfired()
+                yield Compute(_ssl_cycles(record_bytes), tag="ssl-decrypt")
+            return records
 
-    threads = [
-        kernel.spawn(send(), name="sender", kind="app"),
-        kernel.spawn(receive(), name="receiver", kind="app"),
-    ]
-    kernel.join(*threads)
-    elapsed_s = kernel.seconds(kernel.now)
+        sender.join(
+            sender.spawn(send(), name="sender", kind="app"),
+            receiver.spawn(receive(), name="receiver", kind="app"),
+        )
+        elapsed_s = kernel.seconds(kernel.now)
     return record_bytes * records / elapsed_s / 1e9
 
 

@@ -11,10 +11,13 @@ is one such artifact; :mod:`repro.regress.baselines` gates a fresh run
 against it.
 
 The declarative surface is a :class:`repro.api.BenchSpec`:
-:func:`run_bench` takes the spec plus runner plumbing (sinks, a
-telemetry session, the audit switch) and nothing else.
+:func:`run_bench` takes the spec plus runner plumbing (sinks, the
+telemetry and audit switches) and nothing else.
 :func:`build_cluster` does the same for a bare cluster from a
-:class:`repro.api.ServeSpec`.
+:class:`repro.api.ServeSpec`.  The cluster is the one owner of a
+kernel besides :meth:`repro.api.Runtime.create`, because it puts N
+enclave shards on one kernel: it attaches the ambient telemetry session
+and resolves the fault plan once, for the whole cluster.
 
 Everything here is deterministic per seed: same spec → identical
 artifact, which is what lets CI compare against
@@ -48,13 +51,22 @@ SERVE_QUANTUM_S = 0.002
 
 @dataclass
 class ServeCluster:
-    """A wired serving cluster (kernel + shards + router + arbiter)."""
+    """A wired serving cluster (kernel + shards + router + arbiter).
+
+    It owns the shared kernel's lifecycle the way a
+    :class:`repro.api.Runtime` owns its own: ``capture`` is the ambient
+    session's capture of that kernel (None when telemetry is off),
+    ``plan`` the fault plan the cluster runs under (``spec.plan``, else
+    the ambient plan) and ``injector`` that plan attached to shard
+    ``spec.fault_shard`` (None when the shard is not in this cluster).
+    """
 
     kernel: Kernel
     shards: list[EnclaveShard]
     router: Router
     arbiter: WorkerBudgetArbiter | None = None
     capture: CellCapture | None = None
+    plan: FaultPlan | None = None
     injector: FaultInjector | None = None
     #: The spec this cluster was built from (None for hand-wired ones).
     spec: ServeSpec | None = None
@@ -103,19 +115,21 @@ def build_cluster(
     spec: ServeSpec,
     *,
     machine: MachineSpec | None = None,
-    telemetry: TelemetrySession | bool | None = None,
+    telemetry: bool = True,
     shard_ids: tuple[int, ...] | None = None,
-    plan: FaultPlan | str | None = None,
 ) -> ServeCluster:
     """Wire the serving cluster a :class:`repro.api.ServeSpec` describes.
 
     Each shard is a full :class:`repro.api.Runtime` (own filesystem, own
-    enclave, own backend worker pool) attached to the shared kernel.
-    With ``spec.budget`` set — or autoscaling on — a
-    :class:`WorkerBudgetArbiter` caps the fleet's aggregate switchless
-    workers.  A fault plan (``plan`` argument, else ``spec.plan``, else
-    the ambient plan) attaches its injector to shard
-    ``spec.fault_shard``'s enclave (one injector per kernel).
+    enclave, own backend worker pool) attached to the shared kernel;
+    like every runtime on a borrowed kernel, a shard attaches neither
+    telemetry nor faults itself.  With ``spec.budget`` set — or
+    autoscaling on — a :class:`WorkerBudgetArbiter` caps the fleet's
+    aggregate switchless workers.  ``telemetry=True`` attaches the
+    ambient session, if any, to the shared kernel; ``False`` never
+    attaches.  The fault plan (``spec.plan``, else the ambient plan) is
+    resolved once, kept as ``cluster.plan``, and its injector attaches
+    to shard ``spec.fault_shard``'s enclave (one injector per kernel).
 
     ``shard_ids`` instantiates a *subset* of a larger cluster while
     keeping global shard indices (labels, rendezvous scores, per-shard
@@ -142,13 +156,7 @@ def build_cluster(
             raise SpecError(f"shard_ids {shard_ids} out of range for {shards} shards")
     kind = spec.backend
     kernel = Kernel(machine if machine is not None else server_machine())
-
-    if telemetry is None or telemetry is True:
-        session = active_session()
-    elif telemetry is False:
-        session = None
-    else:
-        session = telemetry
+    session = active_session() if telemetry else None
     capture = (
         session.attach(kernel, label=f"serve-{kind}x{shards}")
         if session is not None
@@ -170,8 +178,6 @@ def build_cluster(
             backend=kind,
             config=config,
             kernel=kernel,
-            telemetry=False,  # the cluster capture covers the shared kernel
-            faults=False,  # attached below, to one shard's enclave
             arbiter=arbiter if kind == "zc" else None,
             label=f"shard-{index}",
             name=f"shard-{index}",
@@ -196,22 +202,14 @@ def build_cluster(
         tenant_weights=spec.tenant_weights(),
     )
 
-    resolved_plan: FaultPlan | None
-    if plan is None:
-        resolved_plan = (
-            get_plan(spec.plan) if spec.plan is not None else active_fault_plan()
-        )
-    elif isinstance(plan, str):
-        resolved_plan = get_plan(plan)
-    else:
-        resolved_plan = plan
+    plan = get_plan(spec.plan) if spec.plan is not None else active_fault_plan()
     injector = None
-    if resolved_plan is not None:
+    if plan is not None:
         # Lookup by global index, not list position: a subset cluster's
         # list positions do not match shard indices.
         by_index = {shard.index: shard for shard in shard_objs}
         if spec.fault_shard in by_index:
-            injector = FaultInjector(resolved_plan).attach(
+            injector = FaultInjector(plan).attach(
                 kernel, by_index[spec.fault_shard].enclave
             )
 
@@ -229,6 +227,7 @@ def build_cluster(
         router=router,
         arbiter=arbiter,
         capture=capture,
+        plan=plan,
         injector=injector,
         spec=spec,
         # Initial shards are the provisioning floor both static and
@@ -253,9 +252,8 @@ def run_bench(
     spec: BenchSpec,
     *,
     machine: MachineSpec | None = None,
-    telemetry: TelemetrySession | bool | None = None,
+    telemetry: bool = True,
     audit: bool = False,
-    plan: FaultPlan | str | None = None,
     trace: Any = None,
     span_sink: list | None = None,
     obs_on_window: Any = None,
@@ -268,8 +266,11 @@ def run_bench(
     runner plumbing.  ``machine`` is every slice's simulated host,
     ``audit`` attaches the live invariant auditors to every slice kernel
     (their verdicts become the ``audit`` section) and ``jobs`` caps the
-    slice processes.  ``telemetry``, ``plan`` (overrides
-    ``spec.serve.plan``), ``trace`` (a loaded
+    slice processes.  The fault plan is ``spec.serve.plan``, else the
+    ambient plan (:func:`repro.faults.activate_plan`).
+    ``telemetry=True`` (the default) lets an unsliced run's cluster
+    attach the ambient telemetry session; ``False`` never attaches, and
+    a sliced run never captures.  ``trace`` (a loaded
     :class:`repro.scenarios.ScenarioTrace` or path overriding the
     spec's), ``span_sink`` (receives every completed request's span
     record) and ``obs_on_window`` (the live console hook) reach one
@@ -291,12 +292,13 @@ def run_bench(
         contracts = load_contracts(spec.contracts)
     from repro.serve.slices import merge_outcomes, run_slices
 
-    plumbing = dict(telemetry=telemetry, plan=plan, trace=trace,
-                    span_sink=span_sink, obs_on_window=obs_on_window)
+    plumbing = dict(trace=trace, span_sink=span_sink, obs_on_window=obs_on_window)
     if spec.slices == 1:
-        outcomes = [simulate(spec, machine=machine, audit=audit, **plumbing)]
+        outcomes = [
+            simulate(spec, machine=machine, telemetry=telemetry, audit=audit, **plumbing)
+        ]
     else:
-        refused = [name for name, value in plumbing.items() if value not in (None, False)]
+        refused = [name for name, value in plumbing.items() if value is not None]
         if refused:
             raise SpecError(
                 f"slices={spec.slices} runs each slice in its own process; "
@@ -310,9 +312,8 @@ def simulate(
     spec: BenchSpec,
     *,
     machine: MachineSpec | None = None,
-    telemetry: TelemetrySession | bool | None = None,
+    telemetry: bool = True,
     audit: bool = False,
-    plan: FaultPlan | str | None = None,
     trace: Any = None,
     span_sink: list | None = None,
     obs_on_window: Any = None,
@@ -330,9 +331,10 @@ def simulate(
 
     ``shard_ids``/``admit`` make the run a slice: only the named global
     shard indices are built, and open-loop arrivals pass through the
-    ``admit`` predicate.  ``audit`` runs under a fresh telemetry session
-    with the auditors attached, in place of ``telemetry``.  The other
-    keywords are :func:`run_bench`'s.
+    ``admit`` predicate.  ``audit`` runs the slice with
+    ``telemetry=True`` inside a fresh telemetry session with the
+    auditors attached.  The fault plan is the cluster's
+    (:func:`build_cluster`).  The other keywords are :func:`run_bench`'s.
     """
     if audit:
         from repro.regress import attach_auditor
@@ -340,9 +342,9 @@ def simulate(
         auditors: list[Any] = []
         with TelemetrySession(
             on_attach=lambda capture: auditors.append(attach_auditor(capture))
-        ) as session:
+        ):
             outcome = simulate(
-                spec, machine=machine, telemetry=session, plan=plan,
+                spec, machine=machine, telemetry=True,
                 trace=trace, span_sink=span_sink, obs_on_window=obs_on_window,
                 shard_ids=shard_ids, admit=admit,
             )
@@ -359,15 +361,6 @@ def simulate(
         return outcome
 
     serve = spec.serve
-    if plan is None:
-        resolved_plan = (
-            get_plan(serve.plan) if serve.plan is not None else active_fault_plan()
-        )
-    elif isinstance(plan, str):
-        resolved_plan = get_plan(plan)
-    else:
-        resolved_plan = plan
-
     if trace is None and spec.scenario is not None:
         from repro.scenarios.catalog import trace_path
 
@@ -417,7 +410,6 @@ def simulate(
         machine=machine,
         telemetry=telemetry,
         shard_ids=shard_ids,
-        plan=resolved_plan,
     )
     kernel = cluster.kernel
     if span_sink is not None:
@@ -523,7 +515,7 @@ def simulate(
         "keyspace": spec.keyspace,
         "set_fraction": spec.set_fraction,
         "seed": spec.seed,
-        "plan": resolved_plan.name if resolved_plan is not None else None,
+        "plan": cluster.plan.name if cluster.plan is not None else None,
         "tenants": dict(tenant_mix) if tenant_mix else None,
         "apps": (
             [list(pair) for pair in app_mix]

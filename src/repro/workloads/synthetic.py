@@ -25,13 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import SwitchlessConfig, make_backend
-from repro.hostos.procstat import ProcStat
-from repro.sgx import Enclave, SgxCostModel, UntrustedRuntime
-from repro.sim import Compute, Kernel, MachineSpec, paper_machine
+from repro.api import Runtime, SwitchlessConfig
+from repro.sgx import SgxCostModel
+from repro.sim import Compute, MachineSpec
 from repro.sim.kernel import Program
-from repro.faults import FaultInjector, active_fault_plan
-from repro.telemetry.session import active_session
 
 SYNTHETIC_CONFIGS: dict[str, frozenset[str]] = {
     "C1": frozenset({"f", "f2"}),
@@ -125,18 +122,16 @@ def run_synthetic(
     if config not in SYNTHETIC_CONFIGS and config not in ("zc", "no_sl"):
         raise ValueError(f"unknown config {config!r}; pick C1..C5, 'zc' or 'no_sl'")
     spec = spec if spec is not None else SyntheticSpec()
-    machine = machine if machine is not None else paper_machine()
     cost = cost if cost is not None else SgxCostModel()
-
-    kernel = Kernel(machine)
-    session = active_session()
-    capture = (
-        session.attach(kernel, label=f"{config}-w{workers}")
-        if session is not None
-        else None
-    )
-    urts = UntrustedRuntime()
-    enclave = Enclave(kernel, urts, cost=cost)
+    if config == "zc":
+        kind, backend_config = "zc", None
+    elif config == "no_sl":
+        kind, backend_config = "baseline", None
+    else:
+        kind = "intel"
+        backend_config = SwitchlessConfig(
+            switchless_ocalls=SYNTHETIC_CONFIGS[config], num_uworkers=workers
+        )
     g_cycles = spec.g_pauses * cost.pause_cycles
 
     def f_handler() -> Program:
@@ -147,46 +142,26 @@ def run_synthetic(
         yield Compute(g_cycles, tag="host-g")
         return None
 
-    urts.register_many({"f": f_handler, "f2": f_handler, "g": g_handler, "g2": g_handler})
-    if config == "zc":
-        backend = make_backend("zc")
-    elif config == "no_sl":
-        backend = enclave.backend  # the default RegularBackend
-    else:
-        backend = make_backend(
-            "intel",
-            SwitchlessConfig(
-                switchless_ocalls=SYNTHETIC_CONFIGS[config], num_uworkers=workers
-            ),
+    with Runtime.create(
+        kind, backend_config, machine=machine, cost=cost, label=f"{config}-w{workers}"
+    ) as rt:
+        rt.urts.register_many(
+            {"f": f_handler, "f2": f_handler, "g": g_handler, "g2": g_handler}
         )
-    enclave.set_backend(backend)
-    if capture is not None:
-        capture.bind_enclave(enclave)
-    plan = active_fault_plan()
-    faults = FaultInjector(plan).attach(kernel, enclave) if plan is not None else None
+        enclave = rt.enclave
 
-    def caller(thread_index: int) -> Program:
-        for name in _call_plan(spec, thread_index):
-            yield from enclave.ocall(name)
+        def caller(thread_index: int) -> Program:
+            for name in _call_plan(spec, thread_index):
+                yield from enclave.ocall(name)
 
-    stat = ProcStat(kernel)
-    start_sample = stat.sample()
-    threads = [
-        kernel.spawn(caller(i), name=f"enclave-{i}", kind="app")
-        for i in range(spec.n_threads)
-    ]
-    kernel.join(*threads)
-    end_sample = stat.sample()
-    elapsed = kernel.seconds(kernel.now)
-    usage = stat.usage_between(start_sample, end_sample).usage_pct
-    if faults is not None:
-        # Before stop(): cancels not-yet-fired fault/respawn timers so
-        # teardown never advances time to a future fault instant.
-        faults.detach()
-    enclave.stop_backend()
-    if capture is not None:
-        # After stop(): worker exit-cleanup cycles belong to the ledger.
-        capture.finalize()
+        rt.start_measuring()
+        threads = [
+            rt.spawn(caller(i), name=f"enclave-{i}", kind="app")
+            for i in range(spec.n_threads)
+        ]
+        rt.join(*threads)
+        usage = rt.cpu_usage_pct()
+        elapsed = rt.kernel.seconds(rt.kernel.now)
 
     stats = enclave.stats
     return SyntheticResult(

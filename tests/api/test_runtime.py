@@ -11,7 +11,7 @@ from repro.api import (
     normalize_backend,
 )
 from repro.core.backend import ZcSwitchlessBackend
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultPlan, FaultSpec, activate_plan
 from repro.sgx.backend import RegularBackend
 from repro.switchless.backend import IntelSwitchlessBackend
 from repro.telemetry import TelemetrySession
@@ -89,20 +89,19 @@ class TestRuntimeMatrix:
     @pytest.mark.parametrize("with_telemetry", [False, True])
     @pytest.mark.parametrize("with_faults", [False, True])
     def test_construct_run_close(self, backend, with_telemetry, with_faults):
-        session = TelemetrySession() if with_telemetry else None
-        faults = PRESSURE if with_faults else False
-        ctx = session if session is not None else _NullContext()
-        with ctx:
+        # The session and the plan are always active; the switches decide
+        # whether the runtime attaches them.
+        with TelemetrySession(), activate_plan(PRESSURE):
             with Runtime.create(
-                backend=backend,
-                telemetry=session if with_telemetry else False,
-                faults=faults,
+                backend=backend, telemetry=with_telemetry, faults=with_faults
             ) as rt:
                 results = rt.run_program(ocall_program(rt.enclave))
                 assert len(results) == 4
-                assert rt.faults is (None if not with_faults else rt.faults)
                 if with_faults:
                     assert rt.faults is not None
+                    assert rt.faults.plan is PRESSURE
+                else:
+                    assert rt.faults is None
                 if with_telemetry:
                     assert rt.telemetry is not None
                     assert rt.telemetry.label == normalize_backend(backend)
@@ -119,14 +118,6 @@ class TestRuntimeMatrix:
             backend="intel", config=SwitchlessConfig(num_uworkers=1), telemetry=False
         ) as rt:
             assert isinstance(rt.backend, IntelSwitchlessBackend)
-
-
-class _NullContext:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return None
 
 
 class TestLifecycle:
@@ -162,6 +153,16 @@ class TestLifecycle:
         shard.run_program(ocall_program(shard.enclave))
         shard.close()
         owner.close()
+
+    def test_shared_kernel_runtime_never_attaches(self):
+        """Only the kernel's owner attaches the ambient session and plan."""
+        with TelemetrySession() as session, activate_plan(PRESSURE):
+            with Runtime.create(backend="baseline") as owner:
+                shard = Runtime.create(backend="zc", kernel=owner.kernel, name="shard")
+                assert shard.telemetry is None and shard.faults is None
+                shard.close()
+            assert owner.telemetry is not None and owner.faults is not None
+        assert [capture.label for capture in session.captures] == ["baseline"]
 
     def test_cpu_usage_requires_start(self):
         with Runtime.create(backend="baseline", telemetry=False) as rt:

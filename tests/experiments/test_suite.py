@@ -10,6 +10,8 @@ from repro.experiments.suite import (
     render_markdown,
     run_experiment,
 )
+from repro.parallel import run_cells
+from repro.telemetry import TelemetrySession
 
 
 class TestRunSuite:
@@ -25,6 +27,17 @@ class TestRunSuite:
             assert callable(getattr(runner_module, "run_cell", None)), (
                 f"{spec.label()} names {spec.exp_id}, which lacks run_cell()"
             )
+
+    @pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
+    def test_every_experiment_is_observable(self, exp_id):
+        # Every cell builds its machine through Runtime.create or the
+        # serve cluster, so an active session captures it.
+        first = EXPERIMENTS[exp_id].cells(**QUICK_KWARGS[exp_id])[:1]
+        with TelemetrySession() as session:
+            run_cells(first)
+        assert session.captures, f"{exp_id}'s first cell ran unobserved"
+        for capture in session.captures:
+            capture.assert_balanced()
 
     def test_serve_runs_through_the_suite(self):
         outcome = run_experiment("serve", **QUICK_KWARGS["serve"])

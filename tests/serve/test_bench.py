@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from repro.api import BenchSpec, ServeSpec
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultPlan, FaultSpec, activate_plan
 from repro.regress import attach_auditor
 from repro.regress.baselines import compare_serve
 from repro.serve.bench import run_bench
@@ -20,7 +20,7 @@ OPEN_LOOP = BenchSpec(
 
 #: Closed-loop saturation spec: offered load scales with the shard
 #: count, so throughput measures capacity, not the generator.
-def saturating(shards, *, plan=None, telemetry=False):
+def saturating(shards):
     spec = BenchSpec(
         serve=ServeSpec(shards=shards, policy="round-robin", budget=8),
         seconds=0.005,
@@ -28,7 +28,7 @@ def saturating(shards, *, plan=None, telemetry=False):
         clients=2 * shards,
         requests_per_client=400,
     )
-    return run_bench(spec, plan=plan, telemetry=telemetry)
+    return run_bench(spec, telemetry=False)
 
 
 ONE_LOST = FaultPlan(
@@ -120,7 +120,7 @@ class TestPrometheusExport:
         captures = []
         session = TelemetrySession(on_attach=captures.append)
         with session:
-            run_bench(spec, telemetry=session)
+            run_bench(spec)
         assert captures, "the serve kernel was not captured"
         text = render_prometheus(captures[0].registry)
         # Request counters, one family for the router and one per tenant.
@@ -148,9 +148,8 @@ class TestFaultTolerance:
 
     def test_losing_one_shard_degrades_at_most_proportionally(self):
         healthy = run_bench(self.FAULT_SPEC, telemetry=False)["totals"]
-        faulty = run_bench(self.FAULT_SPEC, plan=ONE_LOST, telemetry=False)[
-            "totals"
-        ]
+        with activate_plan(ONE_LOST):
+            faulty = run_bench(self.FAULT_SPEC, telemetry=False)["totals"]
         # Every request still completes: the router re-homes, nothing is lost.
         assert faulty["completed"] == healthy["completed"] == 8_000
         assert faulty["failed"] == 0
@@ -174,8 +173,8 @@ class TestFaultTolerance:
         session = TelemetrySession(
             on_attach=lambda capture: auditors.append(attach_auditor(capture))
         )
-        with session:
-            result = run_bench(spec, plan=EARLY_LOST, telemetry=session)
+        with session, activate_plan(EARLY_LOST):
+            result = run_bench(spec)
         assert result["totals"]["quarantines"] >= 1
         assert auditors, "the serve kernel was not captured"
         for auditor in auditors:

@@ -24,6 +24,7 @@ from repro.serve.slices import (
     split_budget,
 )
 from repro.sim import server_machine
+from repro.telemetry import TelemetrySession
 
 
 def light(shards, slices=1, *, tenants=None, budget=None, plan=None, fault_shard=0):
@@ -212,8 +213,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "plumbing",
         [
-            {"telemetry": True},
-            {"plan": "enclave-lost"},
             {"trace": "some.trace.jsonl"},
             {"span_sink": []},
             {"obs_on_window": print},
@@ -225,14 +224,19 @@ class TestValidation:
         with pytest.raises(SpecError, match=name):
             run_bench(light(4, 2), jobs=1, **plumbing)
 
+    def test_sliced_run_never_captures(self):
+        # telemetry=True (the default) reaches one in-process cluster
+        # only; slice kernels stay unobserved under an active session.
+        with TelemetrySession() as session:
+            run_bench(light(4, 2), jobs=1)
+        assert session.captures == []
+
     def test_refusal_names_every_dropped_argument(self):
         with pytest.raises(
-            SpecError, match="drop telemetry, plan, trace, span_sink, obs_on_window"
+            SpecError, match="drop trace, span_sink, obs_on_window"
         ):
             run_bench(
                 light(4, 2),
-                telemetry=True,
-                plan="enclave-lost",
                 trace="some.trace.jsonl",
                 span_sink=[],
                 obs_on_window=print,

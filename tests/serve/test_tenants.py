@@ -9,7 +9,7 @@ re-homing preserves per-tenant queue conservation.
 import pytest
 
 from repro.api import BenchSpec, ServeSpec
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultPlan, FaultSpec, activate_plan
 from repro.regress import attach_auditor
 from repro.serve import Router
 from repro.serve.bench import run_bench
@@ -274,7 +274,7 @@ class TestQuarantineRehoming:
         session = TelemetrySession(
             on_attach=lambda capture: auditors.append(attach_auditor(capture))
         )
-        with session:
+        with session, activate_plan(EARLY_LOST):
             result = run_bench(
                 BenchSpec(
                     serve=ServeSpec(
@@ -288,8 +288,6 @@ class TestQuarantineRehoming:
                     clients=4,
                     requests_per_client=200,
                 ),
-                plan=EARLY_LOST,
-                telemetry=session,
             )
         totals = result["totals"]
         assert totals["quarantines"] >= 1
@@ -305,20 +303,20 @@ class TestQuarantineRehoming:
     def test_recovery_episodes_reported_per_tenant_run(self):
         # Open loop: the run outlives the recovery backoff, so the
         # episode resolves inside the artifact window.
-        result = run_bench(
-            BenchSpec(
-                serve=ServeSpec(
-                    shards=2,
-                    policy="round-robin",
-                    budget=4,
-                    tenants=(("bronze", 1.0), ("gold", 3.0)),
+        with activate_plan(EARLY_LOST):
+            result = run_bench(
+                BenchSpec(
+                    serve=ServeSpec(
+                        shards=2,
+                        policy="round-robin",
+                        budget=4,
+                        tenants=(("bronze", 1.0), ("gold", 3.0)),
+                    ),
+                    seconds=0.02,
+                    rate=4_000.0,
                 ),
-                seconds=0.02,
-                rate=4_000.0,
-            ),
-            plan=EARLY_LOST,
-            telemetry=False,
-        )
+                telemetry=False,
+            )
         episodes = result["totals"]["recoveries"]
         assert episodes, "the enclave loss left no recovery episode"
         for episode in episodes:

@@ -191,6 +191,14 @@ class TestRegressCommands:
         assert main(["audit", "--events", str(events)]) == 0
         assert "all invariants hold" in capsys.readouterr().out
 
+    def test_audit_of_a_log_with_no_cells_fails(self, capsys, tmp_path):
+        from repro.telemetry.exporters import write_events_jsonl
+
+        events = tmp_path / "empty.events.jsonl"
+        write_events_jsonl(str(events), [])
+        assert main(["audit", "--events", str(events)]) == 1
+        assert "nothing was observed" in capsys.readouterr().out
+
     def test_audit_without_target_errors(self):
         with pytest.raises(SystemExit):
             main(["audit"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.telemetry import TelemetrySession
 from repro.workloads.synthetic import (
     SYNTHETIC_CONFIGS,
     SyntheticSpec,
@@ -83,3 +84,17 @@ class TestRun:
     def test_cpu_usage_is_percentage(self):
         result = run_synthetic("C4", 2, self.SPEC)
         assert 0 < result.cpu_usage_pct <= 100
+
+
+class TestObserved:
+    def test_trace_finishes_every_dispatched_thread(self):
+        # The runtime drains the kernel before the capture finalizes, so
+        # each switchless worker's last on-CPU slice ends in the trace.
+        with TelemetrySession() as session:
+            run_synthetic("C1", 2, SyntheticSpec(total_calls=400, g_pauses=50))
+        (capture,) = session.captures
+        entries = capture.sched_trace.entries
+        dispatched = {thread for _, event, thread, _ in entries if event == "dispatch"}
+        finished = {thread for _, event, thread, _ in entries if event == "finish"}
+        assert any(name.startswith("enclave-") for name in dispatched)
+        assert dispatched - finished == set()
