@@ -184,12 +184,12 @@ class ZcSwitchlessBackend(CallBackend):
 
         Workers only ever spin while *idle* (request execution is compute),
         so this is exactly the wasted-worker-cycle measure the IDLE_WASTE
-        scheduler policy prices.
+        scheduler policy prices.  In-flight spins are read, not credited
+        (:meth:`Kernel.spin_cycles`): a probe touches no other core.
         """
-        self.kernel.flush_accounting()
-        total = sum(t.cycles_by.get("spin", 0.0) for t in self.worker_threads)
+        total = self.kernel.spin_cycles(self.worker_threads)
         if self.retired_threads:
-            total += sum(t.cycles_by.get("spin", 0.0) for t in self.retired_threads)
+            total += sum(t.cycles_spin for t in self.retired_threads)
         return total
 
     # ------------------------------------------------------------------

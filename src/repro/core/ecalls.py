@@ -132,8 +132,7 @@ class ZcEcallRuntime:
 
     def worker_idle_spin_cycles(self) -> float:
         """Cumulative busy-wait cycles across this runtime's workers."""
-        self.kernel.flush_accounting()
-        return sum(t.cycles_by.get("spin", 0.0) for t in self.worker_threads)
+        return self.kernel.spin_cycles(self.worker_threads)
 
     # ------------------------------------------------------------------
     # Call path

@@ -32,7 +32,18 @@ Raw-speed design (see docs/performance.md for the measured profile):
   float slots (``cycles_by`` remains as a read-only dict view) and
   per-core per-kind cycles use a run-length accumulator folded into the
   dict only when the running thread's kind changes or the counter is
-  read.
+  read.  Work in flight is credited when it ends or is re-timed; only
+  whole-machine readers (:meth:`Kernel.cpu_snapshot`, the telemetry
+  ledger's snapshot, ``/proc/stat`` sampling) flush every core first.
+  The zc scheduler's idle-spin read uses :meth:`Kernel.spin_cycles`,
+  which adds the in-flight spin without crediting anything.
+- **Arming is short.**  Starting a Compute or Spin allocates its
+  activity and hands it to :meth:`Kernel._schedule_activity_timer`, the
+  one place that decides between the completion and the slice-end
+  timer; that method stamps the timer and pushes it itself.
+- **``join`` counts down.**  Joined threads are marked; finishing one
+  decrements a counter, and the event loop stops once it reaches zero,
+  after the microtask drain that follows the last finish.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ import enum
 import itertools
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Iterable
 
 from repro.sim.errors import DeadlockError, LivelockError, SimulationError
 from repro.sim.instructions import Block, Compute, Instruction, Sleep, Spin, YieldCPU
@@ -132,6 +143,7 @@ class SimThread:
         "cycles_compute",
         "cycles_spin",
         "ledger_cells",
+        "_joined",
         "_pending",
         "_resume_value",
         "_spin_result",
@@ -165,6 +177,8 @@ class SimThread:
         #: attached: {activity_kind: {tag: [wall, work]}}, folded into the
         #: ledger's table at snapshot time (see CycleLedger).
         self.ledger_cells: dict[str, dict[str | None, list[float]]] | None = None
+        #: Whether a running :meth:`Kernel.join` still waits for this thread.
+        self._joined = False
         self._pending: Compute | Spin | None = None
         self._resume_value: Any = None
         self._spin_result: bool | None = None
@@ -196,6 +210,7 @@ class LogicalCPU:
         "sibling",
         "thread",
         "activity",
+        "speed",
         "busy_cycles",
         "_busy_by_kind",
         "_acc_kind",
@@ -210,6 +225,11 @@ class LogicalCPU:
         self.sibling: LogicalCPU | None = None
         self.thread: SimThread | None = None
         self.activity: _Activity | None = None
+        #: Current execution speed given SMT sibling occupancy: 1.0, or
+        #: ``MachineSpec.smt_factor`` while the sibling runs a thread.
+        #: :meth:`Kernel._sibling_changed` keeps it, so starting work
+        #: reads a slot instead of calling a method.
+        self.speed = 1.0
         self.busy_cycles = 0.0
         # Per-kind busy cycles use a run-length accumulator: consecutive
         # accounting intervals for the same thread kind (the overwhelmingly
@@ -244,12 +264,6 @@ class LogicalCPU:
     def idle(self) -> bool:
         """Whether no thread occupies this CPU."""
         return self.thread is None
-
-    def speed(self) -> float:
-        """Current execution speed given SMT sibling occupancy."""
-        if self.sibling is not None and self.sibling.thread is not None:
-            return self.kernel.spec.smt_factor
-        return 1.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         who = self.thread.name if self.thread else "idle"
@@ -342,6 +356,9 @@ class Kernel:
                 cpu.sibling = self.cpus[sib]
         self._name_counts: dict[str, int] = {}
         self.events_processed = 0
+        #: Joined threads still running while :meth:`join` runs the loop;
+        #: -1 when no join is running (the loop stops at 0).
+        self._join_left = -1
         self._bind_hot_paths()
 
     # ------------------------------------------------------------------
@@ -447,19 +464,16 @@ class Kernel:
     # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until_time: float | None = None,
-        stop_when: Callable[[], bool] | None = None,
-        max_events: int | None = None,
-    ) -> None:
-        """Process events until the queue drains or a stop condition holds.
+    def run(self, until_time: float | None = None, max_events: int | None = None) -> None:
+        """Process events until the queue drains or ``until_time`` is reached.
+
+        Under :meth:`join` the loop also stops once every joined thread
+        has finished, after the microtask drain that follows the last
+        finish.
 
         Args:
             until_time: Stop once the next timer lies beyond this absolute
                 cycle count; ``kernel.now`` is advanced to ``until_time``.
-            stop_when: Callable checked after each processed timer and
-                microtask batch; return True to stop.
             max_events: Safety bound on processed timers.
         """
         micro = self._micro
@@ -469,7 +483,7 @@ class Kernel:
         while True:
             while micro:
                 micro.popleft()()
-            if stop_when is not None and stop_when():
+            if not self._join_left:
                 return
             timer = pop()
             if timer is None:
@@ -497,19 +511,25 @@ class Kernel:
         Raises :class:`DeadlockError` if the event queue drains while some
         of the joined threads are still parked.
 
-        The stop condition is amortised O(1): finished threads are popped
-        off the front of a pending deque instead of re-scanning every
-        target per processed event (``join`` over a large batch made the
-        stop check itself a hot function).
+        The stop condition costs no call per event: each joined thread is
+        marked, :meth:`_finish_thread` (which :meth:`kill` also ends in)
+        counts the marked ones down, and the loop stops when the count
+        reaches zero.  ``join`` is not re-entrant.
         """
-        pending = deque(t for t in threads if not t.done)
-
-        def all_done() -> bool:
-            while pending and pending[0].state is ThreadState.DONE:
-                pending.popleft()
-            return not pending
-
-        self.run(stop_when=all_done, max_events=max_events)
+        if self._join_left != -1:
+            raise SimulationError("join called while another join is running")
+        left = 0
+        for thread in threads:
+            if not thread.done and not thread._joined:
+                thread._joined = True
+                left += 1
+        self._join_left = left
+        try:
+            self.run(max_events=max_events)
+        finally:
+            self._join_left = -1
+            for thread in threads:
+                thread._joined = False
         stuck = [t for t in threads if not t.done]
         if stuck:
             states = ", ".join(f"{t.name}={t.state.value}" for t in stuck)
@@ -633,11 +653,9 @@ class Kernel:
                 thread._spin_result = None
                 self._step(thread, True)
             else:
-                self._start_work(
-                    core, thread, "spin", pending.timeout, pending.event, tag=pending.tag
-                )
+                self._start_work(core, "spin", pending.timeout, pending.event, pending.tag)
         else:
-            self._start_work(core, thread, "compute", pending.cycles, tag=pending.tag)
+            self._start_work(core, "compute", pending.cycles, None, pending.tag)
 
     def _run_on_traced(self, core: LogicalCPU, thread: SimThread) -> None:
         self._trace.record(self.now, "dispatch", thread.name, core.index)
@@ -665,15 +683,19 @@ class Kernel:
         self._release_core_lean(thread)
 
     def _sibling_changed(self, core: LogicalCPU) -> None:
-        """Re-time the sibling's running activity after occupancy changed."""
+        """Set the sibling's speed after ``core``'s occupancy changed, and
+        re-time the sibling's running activity."""
         sib = core.sibling
-        if sib is None or sib.activity is None:
+        if sib is None:
+            return
+        sib.speed = self.spec.smt_factor if core.thread is not None else 1.0
+        activity = sib.activity
+        if activity is None:
             return
         self._apply_progress(sib)
-        activity = sib.activity
         if activity.timer is not None:
             activity.timer.cancel()
-        activity.speed = sib.speed()
+        activity.speed = sib.speed
         self._schedule_activity_timer(sib)
 
     # ------------------------------------------------------------------
@@ -705,7 +727,7 @@ class Kernel:
                 if instr.cycles <= 0:
                     value = None
                     continue
-                self._start_work(core, thread, "compute", instr.cycles, tag=instr.tag)
+                self._start_work(core, "compute", instr.cycles, None, instr.tag)
                 return
             if cls is Spin:
                 if instr.event.fired:
@@ -715,9 +737,7 @@ class Kernel:
                     value = False
                     continue
                 instr.event._spinners.append(thread)
-                self._start_work(
-                    core, thread, "spin", instr.timeout, instr.event, tag=instr.tag
-                )
+                self._start_work(core, "spin", instr.timeout, instr.event, instr.tag)
                 return
             if cls is Block:
                 if instr.event.fired:
@@ -749,6 +769,9 @@ class Kernel:
         thread.result = result
         if thread.core is not None:
             self._release_core(thread)
+        if thread._joined:
+            thread._joined = False
+            self._join_left -= 1
         thread.done_event.fire(result)
 
     def _finish_thread_traced(self, thread: SimThread, result: Any) -> None:
@@ -798,17 +821,21 @@ class Kernel:
     def _start_work(
         self,
         core: LogicalCPU,
-        thread: SimThread,
         kind: str,
         work: float,
-        spin_event: Event | None = None,
-        tag: str | None = None,
+        spin_event: Event | None,
+        tag: str | None,
     ) -> None:
-        activity = _Activity(kind, work, core.speed(), self.now, spin_event, tag)
-        core.activity = activity
+        core.activity = _Activity(kind, work, core.speed, self.now, spin_event, tag)
         self._schedule_activity_timer(core)
 
     def _schedule_activity_timer(self, core: LogicalCPU) -> None:
+        """Arm the running activity's next timer: completion, or slice end.
+
+        The one copy of that decision.  It stamps and pushes the timer
+        itself (what :meth:`_at` would do, with the same ``(when, seq)``
+        stamps) to keep every Compute/Spin start one call shorter.
+        """
         activity = core.activity
         thread = core.thread
         if activity is None or thread is None:
@@ -818,11 +845,17 @@ class Kernel:
         work_left = activity.work_total - activity.work_done
         if work_left < 0.0:
             work_left = 0.0
+        now = self.now
         wall_remaining = work_left / activity.speed
-        if self.now + wall_remaining <= thread.slice_end:
-            activity.timer = self._at(wall_remaining, core._complete_cb)
+        if now + wall_remaining <= thread.slice_end:
+            timer = Timer(now + wall_remaining, next(self._seq), core._complete_cb)
         else:
-            activity.timer = self._at(thread.slice_end - self.now, core._slice_cb)
+            delay = thread.slice_end - now
+            if delay < 0:
+                raise SimulationError("cannot schedule a timer in the past")
+            timer = Timer(now + delay, next(self._seq), core._slice_cb)
+        self._timers.push(timer)
+        activity.timer = timer
 
     # The two _apply_progress variants must stay in lockstep: the ledger
     # one is the lean body plus the per-thread ledger-cell charge.
@@ -970,14 +1003,36 @@ class Kernel:
     # Accounting
     # ------------------------------------------------------------------
     def flush_accounting(self) -> None:
-        """Credit all in-progress activities up to ``now``.
+        """Credit all in-progress activities up to ``now``, on every core.
 
-        Call before reading per-thread or per-core cycle counters so that
-        work in flight is included.
+        Whole-machine readers call it before reading per-thread or
+        per-core cycle counters so that work in flight is included:
+        :meth:`cpu_snapshot` (and through it ``/proc/stat`` sampling) and
+        the telemetry ledger's snapshot.  A reader of a few threads' spin
+        uses :meth:`spin_cycles`, which credits nothing.
         """
         apply_progress = self._apply_progress
         for core in self.cpus:
             apply_progress(core)
+
+    def spin_cycles(self, threads: Iterable[SimThread]) -> float:
+        """Busy-wait cycles of ``threads`` up to ``now``, read in flight.
+
+        Sums, in the order given, each thread's ``cycles_spin`` plus
+        ``now - last_update`` when its core is running a spin: at the
+        instant of the read each term is the float :meth:`flush_accounting`
+        would have written.  It mutates no core, thread or activity, so
+        a reader never splits the running sums of other cores.
+        """
+        now = self.now
+        return sum(
+            thread.cycles_spin + (now - activity.last_update)
+            if (core := thread.core) is not None
+            and (activity := core.activity) is not None
+            and activity.spin_event is not None
+            else thread.cycles_spin
+            for thread in threads
+        )
 
     def cpu_snapshot(self) -> dict[str, Any]:
         """Return cumulative CPU accounting up to the current instant.

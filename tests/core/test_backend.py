@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ZcConfig
 from repro.core.backend import ZcSwitchlessBackend
+from repro.core.ecalls import ZcEcallRuntime
 from repro.sgx import Enclave, UntrustedRuntime, VanillaMemcpy, ZcMemcpy
 from repro.sim import Compute, Kernel, MachineSpec
 
@@ -221,3 +222,50 @@ class TestSetActiveWorkers:
         backend.set_active_workers(0)
         counts = [count for _, count in backend.stats.worker_count_timeline]
         assert counts == [4, 2, 0]
+
+
+class TestIdleSpinRead:
+    """The scheduler's idle-spin read prices a probe and changes nothing."""
+
+    @staticmethod
+    def accounting(kernel):
+        """Every accounting field a flush would write, per core and thread."""
+        cores = [(cpu.busy_cycles, cpu._acc_kind, cpu._acc_cycles) for cpu in kernel.cpus]
+        activities = [
+            None if cpu.activity is None else (cpu.activity.work_done, cpu.activity.last_update)
+            for cpu in kernel.cpus
+        ]
+        threads = [
+            (t.cpu_cycles, t.cycles_compute, t.cycles_spin) for t in kernel.threads
+        ]
+        return cores, activities, threads
+
+    @pytest.mark.parametrize("calls", ["ocalls", "ecalls"])
+    def test_read_mutates_nothing_and_equals_a_flushed_sum(self, calls):
+        config = ZcConfig(enable_scheduler=False)
+        kernel = Kernel(MachineSpec(n_cores=4, smt=2))
+        enclave = Enclave(kernel, UntrustedRuntime())
+        if calls == "ocalls":
+            runtime = ZcSwitchlessBackend(config)
+            enclave.set_backend(runtime)
+        else:
+            runtime = ZcEcallRuntime(config).attach(enclave)
+
+        def app():
+            yield Compute(50_000_000, tag="app-work")
+
+        kernel.spawn(app(), name="app")
+        kernel.run(until_time=1_234_567.5)
+        in_flight = {
+            cpu.activity.kind
+            for cpu in kernel.cpus
+            if cpu.activity is not None and cpu.activity.last_update < kernel.now
+        }
+        assert in_flight == {"compute", "spin"}
+
+        before = self.accounting(kernel)
+        value = runtime.worker_idle_spin_cycles()
+        assert self.accounting(kernel) == before
+        kernel.flush_accounting()
+        assert value == sum(t.cycles_spin for t in runtime.worker_threads)
+        assert value > 0.0

@@ -1,7 +1,12 @@
 """Tests for the wasted-cycle-minimising scheduler."""
 
+import hashlib
+import json
+
 import pytest
 
+import repro.serve.bench as serve_bench
+from repro.api import BenchSpec, ServeSpec
 from repro.core import ZcConfig, wasted_cycles
 from repro.core.backend import ZcSwitchlessBackend
 from repro.sgx import Enclave, UntrustedRuntime
@@ -218,3 +223,80 @@ class TestSchedulerAdaptation:
         assert stats.switchless_count + stats.fallback_count == 240
         assert backend.workers[0].tasks_executed == stats.switchless_count
         assert enclave.stats.total_calls == 240
+
+
+def decision_digest(bus):
+    """``(decisions, probes, sha256)`` over every §IV-A decision and probe.
+
+    The digest covers each ``zc.sched.decision``'s ``(source, utilities,
+    chosen)`` and each ``zc.sched.probe``'s ``u_cycles``, in emit order,
+    with floats at full precision.
+    """
+    decisions = [
+        [event.fields["source"], event.fields["utilities"], event.fields["chosen"]]
+        for event in bus.events_named("zc.sched.decision")
+    ]
+    probes = [event.fields["u_cycles"] for event in bus.events_named("zc.sched.probe")]
+    blob = json.dumps([decisions, probes]).encode()
+    return len(decisions), len(probes), hashlib.sha256(blob).hexdigest()
+
+
+class TestPinnedDecisions:
+    """The worker-count argmin, pinned exactly on lean kernel accounting.
+
+    Each kernel carries a bare :class:`EventBus` and no ledger or trace,
+    so it runs the lean accounting bodies while the scheduler publishes
+    its decisions.  ``IDLE_WASTE`` prices every probe by the workers'
+    measured busy-wait, so these pins hold the idle-spin read (and the
+    cycle sums beneath it) to the values recorded before that read
+    stopped crediting the whole machine.
+    """
+
+    def test_sharded_serve_run_under_a_worker_budget(self, monkeypatch):
+        kernels = []
+
+        def kernel_with_bus(machine):
+            kernel = Kernel(machine)
+            kernel.bus = EventBus(clock=lambda: kernel.now, max_events=0)
+            kernels.append(kernel)
+            return kernel
+
+        monkeypatch.setattr(serve_bench, "Kernel", kernel_with_bus)
+        mix = (("kv", 5.0), ("session", 4.0), ("crypto", 1.0))
+        serve_bench.run_bench(
+            BenchSpec(
+                serve=ServeSpec(shards=3, budget=12, apps=mix, servers_per_shard=4),
+                seconds=0.02,
+                rate=150_000.0,
+            ),
+            telemetry=False,
+        )
+        (kernel,) = kernels
+        assert kernel.ledger is None and kernel.trace is None
+        assert decision_digest(kernel.bus) == (
+            24,
+            408,
+            "069d2abdd604b077012c7a782cc27ede2bda6ef709a39226e0e620ba9c3fc5db",
+        )
+
+    def test_single_enclave_run(self):
+        kernel, urts, enclave, backend = build_system(
+            ZcConfig(quantum_seconds=0.002, enable_scheduler=True)
+        )
+
+        def handler():
+            yield Compute(800, tag="host-f")
+
+        urts.register("f", handler)
+        horizon = kernel.cycles(0.02)
+        apps = [
+            kernel.spawn(busy_caller(kernel, enclave, horizon, work), name=f"app{i}")
+            for i, work in enumerate((5_000.0, 20_000.0, 45_000.0))
+        ]
+        kernel.join(*apps)
+        assert kernel.ledger is None and kernel.trace is None
+        assert decision_digest(kernel.bus) == (
+            9,
+            45,
+            "25ca15154ce781b8d3f58778c49a8c9405eaa8260aa7956d9a1772da81943a5c",
+        )

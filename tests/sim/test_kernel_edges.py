@@ -1,9 +1,10 @@
-"""Edge-case kernel tests: timers, accounting flushes, queue inspection."""
+"""Edge-case kernel tests: timers, accounting flushes, queue inspection, join."""
 
 import pytest
 
 from repro.sim import Block, Compute, Kernel, MachineSpec, Sleep, Spin
-from repro.sim.errors import SimulationError
+from repro.sim.errors import DeadlockError, SimulationError
+from repro.sim.kernel import ThreadState
 
 
 class TestCallAt:
@@ -153,4 +154,96 @@ class TestDaemonSemantics:
         kernel.spawn(daemon(), daemon=True)
         t = kernel.spawn(app())
         kernel.join(t)  # must not deadlock on the parked daemon
+        assert t.done
+
+
+class TestJoin:
+    """``join`` stops after the microtask drain that follows the last
+    joined thread's finish, and nowhere else."""
+
+    def test_join_on_finished_threads_still_drains_microtasks(self):
+        kernel = Kernel(MachineSpec(n_cores=1, smt=1))
+
+        def program():
+            yield Compute(100)
+
+        done = kernel.spawn(program())
+        kernel.join(done)
+        fresh = kernel.spawn(program())  # queues the dispatch microtask
+        kernel.join(done)
+        assert fresh.state is ThreadState.RUNNING
+        assert fresh.core is not None
+        assert kernel.now == 100
+
+    def test_join_on_a_repeated_thread_ends_when_it_finishes(self):
+        kernel = Kernel(MachineSpec(n_cores=2, smt=1))
+
+        def program(cycles):
+            yield Compute(cycles)
+
+        t = kernel.spawn(program(1_000))
+        other = kernel.spawn(program(1_000_000))
+        kernel.join(t, t)
+        assert t.done and not other.done
+        assert kernel.now == 1_000
+
+    def test_join_returns_when_kill_ends_the_thread(self):
+        kernel = Kernel(MachineSpec(n_cores=2, smt=1))
+        never = kernel.event()
+
+        def spinner():
+            while True:
+                yield Spin(never, 1_000)
+
+        def program():
+            yield Compute(1_000_000)
+
+        victim = kernel.spawn(spinner())
+        bystander = kernel.spawn(program())
+        kernel.call_at(5_000, lambda: kernel.kill(victim))
+        kernel.join(victim)
+        assert victim.done and not bystander.done
+        assert kernel.now == 5_000
+
+    def test_deadlock_message(self):
+        kernel = Kernel(MachineSpec(n_cores=1, smt=1))
+        never = kernel.event()
+
+        def waiter():
+            yield Block(never)
+
+        def sleeper():
+            yield Sleep(100)
+
+        t = kernel.spawn(waiter(), name="waiter")
+        s = kernel.spawn(sleeper(), name="sleeper")
+        with pytest.raises(DeadlockError) as caught:
+            kernel.join(t, s)
+        assert str(caught.value) == "event queue drained with threads parked: waiter=blocked"
+
+    def test_max_events_raises_and_a_later_join_completes(self):
+        kernel = Kernel(MachineSpec(n_cores=1, smt=1))
+
+        def program():
+            for _ in range(10):
+                yield Sleep(100)
+
+        t = kernel.spawn(program())
+        with pytest.raises(SimulationError, match=r"^exceeded max_events=5$"):
+            kernel.join(t, max_events=5)
+        assert not t.done
+        kernel.join(t)
+        assert t.done and kernel.now == 1_000
+
+    def test_join_is_not_reentrant(self):
+        kernel = Kernel(MachineSpec(n_cores=1, smt=1))
+
+        def program():
+            yield Compute(1_000)
+
+        t = kernel.spawn(program())
+        kernel.call_at(10, lambda: kernel.join(t))
+        with pytest.raises(SimulationError, match="^join called while another join is running$"):
+            kernel.join(t)
+        kernel.join(t)
         assert t.done

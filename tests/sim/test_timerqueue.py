@@ -30,16 +30,17 @@ from repro.sim import (
 from repro.sim.timerqueue import COMPACT_MIN_CANCELLED, Timer, TimerHeap
 
 
-def run_random_programs(seed):
-    """The kernel's scheduling trace under seeded random thread programs.
+def run_random_programs(seed, trace=None):
+    """Run seeded random thread programs to completion; ``(kernel, threads)``.
 
     Four logical CPUs (two SMT pairs) and a short timeslice carry eight
     threads, some pinned by affinity masks, that mix Compute, Spin, Block,
     Sleep and YieldCPU; a signaller thread fires the shared events one by
-    one (so every Block ends) and two threads are killed mid-run.
+    one (so every Block ends) and two threads are killed mid-run.  With
+    ``trace`` (a :class:`SchedTrace`) the kernel runs its traced variants;
+    without, the lean bodies the benchmark runs.
     """
     spec = MachineSpec(n_cores=2, smt=2, timeslice_cycles=6_000.0)
-    trace = SchedTrace(max_entries=1_000_000)
     kernel = Kernel(spec, trace=trace)
     rng = random.Random(seed)
     events = [kernel.event(f"e{i}") for i in range(10)]
@@ -77,8 +78,60 @@ def run_random_programs(seed):
     for victim in rng.sample(threads[:8], 2):
         kernel.call_at(rng.uniform(5_000.0, 60_000.0), lambda t=victim: kernel.kill(t))
     kernel.join(*threads)
-    assert trace.dropped == 0
-    return trace
+    return kernel, threads
+
+
+#: Lean-path outcome of :func:`run_random_programs` per seed, recorded on
+#: an untraced kernel: ``(events_processed, now, rows)``, one
+#: ``(cycles_compute, cycles_spin, cpu_cycles)`` row per thread in spawn
+#: order (t0..t7, then the signaller).
+LEAN_PINS = {
+    1: (
+        229,
+        381870.1298877764,
+        [
+            (209150.92011702646, 0.0, 209150.92011702646),
+            (91247.03007658607, 4985.398006503532, 96232.42808308962),
+            (73532.48064394438, 10494.595568404406, 84027.07621234878),
+            (115206.76363391202, 8986.820556214625, 124193.58419012665),
+            (138851.973830537, 11276.252596663391, 150128.22642720037),
+            (0.0, 0.0, 0.0),
+            (6597.243316617737, 0.0, 6597.243316617737),
+            (130148.35048205598, 0.0, 130148.35048205598),
+            (0.0, 0.0, 0.0),
+        ],
+    ),
+    2: (
+        270,
+        335471.6312688906,
+        [
+            (227419.33399834798, 7701.76819043103, 235121.102188779),
+            (172537.89197721693, 0.0, 172537.89197721693),
+            (141033.10250957383, 4737.920078623269, 145771.02258819708),
+            (18000.0, 0.0, 18000.0),
+            (139932.41995825834, 9325.477582889245, 149257.89754114757),
+            (181259.50571432943, 3398.048345887786, 184657.55406021723),
+            (39410.91271421344, 0.0, 39410.91271421344),
+            (58365.10429303248, 10302.589934978438, 68667.69422801092),
+            (0.0, 0.0, 0.0),
+        ],
+    ),
+    3: (
+        258,
+        347310.99125006504,
+        [
+            (114534.65432192196, 12298.341937651116, 126832.99625957308),
+            (34721.21425233828, 0.0, 34721.21425233828),
+            (209986.67446345155, 0.0, 209986.67446345155),
+            (198748.55724833754, 7240.8626076695, 205989.41985600704),
+            (218349.5940620195, 0.0, 218349.5940620195),
+            (122669.4722289691, 8654.8445576444, 131324.3167866135),
+            (87329.01869523816, 11981.449293436675, 99310.46798867483),
+            (10724.504926065823, 12016.081759701345, 22740.586685767168),
+            (0.0, 0.0, 0.0),
+        ],
+    ),
+}
 
 
 def drain(queue):
@@ -268,10 +321,13 @@ class TestRandomized:
 
 
 class TestPinnedOutcomes:
-    """Simulated outcomes recorded before the heap replaced the wheel.
+    """Simulated outcomes recorded on earlier kernels.
 
-    The timer queue may only change host performance, never a simulated
-    outcome; these pins hold it to that at unit-test scale.
+    The timer queue and the kernel's hot paths may only change host
+    performance, never a simulated outcome; these pins hold them to that
+    at unit-test scale.  The first pins predate the heap replacing the
+    wheel; the lean pins predate the in-flight idle-spin read, the
+    shorter activity arm and the ``join`` countdown.
     """
 
     @pytest.mark.parametrize(
@@ -326,6 +382,19 @@ class TestPinnedOutcomes:
     def test_sched_trace_of_random_programs(self, seed, entries, digest):
         # Every dispatch, preempt, park and finish, in order, with its
         # cycle stamp and CPU: the kernel's scheduling decisions exactly.
-        trace = run_random_programs(seed)
+        trace = SchedTrace(max_entries=1_000_000)
+        run_random_programs(seed, trace)
+        assert trace.dropped == 0
         recorded = json.dumps(list(trace.entries)).encode()
         assert (len(trace.entries), hashlib.sha256(recorded).hexdigest()) == (entries, digest)
+
+    @pytest.mark.parametrize("seed", sorted(LEAN_PINS))
+    def test_lean_outcome_of_random_programs(self, seed):
+        # The untraced kernel runs the lean dispatch, finish and accounting
+        # bodies the benchmark runs: every thread's compute/spin split,
+        # total on-CPU cycles, the event count and the end time, exactly.
+        kernel, threads = run_random_programs(seed)
+        assert kernel.trace is None and kernel.ledger is None
+        events, now, rows = LEAN_PINS[seed]
+        assert (kernel.events_processed, kernel.now) == (events, now)
+        assert [(t.cycles_compute, t.cycles_spin, t.cpu_cycles) for t in threads] == rows
