@@ -649,7 +649,7 @@ class BenchSpec(_Spec):
     obs: bool = flag(
         False,
         "attach the windowed metric sampler + anomaly detector; "
-        "the window stream is written as stamped JSONL",
+        "the windows are the artifact's obs section",
     )
     obs_interval: float | None = flag(
         None,

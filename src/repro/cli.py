@@ -63,9 +63,9 @@ packs" section of ``docs/observability.md``):
   weighted tenant mix (weighted-fair shedding, per-tenant stats);
   ``--contracts FILE`` evaluates per-tenant SLO contracts and exits 1 on
   hard breaches; ``--spans FILE`` exports per-request span records;
-- ``repro evidence build --out DIR [--tar FILE]`` runs the bench under
-  live audit and packs run config, bench artifact, span samples, audit
-  and SLO verdicts with a SHA-256 manifest;
+  ``--evidence PATH`` runs it under live audit and packs the artifact,
+  tenant-lane trace, span samples, contracts and gate with a SHA-256
+  manifest (a directory, or a tarball when PATH ends in ``.tar.gz``);
 - ``repro evidence verify PACK`` re-hashes a pack (directory or
   tarball) against its manifest, refusing schema mismatches.
 """
@@ -77,6 +77,7 @@ import contextlib
 import dataclasses
 import os
 import sys
+import tempfile
 import time
 from typing import Any, Sequence
 
@@ -296,7 +297,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         quick=args.quick,
         jobs=args.jobs,
         repeats=args.repeats,
-        bench_meta_path=args.bench_meta,
         name=args.name,
         fault_plan=fault_plan,
     )
@@ -595,23 +595,18 @@ def _is_switch(base: Any) -> bool:
     return base is bool or dataclasses.is_dataclass(base)
 
 
-def _add_spec_flags(
-    parser: argparse.ArgumentParser, *, omit: Sequence[str] = (), **defaults: Any
-) -> None:
-    """One flag per :func:`repro.api.flag` field of ``BenchSpec`` and of
-    the specs nested in it (``serve bench`` and ``evidence build``).
+def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
+    """One ``serve bench`` flag per :func:`repro.api.flag` field of
+    ``BenchSpec`` and of the specs nested in it.
 
     Name, help, metavar, choices and default come from the field, the
     type from its type hint: ``int`` and ``float`` parse as such, a
     ``bool`` or a nested spec is a switch, anything else stays text.
-    ``defaults`` overrides field defaults; ``omit`` leaves fields out.
     :func:`_spec_from_flags` folds the parsed flags back into a spec.
     """
     from repro.api import BenchSpec, flag_choices, spec_flags
 
     for spec_field, base in spec_flags(BenchSpec):
-        if spec_field.name in omit:
-            continue
         meta = spec_field.metadata
         if _is_switch(base):
             parser.add_argument(
@@ -621,7 +616,7 @@ def _add_spec_flags(
         parser.add_argument(
             _option(spec_field.name),
             type=base if base in (int, float) else None,
-            default=defaults.get(spec_field.name, spec_field.default),
+            default=spec_field.default,
             choices=flag_choices(spec_field),
             metavar=meta["metavar"],
             help=meta["help"],
@@ -652,8 +647,7 @@ def _given_flags(cls: type, args: argparse.Namespace) -> list[str]:
     return [
         _option(spec_field.name)
         for spec_field, base in spec_flags(cls)
-        if hasattr(args, spec_field.name)
-        and getattr(args, spec_field.name)
+        if getattr(args, spec_field.name)
         != (False if _is_switch(base) else spec_field.default)
     ]
 
@@ -663,7 +657,7 @@ def _fold(cls: type, args: argparse.Namespace) -> Any:
 
     A nested spec without a flag is always built; one with a switch is
     built when the switch is on, and its flags are refused when it is
-    off.  A field this parser omits keeps its default.
+    off.
     """
     from repro.api import base_type, parse_pairs, spec_fields
 
@@ -673,8 +667,6 @@ def _fold(cls: type, args: argparse.Namespace) -> Any:
         if "help" not in spec_field.metadata:
             if dataclasses.is_dataclass(base):
                 kwargs[name] = _fold(base, args)
-            continue
-        if not hasattr(args, name):
             continue
         value = getattr(args, name)
         if dataclasses.is_dataclass(base):
@@ -704,7 +696,7 @@ def _spec_from_flags(args: argparse.Namespace, **implied: bool) -> Any:
     from repro.api import SPEC_ARTIFACT, BenchSpec, SpecError
     from repro.telemetry.schema import read_artifact
 
-    spec_file = getattr(args, "spec", None)
+    spec_file = args.spec
     try:
         if spec_file is None:
             spec = _fold(BenchSpec, args)
@@ -728,15 +720,70 @@ def _spec_from_flags(args: argparse.Namespace, **implied: bool) -> Any:
     return spec
 
 
+#: Span records an evidence pack's ``spans.jsonl`` carries: representative
+#: samples, where ``--spans FILE`` writes every record.
+EVIDENCE_SPAN_SAMPLES = 2_000
+
+
+def _write_evidence(
+    args: argparse.Namespace,
+    spec: Any,
+    result: dict[str, Any],
+    spans: list,
+    gate: list[str] | None,
+) -> None:
+    """Pack a finished run at ``--evidence``: a directory, or the tarball
+    of one when the path ends in ``.tar.gz``.  ``gate`` is the baseline
+    gate's violations (None without ``--baseline``)."""
+    from repro.sim import server_machine
+    from repro.slo import (
+        SPANS_ARTIFACT, build_evidence_pack, pack_tarball, tenant_lane_trace_events,
+    )
+    from repro.telemetry.exporters import render_chrome_trace
+    from repro.telemetry.schema import render_stream, stamp
+
+    sample = spans[:EVIDENCE_SPAN_SAMPLES]
+    if len(spans) > len(sample):
+        print(
+            f"[spans.jsonl carries the first {len(sample)} of {len(spans)} "
+            "span record(s); --spans FILE writes them all]"
+        )
+    freq_hz = server_machine().freq_hz
+    contents: dict[str, Any] = {
+        "bench.json": result,
+        "trace.json": render_chrome_trace(tenant_lane_trace_events(spans, freq_hz)),
+        "spans.jsonl": render_stream(stamp(SPANS_ARTIFACT), sample),
+    }
+    if spec.contracts is not None:
+        with open(spec.contracts, encoding="utf-8") as handle:
+            contents["contracts.json"] = handle.read()
+    if gate is not None:
+        with open(args.baseline, encoding="utf-8") as handle:
+            contents["baseline.json"] = handle.read()
+        contents["gate.json"] = {
+            "meta": stamp("baseline-gate"),
+            "baseline": args.baseline,
+            "threshold": args.threshold,
+            "violations": gate,
+        }
+    if args.evidence.endswith(".tar.gz"):
+        with tempfile.TemporaryDirectory(prefix="evidence-") as scratch:
+            build_evidence_pack(scratch, contents)
+            pack_tarball(scratch, args.evidence)
+    else:
+        build_evidence_pack(args.evidence, contents)
+    print(f"[evidence pack: {len(contents) + 1} file(s) in {args.evidence}]")
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the sharded serving bench; optionally gate against a baseline."""
+    """Run the sharded serving bench; optionally gate it against a
+    baseline and pack it as an evidence pack."""
     from repro.api import SpecError
     from repro.serve.bench import run_bench
     from repro.telemetry.schema import stamp, write_artifact, write_stream
 
     spec = _spec_from_flags(
-        args,
-        obs=args.obs or args.live or args.obs_out is not None or args.obs_html is not None,
+        args, obs=args.obs or args.live or args.obs_html is not None
     )
     baseline = _read_baseline(args.baseline, "serve-bench")
     # Early, user-friendly validation of the trace (unknown scenario
@@ -745,11 +792,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Slice-parallel runs (repro.serve.slices) simulate every slice in
     # its own process: in-process plumbing reaches one kernel only.
     sliced = spec.slices > 1
-    if sliced and args.spans is not None:
-        raise SystemExit(
-            "--spans is unavailable with --slices "
-            "(span records stay in the slice processes)"
-        )
+    for option, value in (("--spans", args.spans), ("--evidence", args.evidence)):
+        if sliced and value is not None:
+            raise SystemExit(
+                f"{option} is unavailable with --slices "
+                "(span records stay in the slice processes)"
+            )
     console = None
     obs_on_window = None
     if args.live:
@@ -765,13 +813,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         else:
             obs_on_window = console.on_window
-    span_sink: list | None = [] if args.spans is not None else None
+    collect = args.spans is not None or args.evidence is not None
+    span_sink: list | None = [] if collect else None
     started = time.monotonic()
     try:
         result = run_bench(
             spec,
             telemetry=False,
-            audit=args.audit,
+            audit=args.audit or args.evidence is not None,
             jobs=args.jobs,
             span_sink=span_sink,
             obs_on_window=obs_on_window,
@@ -787,29 +836,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _print_serve_headline(result)
     write_artifact(result, args.out)
     print(f"[serve artifact written to {args.out}]")
-    if span_sink is not None:
+    if args.spans is not None:
         from repro.slo import SPANS_ARTIFACT
 
         count = write_stream(args.spans, stamp(SPANS_ARTIFACT), span_sink)
         print(f"[{count} span record(s) written to {args.spans}]")
-    if "obs" in result:
-        from repro.obs import window_stream, write_html_report
+    if args.obs_html is not None:
+        from repro.obs import write_html_report
 
-        obs_out = args.obs_out
-        if obs_out is None:
-            stem = args.out[:-5] if args.out.endswith(".json") else args.out
-            obs_out = stem + ".windows.jsonl"
-        write_stream(obs_out, *window_stream(result["obs"]))
-        print(f"[window stream written to {obs_out}]")
-        if args.obs_html is not None:
-            write_html_report(result["obs"], args.obs_html)
-            print(f"[obs dashboard written to {args.obs_html}]")
+        write_html_report(result["obs"], args.obs_html)
+        print(f"[obs dashboard written to {args.obs_html}]")
     print(f"[serve: {elapsed:.1f}s wall]")
     failures = _print_serve_audit(result)
     if "slo" in result and _print_verdicts(result):
         failures += 1
+    gate = None
     if baseline is not None:
-        failures += bool(_gate_baseline(result, baseline, args.baseline, args.threshold))
+        gate = _gate_baseline(result, baseline, args.baseline, args.threshold)
+        failures += bool(gate)
+    if args.evidence is not None:
+        _write_evidence(args, spec, result, span_sink, gate)
     return 1 if failures else 0
 
 
@@ -831,108 +877,22 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_evidence(args: argparse.Namespace) -> int:
-    """Build (run + pack) or verify an evidence pack."""
+    """Verify an evidence pack (``serve bench --evidence`` builds one)."""
     from repro.slo import verify_evidence_pack
     from repro.telemetry.schema import SchemaMismatch
 
-    if args.evidence_cmd == "verify":
-        try:
-            errors = verify_evidence_pack(args.pack)
-        except SchemaMismatch as exc:
-            print(f"evidence verify: refused — {exc}")
-            return 1
-        if errors:
-            print(f"evidence verify: {len(errors)} problem(s) in {args.pack}")
-            for error in errors:
-                print(f"  - {error}")
-            return 1
-        print(f"evidence verify: OK ({args.pack} matches its manifest)")
-        return 0
-
-    # evidence build: one command runs the bench (with the live audit),
-    # evaluates contracts, and packs every artifact with hashes.
-    from repro.serve.bench import run_bench
-    from repro.sim import server_machine
-    from repro.slo import (
-        SPANS_ARTIFACT,
-        build_evidence_pack,
-        pack_tarball,
-        tenant_lane_trace_events,
-    )
-    from repro.telemetry.schema import render_stream, stamp
-
-    spec = _spec_from_flags(args)
-    baseline = _read_baseline(args.baseline, "serve-bench")
-    span_sink: list = []
-    started = time.monotonic()
-    result = run_bench(spec, audit=True, span_sink=span_sink)
-    audit_violations = result["audit"]["violations"]
-
-    contents: dict[str, Any] = {
-        "run_config.json": {"meta": stamp("run-config"), "params": result["params"]},
-        "bench.json": result,
-        "audit.json": {"meta": stamp("audit-report"), "cells": result["audit"]["cells"]},
-        "trace.json": {
-            **stamp("chrome-trace"),
-            "traceEvents": tenant_lane_trace_events(
-                span_sink, server_machine().freq_hz
-            ),
-        },
-    }
-    # Span samples as their own stamped JSONL artifact (capped: evidence
-    # wants representative samples, not an unbounded transcript).
-    sample = span_sink[: args.span_samples]
-    contents["spans.jsonl"] = render_stream(stamp(SPANS_ARTIFACT), sample)
-    if "obs" in result:
-        from repro.obs import window_stream
-
-        contents["windows.jsonl"] = render_stream(*window_stream(result["obs"]))
-    if len(span_sink) > len(sample):
-        print(
-            f"[spans.jsonl carries the first {len(sample)} of "
-            f"{len(span_sink)} span record(s); raise --span-samples for more]"
-        )
-
-    gate_violations: list[str] = []
-    hard_breaches = 0
-    if spec.contracts:
-        with open(spec.contracts, encoding="utf-8") as handle:
-            contents["contracts.json"] = handle.read()
-        contents["verdicts.json"] = {
-            "meta": stamp("slo-verdicts"),
-            **result["slo"],
-        }
-        hard_breaches = _print_verdicts(result)
-    if baseline is not None:
-        gate_violations = _gate_baseline(result, baseline, args.baseline, args.threshold)
-        with open(args.baseline, encoding="utf-8") as handle:
-            contents["baseline.json"] = handle.read()
-        contents["gate.json"] = {
-            "meta": stamp("baseline-gate"),
-            "baseline": args.baseline,
-            "threshold": args.threshold,
-            "violations": gate_violations,
-        }
-
-    build_evidence_pack(args.out, contents)
-    print(
-        f"[evidence pack: {len(contents) + 1} file(s) in {args.out} "
-        f"({time.monotonic() - started:.1f}s wall)]"
-    )
-    if args.tar:
-        print(f"[evidence tarball written to {pack_tarball(args.out, args.tar)}]")
-
-    failures = 0
-    if audit_violations:
-        print(f"evidence: {audit_violations} invariant violation(s) — see audit.json")
-        failures += 1
-    if hard_breaches:
-        print(f"evidence: {hard_breaches} hard SLO breach(es) — see verdicts.json")
-        failures += 1
-    if gate_violations:
-        print(f"evidence: baseline gate failed ({len(gate_violations)} violation(s))")
-        failures += 1
-    return 1 if failures else 0
+    try:
+        errors = verify_evidence_pack(args.pack)
+    except SchemaMismatch as exc:
+        print(f"evidence verify: refused — {exc}")
+        return 1
+    if errors:
+        print(f"evidence verify: {len(errors)} problem(s) in {args.pack}")
+        for error in errors:
+            print(f"  - {error}")
+        return 1
+    print(f"evidence verify: OK ({args.pack} matches its manifest)")
+    return 0
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -1175,9 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
     baseline_parser.add_argument(
         "--jobs", default="1", metavar="N", help="worker processes per run"
     )
-    baseline_parser.add_argument(
-        "--bench-meta", default=None, metavar="FILE", help="embed a BENCH_meta.json"
-    )
     baseline_parser.add_argument("--name", default="baseline", help="snapshot name")
     baseline_parser.add_argument(
         "--plan",
@@ -1272,12 +1229,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve_bench.add_argument(
-        "--obs-out",
+        "--evidence",
         default=None,
-        metavar="FILE",
+        metavar="PATH",
         help=(
-            "window-stream JSONL path (implies --obs; default: derived "
-            "from --out as *.windows.jsonl)"
+            "after the run and its gate, write an evidence pack (implies "
+            "--audit): a directory, or a tarball when PATH ends in .tar.gz"
         ),
     )
     serve_bench.add_argument(
@@ -1354,38 +1311,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gate_flags(autoscale_sweep, "the sweep against a committed sweep baseline")
 
     evidence_parser = sub.add_parser(
-        "evidence", help="build or verify a hash-manifested evidence pack"
+        "evidence",
+        help="verify an evidence pack (serve bench --evidence builds one)",
     )
     evidence_sub = evidence_parser.add_subparsers(dest="evidence_cmd", required=True)
-    evidence_build = evidence_sub.add_parser(
-        "build",
-        help="run the serve bench and pack run config, artifacts, spans, "
-        "audit + SLO verdicts with a SHA-256 manifest",
-    )
-    evidence_build.add_argument(
-        "--out", default="evidence", metavar="DIR", help="pack directory"
-    )
-    evidence_build.add_argument(
-        "--tar", default=None, metavar="FILE", help="also write a .tar.gz of the pack"
-    )
-    evidence_build.add_argument(
-        "--span-samples",
-        type=int,
-        default=2_000,
-        help="span records included in spans.jsonl (default 2000)",
-    )
-    # Evidence runs the synthetic open loop on one process with the
-    # default app: the load-source, app and topology-changing fields
-    # are fixed, not offered.
-    _add_spec_flags(
-        evidence_build,
-        omit=(
-            "apps", "clients", "requests_per_client", "scenario", "trace",
-            "slices", "autoscale", "min_shards", "max_shards",
-        ),
-        seconds=0.5,
-    )
-    _add_gate_flags(evidence_build)
     evidence_verify = evidence_sub.add_parser(
         "verify", help="re-hash a pack (directory or tarball) against its manifest"
     )

@@ -224,11 +224,11 @@ class FaultInjector:
             self._handoff = None
             return False
         if window["drop_p"] and self.rng.random() < window["drop_p"]:
-            self._timers.append(self.kernel._at(window["redeliver"], fire))
+            self._timers.append(self.kernel.call_later(window["redeliver"], fire))
             self.emit("fault.handoff.drop", redelivery_cycles=window["redeliver"])
             return True
         if window["delay"]:
-            self._timers.append(self.kernel._at(window["delay"], fire))
+            self._timers.append(self.kernel.call_later(window["delay"], fire))
             self.emit("fault.handoff.delay", delay_cycles=window["delay"])
             return True
         return False
@@ -314,9 +314,8 @@ class FaultInjector:
             respawn_after_cycles=respawn_after,
         )
         if respawn_after is not None:
-            self._timers.append(
-                self.kernel._at(respawn_after, partial(self._respawn, target, index))
-            )
+            respawn = partial(self._respawn, target, index)
+            self._timers.append(self.kernel.call_later(respawn_after, respawn))
 
     def _respawn(self, target: str, index: int) -> None:
         assert self.enclave is not None

@@ -19,20 +19,14 @@ and anomaly streams, across reruns and across ``--slices N`` vs
 unsliced (see :func:`merge_raw_windows` for why).
 
 A run's windows are the ``obs`` section of its ``serve-bench`` artifact,
-so a committed obs baseline is that artifact, gated by
-:func:`repro.regress.baselines.compare_serve`.  The ``obs-windows``
-stamp (:data:`OBS_ARTIFACT`) marks the JSONL window stream only.
+and nowhere else: a committed obs baseline is that artifact, gated by
+:func:`repro.regress.baselines.compare_serve`, and the HTML dashboard
+(:func:`write_html_report`) renders from it.
 """
 
 from repro.obs.anomaly import AnomalyDetector
 from repro.obs.console import LiveConsole
-from repro.obs.export import (
-    OBS_ARTIFACT,
-    read_windows,
-    render_html_report,
-    window_stream,
-    write_html_report,
-)
+from repro.obs.export import render_html_report, write_html_report
 from repro.obs.sampler import (
     MetricSampler,
     build_window_records,
@@ -43,11 +37,8 @@ __all__ = [
     "AnomalyDetector",
     "LiveConsole",
     "MetricSampler",
-    "OBS_ARTIFACT",
     "build_window_records",
     "merge_raw_windows",
-    "read_windows",
     "render_html_report",
-    "window_stream",
     "write_html_report",
 ]

@@ -1,12 +1,8 @@
-"""Window-stream export: stamped JSONL and a self-contained HTML report.
+"""The obs dashboard: a self-contained HTML report of a run's windows.
 
-The JSONL stream is the committed artifact form: a stamped
-``obs-windows`` header line, then one ``serve.window`` record per
-window × lane, then the ``obs.anomaly`` records (:func:`window_stream`
-builds it for :func:`repro.telemetry.schema.write_stream`).  The HTML
-report is rendered *from the same records* (inline SVG sparklines, zero
-external dependencies), so the dashboard can never disagree with the
-artifact.
+The report is rendered from the ``obs`` section of the run's
+``serve-bench`` artifact (inline SVG sparklines, zero external
+dependencies), so the dashboard can never disagree with the artifact.
 """
 
 from __future__ import annotations
@@ -14,14 +10,6 @@ from __future__ import annotations
 import html
 import os
 from typing import Any
-
-from repro.telemetry.schema import SchemaMismatch, read_stream, stamp
-
-#: Schema-stamp artifact kind for window streams (see telemetry.schema).
-OBS_ARTIFACT = "obs-windows"
-
-#: The window-grid fields a stream's header carries.
-_GRID = ("interval_cycles", "windows", "freq_hz", "lanes")
 
 #: Metrics charted per lane in the HTML report, with display labels.
 REPORT_METRICS = (
@@ -34,43 +22,6 @@ REPORT_METRICS = (
 )
 
 
-def window_stream(obs: dict[str, Any]) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """An ``obs`` result section as a stamped stream: ``(header, records)``.
-
-    The header carries the stamp and the window grid; the records are the
-    ``serve.window`` records, then the ``obs.anomaly`` records.  Write it
-    with :func:`repro.telemetry.schema.write_stream`.
-    """
-    header = {**stamp(OBS_ARTIFACT), **{key: obs[key] for key in _GRID}}
-    return header, [*obs["records"], *obs.get("anomalies", [])]
-
-
-def read_windows(path: str) -> dict[str, Any]:
-    """Read a window stream back into an ``obs``-shaped section.
-
-    Besides every :func:`~repro.telemetry.schema.read_stream` refusal, a
-    header without its window grid and a record that is neither
-    ``serve.window`` nor ``obs.anomaly`` raise
-    :class:`~repro.telemetry.schema.SchemaMismatch`.
-    """
-    header, records = read_stream(path, OBS_ARTIFACT)
-    missing = [key for key in _GRID if key not in header]
-    if missing:
-        raise SchemaMismatch(f"{path}: header lacks {missing}")
-    obs: dict[str, Any] = {key: header[key] for key in _GRID}
-    obs["records"], obs["anomalies"] = [], []
-    sections = {"serve.window": obs["records"], "obs.anomaly": obs["anomalies"]}
-    for record in records:
-        section = sections.get(record.get("record"))
-        if section is None:
-            raise SchemaMismatch(f"{path}: unknown record kind {record.get('record')!r}")
-        section.append(record)
-    return obs
-
-
-# ----------------------------------------------------------------------
-# HTML report
-# ----------------------------------------------------------------------
 def _sparkline(
     values: list[float | None],
     marks: set[int],

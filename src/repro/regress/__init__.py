@@ -5,8 +5,8 @@ stream and a metrics registry; this package *consumes* those artifacts
 across runs:
 
 - :mod:`repro.regress.snapshot` — ``repro baseline`` captures a run's
-  cycle-ledger categories, metrics, shape verdicts and (optionally)
-  ``BENCH_meta.json`` into one schema-stamped JSON file;
+  cycle-ledger categories, metrics and shape verdicts into one
+  schema-stamped JSON file;
 - :mod:`repro.regress.diff` — ``repro diff`` compares two snapshots (or
   re-runs the baseline's experiments) and reports per-category cycle
   deltas and per-metric changes with bootstrap confidence intervals,

@@ -14,9 +14,9 @@ and read by :func:`repro.telemetry.schema.read_artifact`, which refuses
 any other stamp (a retired ``scenario-bench`` or ``obs-windows``
 document included) in one line naming the stamps accepted.  :func:`gate`
 is the one comparison every entry point uses: ``repro diff`` (after
-``rerun``) and the ``--baseline`` flags of ``serve bench``, ``autoscale
-sweep`` and ``evidence build``.  A new baseline kind is one
-:data:`BASELINES` entry.
+``rerun``) and the ``--baseline`` flags of ``serve bench`` (its
+``--evidence`` pack included) and ``autoscale sweep``.  A new baseline
+kind is one :data:`BASELINES` entry.
 """
 
 from __future__ import annotations

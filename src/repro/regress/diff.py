@@ -14,9 +14,8 @@ current snapshot, and classifies each change:
   "slower": app/host-exec work (the workload itself changed), call
   counts, utilisation.  Reported so a parameter change is never silent,
   but never gates.
-- **info** — idle capacity, resolved shape violations, confirmed
-  improvements, and ``BENCH_meta`` host-throughput numbers (those are
-  machine-dependent, so cross-machine gating would be noise).
+- **info** — idle capacity, resolved shape violations and confirmed
+  improvements.
 
 Confidence intervals come from a percentile bootstrap over the repeat
 samples stored in the snapshot (seeded ``random.Random`` — reruns give
@@ -121,7 +120,7 @@ class DiffEntry:
     """One compared quantity: where it lives, how it moved, what it means."""
 
     experiment: str
-    scope: str  # cell label, "shape", or "bench_meta"
+    scope: str  # cell label, "shape", or "metrics"
     key: str  # ledger category, metric name, or violation text
     severity: str  # "regression" | "drift" | "info" | "ok"
     base: float
@@ -363,26 +362,5 @@ def diff_snapshots(
                 threshold, gated=gated, min_magnitude=1e-9,
                 resamples=resamples,
             )
-
-    base_bench = base.get("bench_meta")
-    cur_bench = current.get("bench_meta")
-    if base_bench and cur_bench:
-        for arm, stats in base_bench.get("throughput", {}).items():
-            cur_stats = cur_bench.get("throughput", {}).get(arm, {})
-            for key in ("events_per_s", "ocalls_per_s"):
-                b, c = stats.get(key, 0.0), cur_stats.get(key, 0.0)
-                report.compared += 1
-                if b and abs(c - b) / b > threshold:
-                    delta = (c - b) / b
-                    report.entries.append(
-                        DiffEntry(
-                            "bench_meta", arm, key, "info", b, c, delta,
-                            (delta, delta),
-                            message=(
-                                f"host throughput moved {delta:+.1%} "
-                                "(machine-dependent; informational only)"
-                            ),
-                        )
-                    )
 
     return report

@@ -8,11 +8,7 @@ own session, so every cell actually runs) and collects, per repeat:
   end time, from each cell's :class:`~repro.telemetry.ledger.LedgerSnapshot`;
 - the experiment's metrics registry (counters, gauges, histogram
   quantiles), flattened to ``name{label=value,...}`` keys;
-- the experiment's shape-check verdicts (the paper-shape violations);
-- optionally an existing ``BENCH_meta.json`` (read through
-  :func:`~repro.telemetry.schema.read_artifact`), embedded for trajectory
-  tracking (host-throughput numbers are machine-dependent, so the diff
-  treats them as informational).
+- the experiment's shape-check verdicts (the paper-shape violations).
 
 Repeats are the bootstrap resampling unit: the simulator is
 deterministic per parameter set, so repeated identical runs give
@@ -76,7 +72,6 @@ def capture_run(
     quick: bool = True,
     jobs: int | str = 1,
     repeats: int = 1,
-    bench_meta_path: str | None = None,
     name: str = "run",
     fault_plan: FaultPlan | None = None,
 ) -> dict[str, Any]:
@@ -96,12 +91,6 @@ def capture_run(
     state, and serial cells keep the injected schedule deterministic.
     """
     ids = list(experiment_ids) if experiment_ids is not None else list(EXPERIMENTS)
-    # Read the input before anything runs: a bad file is refused up front.
-    bench_meta = (
-        read_artifact(bench_meta_path, ("bench-meta",))
-        if bench_meta_path is not None
-        else None
-    )
     overrides = overrides or {}
     experiments: dict[str, Any] = {}
     for exp_id in ids:
@@ -154,7 +143,6 @@ def capture_run(
         "repeats": repeats,
         "experiment_ids": ids,
         "experiments": experiments,
-        "bench_meta": bench_meta,
         "fault_plan": fault_plan.to_dict() if fault_plan is not None else None,
     }
 

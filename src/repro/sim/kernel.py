@@ -539,7 +539,8 @@ class Kernel:
         """Run until no timers or microtasks remain."""
         self.run()
 
-    def _at(self, delay: float, fn: Callable[[], None]) -> Timer:
+    def call_later(self, delay: float, fn: Callable[[], None]) -> Timer:
+        """Schedule ``fn`` ``delay`` cycles from now, at ``now + delay``."""
         if delay < 0:
             raise SimulationError("cannot schedule a timer in the past")
         timer = Timer(self.now + delay, next(self._seq), fn)
@@ -548,7 +549,7 @@ class Kernel:
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Timer:
         """Schedule ``fn`` at absolute cycle ``when`` (driver-side hook)."""
-        return self._at(when - self.now, fn)
+        return self.call_later(when - self.now, fn)
 
     def timer_stats(self) -> dict[str, int]:
         """Timer-queue internals (stored/live/compactions), for tests."""
@@ -753,7 +754,7 @@ class Kernel:
                     continue
                 thread.state = ThreadState.SLEEPING
                 self._release_core(thread)
-                self._at(instr.cycles, partial(self._wake_sleeper, thread))
+                self.call_later(instr.cycles, partial(self._wake_sleeper, thread))
                 return
             if cls is YieldCPU:
                 if self._ready:
@@ -833,8 +834,9 @@ class Kernel:
         """Arm the running activity's next timer: completion, or slice end.
 
         The one copy of that decision.  It stamps and pushes the timer
-        itself (what :meth:`_at` would do, with the same ``(when, seq)``
-        stamps) to keep every Compute/Spin start one call shorter.
+        itself (what :meth:`call_later` would do, with the same
+        ``(when, seq)`` stamps) to keep every Compute/Spin start one call
+        shorter.
         """
         activity = core.activity
         thread = core.thread

@@ -11,9 +11,9 @@ evidence packs" section of ``docs/observability.md``):
   ceilings, throughput floors, shed-rate and recovery-deadline bounds)
   evaluated into hard (gating) vs diagnostic verdicts over a serve-bench
   artifact;
-- :mod:`repro.slo.evidence` — one-command evidence packs: a manifest of
-  SHA-256 hashes over the run's artifacts that
-  ``repro evidence verify`` re-checks byte-for-byte.
+- :mod:`repro.slo.evidence` — evidence packs (``repro serve bench
+  --evidence PATH``): a manifest of SHA-256 hashes over the run's
+  artifacts that ``repro evidence verify`` re-checks byte-for-byte.
 """
 
 from repro.slo.contract import (
@@ -44,7 +44,6 @@ from repro.slo.trace import (
     span_conservation_errors,
     spans_from_events,
     tenant_lane_trace_events,
-    write_span_chrome_trace,
 )
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "tenant_lane_trace_events",
     "verdicts_summary",
     "verify_evidence_pack",
-    "write_span_chrome_trace",
 ]

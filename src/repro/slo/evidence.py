@@ -1,17 +1,18 @@
-"""One-command evidence packs: a self-verifying bundle of run proof.
+"""Evidence packs: a self-verifying bundle of run proof.
 
-An evidence pack is a directory (optionally tarred) holding everything a
-reviewer needs to audit one serving run — the run configuration, the
-stamped bench artifact, span samples, SLO verdicts, the invariant-audit
-report, any baseline-gate output — plus a ``manifest.json`` listing the
-SHA-256 of every file.  The manifest is itself schema-stamped
-(``schema_version`` / ``repro_version`` via the shared stamping helper),
-so :func:`verify_evidence_pack` refuses packs from an incompatible
-schema *before* it starts re-hashing, and a tampered file (or a file
-added/removed after packing) fails verification with a named error.
+An evidence pack is a directory (optionally tarred) holding everything
+needed to audit one serving run — the stamped bench artifact
+(its spec, audit and SLO verdicts included), the tenant-lane trace, span
+samples, the contracts and any baseline-gate output — plus a
+``manifest.json`` listing the SHA-256 of every file.  The manifest is
+itself schema-stamped (``schema_version`` / ``repro_version`` via the
+shared stamping helper), so :func:`verify_evidence_pack` refuses packs
+from an incompatible schema *before* it starts re-hashing, and a
+tampered file (or a file added/removed after packing) fails
+verification with a named error.
 
-``repro evidence build`` produces a pack; ``repro evidence verify``
-re-checks one (directory or tarball) long after the run.
+``repro serve bench --evidence PATH`` produces a pack; ``repro evidence
+verify`` re-checks one (directory or tarball) long after the run.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ def build_evidence_pack(
 
 def pack_tarball(pack_dir: str, tar_path: str) -> str:
     """Tar (gzipped) an evidence-pack directory; returns ``tar_path``."""
+    os.makedirs(os.path.dirname(tar_path) or ".", exist_ok=True)
     with tarfile.open(tar_path, "w:gz") as archive:
         for root, _, names in sorted(os.walk(pack_dir)):
             for name in sorted(names):

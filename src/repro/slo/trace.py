@@ -26,8 +26,9 @@ Two sources produce the same records:
 
 Exports: a ``spans-jsonl`` stream (one record per line, written and read
 by :func:`repro.telemetry.schema.write_stream` / ``read_stream``) and
-:func:`write_span_chrome_trace` (Perfetto-loadable; one *process lane
-per tenant*, requests as async begin/end pairs keyed by request id).
+:func:`tenant_lane_trace_events` (Perfetto-loadable through the one
+Chrome-trace writer, :mod:`repro.telemetry.exporters`; one *process
+lane per tenant*, requests as async begin/end pairs keyed by request id).
 """
 
 from __future__ import annotations
@@ -268,11 +269,3 @@ def tenant_lane_trace_events(
         )
     return events
 
-
-def write_span_chrome_trace(
-    path: str, records: Sequence[Mapping[str, Any]], freq_hz: float
-) -> int:
-    """Write the tenant-lane trace through the one Chrome-trace writer."""
-    from repro.telemetry.exporters import write_chrome_trace
-
-    return write_chrome_trace(path, tenant_lane_trace_events(records, freq_hz))

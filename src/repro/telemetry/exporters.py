@@ -177,17 +177,23 @@ def build_chrome_trace(captures: Sequence["CellCapture"]) -> list[dict]:
     return events
 
 
-def write_chrome_trace(path: str, events: Sequence[dict]) -> int:
-    """Write trace events as one Chrome trace file; returns the event count.
+def render_chrome_trace(events: Sequence[dict]) -> str:
+    """Trace events as the text of one Chrome trace file.
 
-    The repo's only Chrome-trace writer (session captures, tenant span
-    lanes, the meta-bench schedule).  The file uses the trace format's
-    *object* form (``traceEvents`` plus top-level metadata) rather than
-    the bare array form — both load in ``chrome://tracing``/Perfetto, and
-    the object form carries the schema stamp.
+    The repo's only Chrome-trace serialization (session captures, the
+    evidence pack's tenant span lanes, the meta-bench schedule).  It uses
+    the trace format's *object* form (``traceEvents`` plus top-level
+    metadata) rather than the bare array form — both load in
+    ``chrome://tracing``/Perfetto, and the object form carries the
+    schema stamp.
     """
+    return json.dumps({**stamp("chrome-trace"), "traceEvents": list(events)})
+
+
+def write_chrome_trace(path: str, events: Sequence[dict]) -> int:
+    """Write :func:`render_chrome_trace` to ``path``; returns the event count."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({**stamp("chrome-trace"), "traceEvents": list(events)}, handle)
+        handle.write(render_chrome_trace(events))
     return len(events)
 
 

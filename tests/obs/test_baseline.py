@@ -8,7 +8,6 @@ import os
 import pytest
 
 from repro.api import BenchSpec, ServeSpec
-from repro.obs import OBS_ARTIFACT
 from repro.regress.baselines import BASELINES, compare_serve, gate
 from repro.serve.bench import run_bench
 from repro.telemetry.schema import (
@@ -49,10 +48,10 @@ class TestSnapshot:
         assert gate(snapshot, loaded, threshold=0.0) == []
 
     def test_load_refuses_a_foreign_artifact(self, tmp_path):
-        # A JSON baseline stamped like the window stream is the retired
-        # obs-windows format: only stream files carry that stamp now.
+        # A JSON baseline stamped obs-windows is a retired format: a
+        # run's windows live in its serve-bench artifact only.
         path = write_artifact(
-            {"meta": stamp(OBS_ARTIFACT), "windows": 10},
+            {"meta": stamp("obs-windows"), "windows": 10},
             str(tmp_path / "obs-quick.json"),
         )
         with pytest.raises(SchemaMismatch, match="found 'obs-windows'"):

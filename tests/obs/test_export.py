@@ -1,18 +1,10 @@
-"""Tests for the window stream (header + record kinds) and HTML dashboard."""
-
-import json
+"""Tests for the HTML dashboard rendered from a run's obs section."""
 
 import pytest
 
-from repro.obs import (
-    read_windows,
-    render_html_report,
-    window_stream,
-    write_html_report,
-)
+from repro.obs import render_html_report, write_html_report
 from repro.api import BenchSpec, ServeSpec
 from repro.serve.bench import run_bench
-from repro.telemetry.schema import SchemaMismatch, render_stream, write_stream
 
 SCENARIO = BenchSpec(
     serve=ServeSpec(
@@ -30,33 +22,6 @@ SCENARIO = BenchSpec(
 @pytest.fixture(scope="module")
 def obs():
     return run_bench(SCENARIO, telemetry=False)["obs"]
-
-
-class TestJsonl:
-    def test_roundtrip(self, obs, tmp_path):
-        path = tmp_path / "stream.windows.jsonl"
-        write_stream(str(path), *window_stream(obs))
-        loaded = read_windows(str(path))
-        assert loaded["records"] == obs["records"]
-        assert loaded["anomalies"] == obs["anomalies"]
-        assert loaded["lanes"] == obs["lanes"]
-        assert loaded["interval_cycles"] == obs["interval_cycles"]
-
-    def test_stream_is_stamped_and_line_oriented(self, obs):
-        lines = render_stream(*window_stream(obs)).strip().splitlines()
-        header = json.loads(lines[0])
-        assert header["artifact"] == "obs-windows"
-        kinds = {json.loads(line)["record"] for line in lines[1:]}
-        assert kinds <= {"serve.window", "obs.anomaly"}
-        assert len(lines) == 1 + len(obs["records"]) + len(obs["anomalies"])
-
-    def test_load_refuses_a_foreign_stamp(self, tmp_path):
-        path = tmp_path / "bogus.jsonl"
-        path.write_text(
-            json.dumps({"artifact": "spans-jsonl", "schema_version": 1}) + "\n"
-        )
-        with pytest.raises(SchemaMismatch):
-            read_windows(str(path))
 
 
 class TestHtml:

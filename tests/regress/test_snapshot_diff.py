@@ -152,7 +152,6 @@ def _synthetic_snapshot(**cell_overrides):
                 "metrics": {"repro_sim_time_cycles{cell=c}": [1_000_000.0]},
             }
         },
-        "bench_meta": None,
     }
 
 
@@ -236,15 +235,6 @@ class TestSeverityRules:
             ] = [value]
         report = diff_snapshots(base, cur)
         assert not any("repro_cycles_total" in entry.key for entry in report.entries)
-
-    def test_bench_meta_is_informational(self):
-        base = _synthetic_snapshot()
-        cur = _synthetic_snapshot()
-        base["bench_meta"] = {"throughput": {"regular": {"events_per_s": 100.0}}}
-        cur["bench_meta"] = {"throughput": {"regular": {"events_per_s": 50.0}}}
-        report = diff_snapshots(base, cur)
-        assert report.ok  # halved host throughput: reported, never gates
-        assert any(entry.experiment == "bench_meta" for entry in report.entries)
 
 
 class TestFaultAwareDiffs:

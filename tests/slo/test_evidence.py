@@ -1,13 +1,23 @@
 """Evidence packs: build/verify round-trip, tamper detection, CLI."""
 
 import json
+import os
 import tarfile
 
 import pytest
 
 from repro.cli import main
-from repro.slo import build_evidence_pack, pack_tarball, verify_evidence_pack
-from repro.telemetry.schema import SchemaMismatch
+from repro.slo import (
+    SloContract,
+    build_evidence_pack,
+    pack_tarball,
+    save_contracts,
+    verify_evidence_pack,
+)
+from repro.telemetry.schema import SchemaMismatch, read_artifact
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+CONTRACTS = os.path.join(ROOT, "contracts", "quick.json")
 
 CONTENTS = {
     "bench.json": {"totals": {"completed": 42}},
@@ -113,51 +123,34 @@ class TestTarball:
 
 
 class TestCli:
-    """Acceptance demo: one-command pack, verify, tamper → failure."""
+    """Acceptance demo: ``serve bench --evidence`` packs, verify, tamper →
+    failure."""
 
-    def build_args(self, tmp_path):
+    FILES = {"bench.json", "trace.json", "spans.jsonl", "contracts.json", "manifest.json"}
+
+    def serve_args(self, tmp_path, evidence, contracts=CONTRACTS):
         return [
-            "evidence",
-            "build",
-            "--out",
-            str(tmp_path / "evidence"),
-            "--tar",
-            str(tmp_path / "evidence.tar.gz"),
-            "--shards",
-            "1",
-            "--seconds",
-            "0.05",
-            "--rate",
-            "2000",
-            "--budget",
-            "4",
-            "--tenants",
-            "gold:3,bronze:1",
-            "--contracts",
-            "contracts/quick.json",
+            "serve", "bench", "--shards", "1", "--seconds", "0.05",
+            "--rate", "2000", "--budget", "4", "--tenants", "gold:3,bronze:1",
+            "--contracts", contracts, "--evidence", str(evidence),
+            "--out", str(tmp_path / f"{evidence.name}.out.json"),
         ]
 
     def test_build_verify_tamper_cycle(self, tmp_path, capsys):
-        assert main(self.build_args(tmp_path)) == 0
-        out = capsys.readouterr().out
-        assert "evidence pack" in out
-
-        pack_dir = tmp_path / "evidence"
-        expected = {
-            "run_config.json",
-            "bench.json",
-            "audit.json",
-            "trace.json",
-            "spans.jsonl",
-            "contracts.json",
-            "verdicts.json",
-            "manifest.json",
-        }
-        assert expected <= {p.name for p in pack_dir.rglob("*") if p.is_file()}
+        pack_dir, tarball = tmp_path / "evidence", tmp_path / "evidence.tar.gz"
+        for pack in (pack_dir, tarball):
+            assert main(self.serve_args(tmp_path, pack)) == 0
+            assert f"[evidence pack: 5 file(s) in {pack}]" in capsys.readouterr().out
+        assert {p.name for p in pack_dir.rglob("*")} == self.FILES
+        with tarfile.open(tarball) as archive:
+            assert set(archive.getnames()) == self.FILES
+        out = (tmp_path / "evidence.out.json").read_bytes()
+        assert (pack_dir / "bench.json").read_bytes() == out
+        assert (tmp_path / "evidence.tar.gz.out.json").read_bytes() == out
 
         # Both forms verify clean...
         assert main(["evidence", "verify", str(pack_dir)]) == 0
-        assert main(["evidence", "verify", str(tmp_path / "evidence.tar.gz")]) == 0
+        assert main(["evidence", "verify", str(tarball)]) == 0
         capsys.readouterr()
 
         # ...until one byte of the bench artifact changes.
@@ -166,6 +159,29 @@ class TestCli:
         assert main(["evidence", "verify", str(pack_dir)]) == 1
         out = capsys.readouterr().out
         assert "SHA-256 mismatch" in out
+
+    def test_sliced_run_is_refused_before_anything_is_written(self, tmp_path):
+        pack = tmp_path / "evidence"
+        argv = self.serve_args(tmp_path, pack)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--shards", "2", "--slices", "2"])
+        assert str(excinfo.value) == (
+            "--evidence is unavailable with --slices "
+            "(span records stay in the slice processes)"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_hard_breach_exits_1_and_still_packs(self, tmp_path, capsys):
+        contracts = save_contracts(
+            [SloContract(tenant="gold", min_throughput_rps=1e9)],
+            str(tmp_path / "tight.json"),
+        )
+        pack = tmp_path / "evidence"
+        assert main(self.serve_args(tmp_path, pack, contracts)) == 1
+        bench = read_artifact(str(pack / "bench.json"))
+        assert bench["slo"]["hard_breaches"] == 1
+        assert (pack / "contracts.json").read_text() == (tmp_path / "tight.json").read_text()
+        assert main(["evidence", "verify", str(pack)]) == 0
 
     def test_verify_refuses_foreign_schema(self, tmp_path, capsys):
         pack_dir, _ = build_pack(tmp_path)

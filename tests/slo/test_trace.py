@@ -14,9 +14,9 @@ from repro.slo import (
     span_conservation_errors,
     spans_from_events,
     tenant_lane_trace_events,
-    write_span_chrome_trace,
 )
 from repro.telemetry.events import TelemetryEvent
+from repro.telemetry.exporters import render_chrome_trace, write_chrome_trace
 
 
 def record(request_id=1, tenant="gold", status="ok", **overrides):
@@ -193,9 +193,14 @@ class TestChromeTrace:
         assert root_begin["ts"] == pytest.approx(100.0 * 1e6 / 1e9)
 
     def test_written_trace_is_stamped(self, tmp_path):
+        # The evidence pack's trace.json is the one writer's text.
+        events = tenant_lane_trace_events([record()], freq_hz=1e9)
         path = str(tmp_path / "trace.json")
-        count = write_span_chrome_trace(path, [record()], freq_hz=1e9)
+        count = write_chrome_trace(path, events)
         with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
+            text = handle.read()
+        assert text == render_chrome_trace(events)
+        document = json.loads(text)
         assert document["artifact"] == "chrome-trace"
-        assert len(document["traceEvents"]) == count
+        assert document["traceEvents"] == events
+        assert len(events) == count

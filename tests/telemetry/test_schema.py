@@ -1,7 +1,7 @@
 """The artifact I/O layer: one stream pair and one document pair.
 
 Every stamped JSONL stream the repo writes (telemetry events, request
-spans, obs windows, scenario traces) goes through
+spans, scenario traces) goes through
 ``write_stream``/``read_stream``, and every JSON document through
 ``write_artifact``/``read_artifact``.  These tests hold the pair to its
 contract with real payloads of each kind, refuse every malformed input
@@ -16,7 +16,6 @@ import pytest
 from repro import __version__
 from repro.api import BenchSpec, ServeSpec
 from repro.cli import main
-from repro.obs import OBS_ARTIFACT, read_windows, window_stream
 from repro.regress import read_events_jsonl
 from repro.scenarios import ScenarioSpec, generate_trace, load_trace, write_trace
 from repro.scenarios.trace import TRACE_ARTIFACT
@@ -34,7 +33,7 @@ from repro.telemetry.schema import (
     write_stream,
 )
 
-KINDS = (EVENTS_ARTIFACT, SPANS_ARTIFACT, OBS_ARTIFACT, TRACE_ARTIFACT)
+KINDS = (EVENTS_ARTIFACT, SPANS_ARTIFACT, TRACE_ARTIFACT)
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +42,11 @@ def streams(tmp_path_factory):
     root = tmp_path_factory.mktemp("streams")
     assert main(["run", "fig13", "--quick", "--telemetry", str(root)]) == 0
     spans = []
-    result = run_bench(
+    run_bench(
         BenchSpec(
             serve=ServeSpec(shards=2, tenants=(("bronze", 1.0), ("gold", 2.0))),
             seconds=0.02,
             seed=3,
-            obs=True,
         ),
         telemetry=False,
         span_sink=spans,
@@ -59,13 +57,11 @@ def streams(tmp_path_factory):
     paths = {
         EVENTS_ARTIFACT: str(root / "fig13.events.jsonl"),
         SPANS_ARTIFACT: str(root / "spans.jsonl"),
-        OBS_ARTIFACT: str(root / "serve.windows.jsonl"),
         TRACE_ARTIFACT: str(root / "io.trace.jsonl"),
     }
     write_stream(paths[SPANS_ARTIFACT], stamp(SPANS_ARTIFACT), spans)
-    write_stream(paths[OBS_ARTIFACT], *window_stream(result["obs"]))
     write_trace(trace, paths[TRACE_ARTIFACT])
-    return {"paths": paths, "spans": spans, "obs": result["obs"], "trace": trace}
+    return {"paths": paths, "spans": spans, "trace": trace}
 
 
 def lines_of(path):
@@ -225,7 +221,6 @@ class TestMalformedDocuments:
 FORMAT_READERS = {
     EVENTS_ARTIFACT: read_events_jsonl,
     SPANS_ARTIFACT: lambda path: list(read_stream(path, SPANS_ARTIFACT)[1]),
-    OBS_ARTIFACT: read_windows,
     TRACE_ARTIFACT: load_trace,
 }
 
@@ -249,13 +244,6 @@ class TestFormatReaders:
         with pytest.raises(SchemaMismatch) as excinfo:
             FORMAT_READERS[kind](str(path))
         assert_one_line_naming(excinfo, str(path))
-
-    def test_window_records_must_be_windows_or_anomalies(self, streams, tmp_path):
-        lines = lines_of(streams["paths"][OBS_ARTIFACT])
-        path = tmp_path / "w.jsonl"
-        path.write_text("\n".join([*lines, '{"record": "serve.request.span"}']) + "\n")
-        with pytest.raises(SchemaMismatch, match="unknown record kind"):
-            read_windows(str(path))
 
 
 def parent_form(header, records, **dumps):
@@ -291,10 +279,7 @@ class TestParentFormStreams:
             (5.0, "zc.fallback", {"name": "write", "waited_cycles": 0.0})
         ]
 
-    def test_spans_and_windows(self, streams, tmp_path):
+    def test_spans(self, streams, tmp_path):
         spans = tmp_path / "parent.spans.jsonl"
         spans.write_text(parent_form(stamp(SPANS_ARTIFACT), streams["spans"]))
         assert list(read_stream(str(spans), SPANS_ARTIFACT)[1]) == streams["spans"]
-        windows = tmp_path / "parent.windows.jsonl"
-        windows.write_text(parent_form(*window_stream(streams["obs"]), sort_keys=True))
-        assert read_windows(str(windows))["records"] == streams["obs"]["records"]

@@ -230,14 +230,15 @@ class TestServeObsFlags:
         with pytest.raises(SystemExit, match="positive cycle count"):
             main([*self.QUICK, "--obs-interval", "0"])
 
-    def test_obs_run_writes_the_window_stream(self, capsys, tmp_path):
+    def test_obs_run_writes_no_window_stream(self, capsys, tmp_path):
+        # The windows are the artifact's obs section, written once.
         out = tmp_path / "serve.json"
         assert main([*self.QUICK, "--obs", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "obs:" in text and "window(s)" in text
-        stream = tmp_path / "serve.windows.jsonl"
-        assert stream.exists()
-        assert "obs-windows" in stream.read_text().splitlines()[0]
+        assert "window stream" not in text
+        assert [path.name for path in tmp_path.iterdir()] == ["serve.json"]
+        assert read_artifact(str(out))["obs"]["records"]
 
     def test_live_falls_back_to_plain_lines_off_tty(self, capsys, tmp_path):
         # capsys swaps in a non-TTY stdout: the console must degrade to
@@ -491,8 +492,8 @@ class TestBaselineFiles:
             "replay": (["serve", "bench", "--scenario", "steady-mixed", "--shards", "4",
                         "--budget", "16", "--out", out], "serve-bench"),
             "sweep": (["autoscale", "sweep", "--out", out], "autoscale-sweep"),
-            "evidence": (["evidence", "build", "--out", str(tmp_path / "pack"),
-                          "--shards", "1", "--seconds", "0.005"], "serve-bench"),
+            "evidence": ([*self.SERVE, "--out", out, "--evidence", str(tmp_path / "pack")],
+                         "serve-bench"),
         }[command]
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--baseline", path])
@@ -567,14 +568,12 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("name", ["missing", "not-json"])
     @pytest.mark.parametrize("command", ["serve", "evidence"])
     def test_contracts(self, files, tmp_path, capsys, command, name):
-        argv = (
-            [*self.SERVE, "--out", str(tmp_path / "b.json")]
-            if command == "serve"
-            else ["evidence", "build", "--out", str(tmp_path / "pack"),
-                  "--shards", "1", "--seconds", "0.005"]
-        )
+        argv = [*self.SERVE, "--out", str(tmp_path / "b.json")]
+        if command == "evidence":
+            argv += ["--evidence", str(tmp_path / "pack")]
         text = self.refusal([*argv, "--contracts", files[name]], capsys)
         assert files[name] in text
+        assert not (tmp_path / "b.json").exists() and not (tmp_path / "pack").exists()
 
     def test_trace_directory(self, tmp_path, capsys):
         argv = [*self.SERVE, "--out", str(tmp_path / "b.json"), "--trace", str(tmp_path)]
@@ -590,11 +589,6 @@ class TestMalformedInputs:
             ["evidence", "verify", files["missing"]], capsys
         )
 
-    def test_baseline_bench_meta_not_json(self, files, tmp_path, capsys):
-        argv = ["baseline", "--quick", "--experiments", "fig13",
-                "--out", str(tmp_path / "b.json"), "--bench-meta", files["not-json"]]
-        assert files["not-json"] in self.refusal(argv, capsys)
-
     @pytest.mark.parametrize("plan", ["unknown-name", "not-json", "bad-plan"])
     @pytest.mark.parametrize(
         "command", ["serve", "evidence", "baseline", "diff", "run", "faults-show"]
@@ -604,8 +598,8 @@ class TestMalformedInputs:
         out = str(tmp_path / "out")
         argv = {
             "serve": [*self.SERVE, "--out", out, "--plan", value],
-            "evidence": ["evidence", "build", "--out", out, "--shards", "1",
-                         "--seconds", "0.005", "--plan", value],
+            "evidence": [*self.SERVE, "--out", f"{out}.json", "--evidence", out,
+                         "--plan", value],
             "baseline": ["baseline", "--quick", "--experiments", "fig13",
                          "--out", out, "--plan", value],
             "diff": ["diff", os.path.join(BASELINES_DIR, "quick.json"), "--plan", value],
@@ -613,7 +607,7 @@ class TestMalformedInputs:
             "faults-show": ["faults", "show", value],
         }[command]
         assert value in self.refusal(argv, capsys)
-        assert not os.path.exists(out)
+        assert not os.path.exists(out) and not os.path.exists(f"{out}.json")
 
 
 def _subparser(*path):
@@ -644,6 +638,7 @@ class TestParserSurface:
             ("--budget",): ("budget", None, int, None, "_StoreAction"),
             ("--clients",): ("clients", None, int, None, "_StoreAction"),
             ("--contracts",): ("contracts", None, None, None, "_StoreAction"),
+            ("--evidence",): ("evidence", None, None, None, "_StoreAction"),
             ("--fault-shard",): ("fault_shard", 0, int, None, "_StoreAction"),
             ("--jobs",): ("jobs", None, None, None, "_StoreAction"),
             ("--keydist",): ("keydist", "uniform", None, ("uniform", "zipf", "seq"), "_StoreAction"),
@@ -653,7 +648,6 @@ class TestParserSurface:
             ("--obs",): ("obs", False, None, None, "_StoreTrueAction"),
             ("--obs-html",): ("obs_html", None, None, None, "_StoreAction"),
             ("--obs-interval",): ("obs_interval", None, float, None, "_StoreAction"),
-            ("--obs-out",): ("obs_out", None, None, None, "_StoreAction"),
             ("--out",): ("out", "BENCH_serve.json", None, None, "_StoreAction"),
             ("--plan",): ("plan", None, None, None, "_StoreAction"),
             ("--policy",): ("policy", "hash", None, ("hash", "round-robin"), "_StoreAction"),
@@ -671,31 +665,6 @@ class TestParserSurface:
             ("--tenants",): ("tenants", None, None, None, "_StoreAction"),
             ("--threshold",): ("threshold", 0.1, float, None, "_StoreAction"),
             ("--trace",): ("trace", None, None, None, "_StoreAction"),
-            ("-h", "--help"): ("help", "==SUPPRESS==", None, None, "_HelpAction"),
-        },
-        "evidence build": {
-            ("--admission",): ("admission", "shed", None, ("shed", "block"), "_StoreAction"),
-            ("--backend",): ("backend", "zc", None, ("zc", "intel", "baseline"), "_StoreAction"),
-            ("--baseline",): ("baseline", None, None, None, "_StoreAction"),
-            ("--budget",): ("budget", None, int, None, "_StoreAction"),
-            ("--contracts",): ("contracts", None, None, None, "_StoreAction"),
-            ("--fault-shard",): ("fault_shard", 0, int, None, "_StoreAction"),
-            ("--keydist",): ("keydist", "uniform", None, ("uniform", "zipf", "seq"), "_StoreAction"),
-            ("--obs",): ("obs", False, None, None, "_StoreTrueAction"),
-            ("--obs-interval",): ("obs_interval", None, float, None, "_StoreAction"),
-            ("--out",): ("out", "evidence", None, None, "_StoreAction"),
-            ("--plan",): ("plan", None, None, None, "_StoreAction"),
-            ("--policy",): ("policy", "hash", None, ("hash", "round-robin"), "_StoreAction"),
-            ("--queue-capacity",): ("queue_capacity", 64, int, None, "_StoreAction"),
-            ("--rate",): ("rate", 2000.0, float, None, "_StoreAction"),
-            ("--seconds",): ("seconds", 0.5, float, None, "_StoreAction"),
-            ("--seed",): ("seed", 0, int, None, "_StoreAction"),
-            ("--servers-per-shard",): ("servers_per_shard", 2, int, None, "_StoreAction"),
-            ("--shards",): ("shards", 2, int, None, "_StoreAction"),
-            ("--span-samples",): ("span_samples", 2000, int, None, "_StoreAction"),
-            ("--tar",): ("tar", None, None, None, "_StoreAction"),
-            ("--tenants",): ("tenants", None, None, None, "_StoreAction"),
-            ("--threshold",): ("threshold", 0.1, float, None, "_StoreAction"),
             ("-h", "--help"): ("help", "==SUPPRESS==", None, None, "_HelpAction"),
         },
     }
@@ -786,14 +755,14 @@ class TestSpecFlags:
 
     @pytest.mark.parametrize("command", ["serve", "evidence"])
     def test_duplicate_tenants_are_refused(self, tmp_path, command):
-        argv = self.SERVE if command == "serve" else [
-            "evidence", "build", "--shards", "1", "--seconds", "0.005"
-        ]
+        pack = tmp_path / "pack"
+        argv = self.SERVE if command == "serve" else [*self.SERVE, "--evidence", str(pack)]
         self.refused(
             [*argv, "--tenants", "gold:1,gold:3"],
             "tenants names must be unique; duplicate gold",
             tmp_path,
         )
+        assert not pack.exists()
 
     def test_contracts_run_reruns_from_its_embedded_spec(self, tmp_path, capsys):
         first, second, spec = (
