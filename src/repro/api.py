@@ -567,6 +567,12 @@ class ServeSpec(_Spec):
         return dict(self.tenants)
 
 
+#: The synthetic-load fields a trace replay takes from the trace instead
+#: (the arrival times, keys and ops are the trace's events, the run
+#: length its declared duration).
+TRACE_OWNED_FIELDS = ("seconds", "rate", "keydist", "keyspace", "set_fraction", "seed")
+
+
 @dataclass(frozen=True)
 class BenchSpec(_Spec):
     """Declarative description of one serve benchmark run.
@@ -582,13 +588,16 @@ class BenchSpec(_Spec):
         ...
     repro.api.SpecError: slices (4) must not exceed shards (2)
 
+    A replay takes :data:`TRACE_OWNED_FIELDS` from the trace — its
+    events and declared duration — so it refuses any of them set to
+    other than its default (``rate`` may also be None); the closed loop
+    likewise refuses a ``rate`` and records it as None.
+
     Attributes:
         serve: The cluster under test.
-        seconds: Offered-load duration in simulated seconds (a trace
-            overrides it with its own declared duration).
+        seconds: Offered-load duration in simulated seconds.
         rate: Open-loop Poisson arrival rate in requests/s (None under
-            the closed loop, which has no offered rate, or with a trace,
-            which owns the arrival times).
+            the closed loop, which has no offered rate).
         clients: Closed-loop request threads (None = open loop).
         requests_per_client: Closed-loop per-thread request budget.
         keydist: Key distribution (``uniform`` | ``zipf`` | ``seq``).
@@ -672,6 +681,7 @@ class BenchSpec(_Spec):
         if self.clients is not None:
             if self.clients < 1:
                 raise SpecError("clients must be >= 1 (or None for the open loop)")
+            self._refuse_unused(("rate",), "the closed loop has no offered rate")
             object.__setattr__(self, "rate", None)
         if self.rate is not None and self.rate <= 0:
             raise SpecError("rate must be > 0 (or None for the closed loop)")
@@ -685,8 +695,12 @@ class BenchSpec(_Spec):
             raise SpecError("set_fraction must be in [0, 1]")
         if self.scenario is not None and self.trace is not None:
             raise SpecError("scenario and trace are mutually exclusive — pick one")
-        if self.replays_trace() and self.clients is not None:
-            raise SpecError("trace replay is open-loop; drop clients")
+        if self.replays_trace():
+            if self.clients is not None:
+                raise SpecError("trace replay is open-loop; drop clients")
+            self._refuse_unused(
+                TRACE_OWNED_FIELDS, "trace replay takes its load from the trace"
+            )
         if self.slices < 1:
             raise SpecError("slices must be >= 1")
         if self.slices > self.serve.shards:
@@ -717,6 +731,19 @@ class BenchSpec(_Spec):
             if self.obs_interval <= 0:
                 raise SpecError("obs_interval must be a positive cycle count")
             object.__setattr__(self, "obs", True)
+
+    def _refuse_unused(self, names: tuple[str, ...], why: str) -> None:
+        """Refuse, in one error, every field of ``names`` set to a value
+        other than its default (or None) — a value the run would ignore
+        while the artifact records it."""
+        unused = [
+            spec_field.name
+            for spec_field in fields(self)
+            if spec_field.name in names
+            and getattr(self, spec_field.name) not in (spec_field.default, None)
+        ]
+        if unused:
+            raise SpecError(f"{why}; drop {', '.join(unused)}")
 
     def replays_trace(self) -> bool:
         """True when the load comes from a committed/explicit trace."""

@@ -1,8 +1,8 @@
 """Trace-driven scenario library for the serving layer.
 
-The synthetic loadgen answers "what does this cluster do at rate R?";
-the scenario library answers "what does it do on *this* workload?" —
-where the workload is a reviewable artifact, not a seed.  Three pieces:
+Synthetic load answers "what does this cluster do at rate R?"; the
+scenario library answers "what does it do on *this* workload?" — where
+the workload is a reviewable artifact, not a seed.  Three pieces:
 
 - :mod:`repro.scenarios.trace` — the schema-stamped JSONL trace format:
   timestamped, tenant- and app-tagged request arrivals with a digest
@@ -11,12 +11,15 @@ where the workload is a reviewable artifact, not a seed.  Three pieces:
   diurnal curves, flash crowds, hot-key skew shifts, weighted app and
   tenant mixes, all from one seeded stream (same spec → byte-identical
   file).
-- :mod:`repro.scenarios.replay` — the replay engine (a drop-in for the
-  open-loop loadgen, so slice-parallel replays merge bit-identical to
-  unsliced ones); a replay writes the ``serve-bench`` artifact, which is
-  also its committed baseline.
 - :mod:`repro.scenarios.catalog` — the named library whose traces live
   under ``traces/`` and whose baselines ``repro diff`` gates in CI.
+
+A replay is a serve bench whose :class:`repro.api.BenchSpec` names a
+``scenario`` or a ``trace``: the open loop of
+:class:`repro.serve.loadgen.LoadGenerator` walks the trace's events
+instead of seeded draws (so slice-parallel replays merge bit-identical
+to unsliced ones), and the run writes the ``serve-bench`` artifact,
+which is also the replay's committed baseline.
 
 See ``docs/scenarios.md`` for the trace schema and the gen → replay →
 diff workflow.
@@ -35,7 +38,6 @@ from repro.scenarios.generate import (
     ScenarioSpec,
     generate_trace,
 )
-from repro.scenarios.replay import TraceReplayer
 from repro.scenarios.trace import (
     TRACE_ARTIFACT,
     ScenarioTrace,
@@ -54,7 +56,6 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioTrace",
     "TraceEvent",
-    "TraceReplayer",
     "baseline_path",
     "generate_trace",
     "get_scenario",

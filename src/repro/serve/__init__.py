@@ -21,9 +21,10 @@ one request stream on a shared machine?
   across tenants when weights are set), shard quarantine on enclave loss
   and re-admission after recovery, and per-request span tracing
   (``serve.request.span``) consumed by :mod:`repro.slo`.
-- :mod:`repro.serve.loadgen` — open-loop (Poisson) and closed-loop load
-  generation over the seeded key distributions, optionally tagged with a
-  weighted tenant mix.
+- :mod:`repro.serve.loadgen` — the one load generator: closed-loop
+  clients, or an open loop over seeded Poisson arrivals or a committed
+  scenario trace's events, optionally tagged with weighted tenant and
+  app mixes.
 - :mod:`repro.serve.bench` — the ``repro serve bench`` entry point:
   takes a declarative :class:`repro.api.BenchSpec`/:class:`repro.api
   .ServeSpec` (``Runtime.serve(spec)``), builds a cluster, drives it,
@@ -41,7 +42,7 @@ from repro.serve.apps import (
 )
 from repro.serve.bench import ServeCluster, build_cluster, run_bench
 from repro.serve.budget import WorkerBudgetArbiter
-from repro.serve.loadgen import KEYDIST_CHOICES, LoadGenerator, LoadSpec
+from repro.serve.loadgen import KEYDIST_CHOICES, LoadGenerator
 from repro.serve.router import (
     ADMISSION_CHOICES,
     POLICY_CHOICES,
@@ -60,7 +61,6 @@ __all__ = [
     "EnclaveShard",
     "KvServedApp",
     "LoadGenerator",
-    "LoadSpec",
     "Request",
     "Router",
     "ServeCluster",

@@ -1,9 +1,9 @@
 """The ``repro serve bench`` entry point.
 
 A run is a list of slice outcomes.  :func:`simulate` builds a sharded
-cluster (or one slice of it) on one kernel, drives it with a
-:class:`repro.serve.loadgen.LoadGenerator` or a committed trace replay,
-and returns the outcome as plain data; :mod:`repro.serve.slices` runs N
+cluster (or one slice of it) on one kernel, drives it with the
+:class:`repro.serve.loadgen.LoadGenerator` (synthetic load or a
+committed trace's replay) and returns the outcome as plain data; :mod:`repro.serve.slices` runs N
 slices in processes and merges their outcomes; :func:`build_artifact`
 is the one writer of the stamped ``serve-bench`` artifact (written as
 ``BENCH_serve.json`` by the CLI).  A committed ``serve-bench`` baseline
@@ -35,7 +35,7 @@ from repro.analysis.metrics import LatencyRecorder
 from repro.api import BenchSpec, Runtime, ServeSpec, SpecError, ZcConfig
 from repro.faults import FaultInjector, FaultPlan, active_fault_plan, get_plan
 from repro.serve.budget import WorkerBudgetArbiter
-from repro.serve.loadgen import LoadGenerator, LoadSpec
+from repro.serve.loadgen import LoadGenerator
 from repro.serve.router import Router
 from repro.serve.shard import EnclaveShard
 from repro.sim import Kernel, MachineSpec, server_machine
@@ -361,12 +361,10 @@ def simulate(
         return outcome
 
     serve = spec.serve
-    if trace is None and spec.scenario is not None:
+    if trace is None and spec.replays_trace():
         from repro.scenarios.catalog import trace_path
 
-        trace = trace_path(spec.scenario)
-    elif trace is None and spec.trace is not None:
-        trace = spec.trace
+        trace = spec.trace if spec.scenario is None else trace_path(spec.scenario)
 
     app_mix = serve.apps
     seconds = spec.seconds
@@ -390,8 +388,6 @@ def simulate(
                     f"trace {trace.name!r} addresses apps {missing} not in "
                     f"the installed app set {list(installed_apps)}"
                 )
-        if spec.clients is not None:
-            raise SpecError("trace replay is open-loop; drop clients")
         # The trace owns the timeline: arrivals stop at its declared
         # duration, and the obs window grid spans exactly that.
         seconds = trace.duration_s
@@ -414,42 +410,7 @@ def simulate(
     kernel = cluster.kernel
     if span_sink is not None:
         cluster.router.span_subscribers.append(span_sink.append)
-    # The spec keeps tenants sorted by name: the artifact (and the RNG
-    # stream behind rng.choices) must not depend on how they were listed.
-    tenant_mix = build_spec.tenants
-    # A single-app "mix" is no mix at all: passing it to the LoadSpec
-    # would consume an RNG draw per request and shift the seeded streams
-    # of every pre-existing single-app run.
-    load_mix = app_mix if app_mix is not None and len(app_mix) > 1 else None
-    if trace is not None:
-        from repro.scenarios.replay import TraceReplayer
-
-        generator: Any = TraceReplayer(kernel, cluster.router, trace, admit=admit)
-    elif spec.clients is not None:
-        load = LoadSpec(
-            clients=spec.clients,
-            requests_per_client=spec.requests_per_client,
-            duration_s=seconds,
-            keydist=spec.keydist,
-            keyspace=spec.keyspace,
-            set_fraction=spec.set_fraction,
-            seed=spec.seed,
-            tenants=tenant_mix,
-            apps=load_mix,
-        )
-        generator = LoadGenerator(kernel, cluster.router, load, admit=admit)
-    else:
-        load = LoadSpec(
-            rate_rps=spec.rate,
-            duration_s=seconds,
-            keydist=spec.keydist,
-            keyspace=spec.keyspace,
-            set_fraction=spec.set_fraction,
-            seed=spec.seed,
-            tenants=tenant_mix,
-            apps=load_mix,
-        )
-        generator = LoadGenerator(kernel, cluster.router, load, admit=admit)
+    generator = LoadGenerator(kernel, cluster.router, spec, trace=trace, admit=admit)
     start = kernel.now
     sampler = None
     detector = None
@@ -465,8 +426,6 @@ def simulate(
             if spec.obs_interval is not None
             else duration_cycles / DEFAULT_WINDOWS
         )
-        if interval <= 0:
-            raise SpecError("obs_interval must be a positive cycle count")
         # Round-up grid: the last window may extend past the load
         # deadline (arrivals stop strictly before it either way).
         n_windows = max(1, math.ceil(duration_cycles / interval - 1e-9))
@@ -516,7 +475,7 @@ def simulate(
         "set_fraction": spec.set_fraction,
         "seed": spec.seed,
         "plan": cluster.plan.name if cluster.plan is not None else None,
-        "tenants": dict(tenant_mix) if tenant_mix else None,
+        "tenants": dict(build_spec.tenants) if build_spec.tenants else None,
         "apps": (
             [list(pair) for pair in app_mix]
             if app_mix is not None

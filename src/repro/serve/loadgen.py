@@ -1,179 +1,128 @@
-"""Load generation for the serving layer.
+"""Load generation for the serving layer: one generator, two loops.
 
-Two standard shapes:
+:class:`LoadGenerator` drives a :class:`repro.serve.router.Router` with
+the load a :class:`repro.api.BenchSpec` describes:
 
-- **Closed loop** — ``spec.clients`` request threads, each issuing its
-  next request the moment the previous one completes.  Offered load
-  tracks service capacity; use it for saturation/scaling measurements.
-- **Open loop** — a Poisson arrival process at ``spec.rate_rps``
-  (selected by setting the rate); every arrival runs on its own thread
-  regardless of how the previous requests are doing.  Offered load is
+- **Closed loop** (``spec.clients`` set) — that many request threads,
+  each issuing its next request the moment the previous one completes,
+  until ``spec.requests_per_client`` or ``spec.seconds`` runs out.
+  Offered load tracks service capacity; use it for saturation/scaling
+  measurements.
+- **Open loop** — one arrival program walks an arrival iterator and
+  spawns a request thread per arrival at its due time, regardless of
+  how the previous requests are doing.  The arrivals are seeded Poisson
+  draws at ``spec.rate`` until ``spec.seconds``, or the events of a
+  :class:`repro.scenarios.ScenarioTrace` (a replay).  Offered load is
   independent of the system, so queues actually build and shed/latency
   tails mean something.  This is the ``repro serve bench`` default.
 
-Key choice reuses the seeded YCSB-style generators of
+Synthetic keys come from the seeded YCSB-style generators of
 :mod:`repro.workloads.keydist`; everything is deterministic per
-``spec.seed``.
+``spec.seed`` (or per trace).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
+from repro.api import BenchSpec, SpecError
 from repro.serve.router import Router
 from repro.sim.instructions import Compute, Sleep
 from repro.sim.kernel import Kernel, Program, SimThread
 from repro.workloads.keydist import SequentialKeys, UniformKeys, ZipfKeys
 
-#: Key-distribution names accepted by :class:`LoadSpec`.
+if TYPE_CHECKING:
+    from repro.scenarios.trace import ScenarioTrace
+
+#: Key-distribution names a :class:`repro.api.BenchSpec` accepts.
 KEYDIST_CHOICES = ("uniform", "zipf", "seq")
 
+#: Untrusted request-parse cost charged per request, in cycles.
+PARSE_CYCLES = 1_200.0
 
-def _check_mix(
-    mix: tuple[tuple[str, float], ...] | None, what: str
-) -> None:
-    """Validate a weighted ``(name, weight)`` mix (tenants or apps)."""
-    if mix is None:
-        return
-    if not mix:
-        raise ValueError(f"{what}s needs at least one (name, weight) pair")
-    names = [name for name, _ in mix]
-    if len(set(names)) != len(names):
-        raise ValueError(f"{what} names must be unique")
-    if any(weight <= 0 for _, weight in mix):
-        raise ValueError(f"{what} weights must be positive")
+#: Payload size of a synthetic ``set`` value, in bytes.
+VALUE_BYTES = 8
 
 
-@dataclass(frozen=True)
-class LoadSpec:
-    """Shape of the offered load.
-
-    Attributes:
-        clients: Closed-loop request threads (ignored by the open loop).
-        requests_per_client: Closed-loop per-thread request budget
-            (None = bounded by ``duration_s`` alone — set at least one!).
-        duration_s: Stop issuing after this much simulated time.
-        rate_rps: Open-loop Poisson arrival rate; None selects the
-            closed loop.
-        total_requests: Open-loop arrival budget.
-        set_fraction: Fraction of requests that are ``kv_set`` (the rest
-            are ``kv_get``); sets WAL-append via ocalls.
-        keyspace: Distinct keys for the uniform/zipf distributions.
-        keydist: ``uniform`` | ``zipf`` | ``seq``.
-        value_bytes: Value payload size for sets.
-        parse_cycles: Untrusted request-parse cost charged per request.
-        seed: Base RNG seed (each client derives its own stream).
-        tenants: Weighted tenant mix as ``(name, weight)`` pairs; each
-            request is attributed to a tenant drawn with these weights
-            (so per-tenant SLO contracts are actually exercised).  None
-            leaves every request on the anonymous ``""`` tenant.
-        apps: Weighted served-app mix as ``(name, weight)`` pairs; each
-            request targets an app drawn with these weights.  None sends
-            every request to the router's default app (the classic
-            single-app KV stream).
-    """
-
-    clients: int = 4
-    requests_per_client: int | None = 500
-    duration_s: float | None = None
-    rate_rps: float | None = None
-    total_requests: int | None = None
-    set_fraction: float = 1.0 / 3.0
-    keyspace: int = 256
-    keydist: str = "uniform"
-    value_bytes: int = 8
-    parse_cycles: float = 1_200.0
-    seed: int = 0
-    tenants: tuple[tuple[str, float], ...] | None = None
-    apps: tuple[tuple[str, float], ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.keydist not in KEYDIST_CHOICES:
-            raise ValueError(f"keydist must be one of {KEYDIST_CHOICES}")
-        if self.rate_rps is None:
-            if self.requests_per_client is None and self.duration_s is None:
-                raise ValueError("closed loop needs a request or duration bound")
-        elif self.total_requests is None and self.duration_s is None:
-            raise ValueError("open loop needs a request or duration bound")
-        _check_mix(self.tenants, "tenant")
-        _check_mix(self.apps, "app")
-
-    def tenant_weights(self) -> dict[str, float] | None:
-        """The mix as a name → weight dict (None without tenants)."""
-        if self.tenants is None:
-            return None
-        return dict(self.tenants)
-
-    def app_names(self) -> tuple[str, ...] | None:
-        """The served apps this load targets (None = default app only)."""
-        if self.apps is None:
-            return None
-        return tuple(name for name, _ in self.apps)
+def _mix(pairs: tuple[tuple[str, float], ...] | None) -> tuple[list, list] | None:
+    """A weighted ``(name, weight)`` mix as ``rng.choices`` arguments."""
+    if pairs is None:
+        return None
+    return [name for name, _ in pairs], [weight for _, weight in pairs]
 
 
 class LoadGenerator:
-    """Drives a :class:`repro.serve.router.Router` with a :class:`LoadSpec`.
+    """Drives a router with a :class:`repro.api.BenchSpec`'s load.
 
-    ``admit`` is the slice-parallel hook (see :mod:`repro.serve.slices`):
-    a ``key -> bool`` predicate consulted per open-loop arrival.  The
-    generator always draws the *complete* seeded arrival stream — gaps,
-    ops, keys and tenants — and only gates the spawn, so every slice of a
-    partitioned run reproduces the identical global schedule and serves
-    exactly the arrivals it owns.  Closed-loop runs reject ``admit``
-    (a closed client's next arrival depends on its previous completion,
-    which a filtered slice cannot reproduce).
+    ``trace`` replays a loaded :class:`repro.scenarios.ScenarioTrace`
+    through the open loop instead of seeded draws: each event is due at
+    the replay's start plus its timestamp.  ``admit`` is the
+    slice-parallel hook (see :mod:`repro.serve.slices`): a
+    ``key -> bool`` predicate consulted per open-loop arrival.  The
+    generator always walks the *complete* arrival stream — every seeded
+    gap, op, key and tenant, or every trace event — and only gates the
+    spawn, so every slice of a partitioned run reproduces the identical
+    global schedule and serves exactly the arrivals it owns.  The closed
+    loop takes neither (a closed client's next arrival depends on its
+    previous completion, which a trace cannot script and a filtered
+    slice cannot reproduce).
     """
 
     def __init__(
         self,
         kernel: Kernel,
         router: Router,
-        spec: LoadSpec,
-        admit: "Callable[[bytes], bool] | None" = None,
+        spec: BenchSpec,
+        *,
+        trace: "ScenarioTrace | None" = None,
+        admit: Callable[[bytes], bool] | None = None,
     ) -> None:
-        if admit is not None and spec.rate_rps is None:
-            raise ValueError("admit filtering requires the open loop (rate_rps)")
+        if spec.clients is not None:
+            if trace is not None:
+                raise SpecError("trace replay is open-loop; drop clients")
+            if admit is not None:
+                raise SpecError("admit filtering requires the open loop")
         self.kernel = kernel
         self.router = router
         self.spec = spec
+        self.trace = trace
         self._admit = admit
-        #: Requests issued (arrivals, for the open loop) — counts every
-        #: drawn arrival, including ones skipped by ``admit``.
+        # Weighted draws happen only for a real mix: without tenants, or
+        # with a single app, a request consumes no RNG for them, so the
+        # seeded streams of runs without a mix stay what they were
+        # before mixes existed.
+        self._tenants = _mix(spec.serve.tenants)
+        apps = spec.serve.apps
+        self._apps = _mix(apps) if apps is not None and len(apps) > 1 else None
+        #: Requests issued — for the open loop every arrival, including
+        #: the ones ``admit`` skipped.
         self.issued = 0
         #: Arrivals skipped by the ``admit`` predicate.
         self.skipped = 0
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
     def run(self) -> None:
         """Generate the load and run the kernel until it completes."""
-        if self.spec.rate_rps is not None:
-            self._run_open()
-        else:
-            self._run_closed()
-
-    def _run_closed(self) -> None:
-        threads = [
+        if self.spec.clients is not None:
+            self.kernel.join(
+                *(
+                    self.kernel.spawn(
+                        self._closed_client(index),
+                        name=f"client-{index}",
+                        kind="serve-client",
+                    )
+                    for index in range(self.spec.clients)
+                )
+            )
+            return
+        request_threads: list[SimThread] = []
+        self.kernel.join(
             self.kernel.spawn(
-                self._closed_client(index),
-                name=f"client-{index}",
+                self._open_loop(request_threads),
+                name="loadgen-arrivals" if self.trace is None else "trace-arrivals",
                 kind="serve-client",
             )
-            for index in range(self.spec.clients)
-        ]
-        self.kernel.join(*threads)
-
-    def _run_open(self) -> None:
-        request_threads: list[SimThread] = []
-        arrivals = self.kernel.spawn(
-            self._arrival_process(request_threads),
-            name="loadgen-arrivals",
-            kind="serve-client",
         )
-        self.kernel.join(arrivals)
         if request_threads:
             self.kernel.join(*request_threads)
 
@@ -186,76 +135,76 @@ class LoadGenerator:
         # hash() and break cross-process determinism.
         rng = random.Random(spec.seed * 1_000_003 + index)
         dist = self._make_dist(index)
-        deadline = self._deadline()
+        deadline = self.kernel.now + self.kernel.cycles(spec.seconds)
+        budget = spec.requests_per_client
         issued = 0
-        while spec.requests_per_client is None or issued < spec.requests_per_client:
-            if deadline is not None and self.kernel.now >= deadline:
-                break
-            op, key, value = self._next_op(rng, dist, issued)
-            tenant = self._pick_tenant(rng)
-            app = self._pick_app(rng)
+        while (budget is None or issued < budget) and self.kernel.now < deadline:
+            request = self._draw(rng, dist, issued)
             self.issued += 1
             issued += 1
-            yield Compute(spec.parse_cycles, tag="request-parse")
-            yield from self.router.request(op, key, value, tenant=tenant, app=app)
+            yield from self._request(*request)
 
-    def _arrival_process(self, request_threads: list[SimThread]) -> Program:
-        spec = self.spec
-        rng = random.Random(spec.seed * 1_000_003 + 999_331)
-        dist = self._make_dist(0)
-        deadline = self._deadline()
-        rate = spec.rate_rps
-        assert rate is not None and rate > 0
-        # Absolute Poisson schedule: each arrival is *due* at the running
-        # sum of the seeded gaps, independent of how long this thread
+    def _open_loop(self, request_threads: list[SimThread]) -> Program:
+        # Absolute schedule anchored at the loop's start: each arrival is
+        # *due* at its own time, independent of how long this thread
         # waited in the ready queue.  A relative sleep would silently
         # under-offer load whenever the system is busy (the queue delay
         # would stretch every gap) — and would make the arrival stream
         # depend on contention, which the slice-parallel runner's
         # identical-schedule guarantee cannot tolerate.
-        due = self.kernel.now
-        while spec.total_requests is None or self.issued < spec.total_requests:
-            due += self.kernel.cycles(rng.expovariate(rate))
-            if deadline is not None and due >= deadline:
-                break
+        t0 = self.kernel.now
+        arrivals = self._poisson(t0) if self.trace is None else self._replay(t0)
+        for due, request in arrivals:
             delay = due - self.kernel.now
             if delay > 0:
                 yield Sleep(delay)
-            op, key, value = self._next_op(rng, dist, self.issued)
-            tenant = self._pick_tenant(rng)
-            app = self._pick_app(rng)
             index = self.issued
             self.issued += 1
-            if self._admit is not None and not self._admit(key):
+            if self._admit is not None and not self._admit(request[1]):
                 self.skipped += 1
                 continue
             request_threads.append(
                 self.kernel.spawn(
-                    self._one_request(op, key, value, tenant, app),
+                    self._request(*request),
                     name=f"req-{index}",
                     kind="serve-client",
                 )
             )
 
-    def _one_request(
-        self,
-        op: str,
-        key: bytes,
-        value: bytes | None,
-        tenant: str = "",
-        app: str | None = None,
+    def _request(
+        self, op: str, key: bytes, value: bytes | None, tenant: str, app: str | None
     ) -> Program:
-        yield Compute(self.spec.parse_cycles, tag="request-parse")
+        yield Compute(PARSE_CYCLES, tag="request-parse")
         yield from self.router.request(op, key, value, tenant=tenant, app=app)
 
     # ------------------------------------------------------------------
-    # Helpers
+    # Arrival iterators: (due cycle, (op, key, value, tenant, app)) pairs
     # ------------------------------------------------------------------
-    def _deadline(self) -> float | None:
-        if self.spec.duration_s is None:
-            return None
-        return self.kernel.now + self.kernel.cycles(self.spec.duration_s)
+    def _poisson(self, t0: float) -> Iterator[tuple[float, tuple]]:
+        """Seeded Poisson arrivals at ``spec.rate``; an arrival due at or
+        after ``t0 + spec.seconds`` ends the stream."""
+        spec = self.spec
+        rng = random.Random(spec.seed * 1_000_003 + 999_331)
+        dist = self._make_dist(0)
+        deadline = t0 + self.kernel.cycles(spec.seconds)
+        due = t0
+        counter = 0
+        while True:
+            due += self.kernel.cycles(rng.expovariate(spec.rate))
+            if due >= deadline:
+                return
+            yield due, self._draw(rng, dist, counter)
+            counter += 1
 
+    def _replay(self, t0: float) -> Iterator[tuple[float, tuple]]:
+        """The trace's events, each due at ``t0`` plus its timestamp."""
+        for event in self.trace.events:
+            due = t0 + self.kernel.cycles(event.t)
+            yield due, (event.op, event.key, event.value, event.tenant, event.app)
+
+    # ------------------------------------------------------------------
+    # Synthetic draws
+    # ------------------------------------------------------------------
     def _make_dist(self, index: int):
         spec = self.spec
         if spec.keydist == "seq":
@@ -264,38 +213,15 @@ class LoadGenerator:
             return ZipfKeys(spec.keyspace, seed=spec.seed + index)
         return UniformKeys(spec.keyspace, seed=spec.seed + index)
 
-    def _pick_tenant(self, rng: random.Random) -> str:
-        """Weighted tenant draw; consumes RNG only when a mix is set.
-
-        Guarding on ``spec.tenants`` keeps the seeded op/key streams of
-        existing (tenant-less) runs byte-identical to what they produced
-        before tenancy existed.
-        """
-        if self.spec.tenants is None:
-            return ""
-        names = [name for name, _ in self.spec.tenants]
-        weights = [weight for _, weight in self.spec.tenants]
-        return rng.choices(names, weights=weights, k=1)[0]
-
-    def _pick_app(self, rng: random.Random) -> str | None:
-        """Weighted app draw; consumes RNG only when a mix is set.
-
-        The same guard as :meth:`_pick_tenant`, and the draw happens
-        *after* it, so app-less (and tenant-less) runs keep their seeded
-        streams byte-identical to what they produced before the mix
-        options existed.
-        """
-        if self.spec.apps is None:
-            return None
-        names = [name for name, _ in self.spec.apps]
-        weights = [weight for _, weight in self.spec.apps]
-        return rng.choices(names, weights=weights, k=1)[0]
-
-    def _next_op(
-        self, rng: random.Random, dist, counter: int
-    ) -> tuple[str, bytes, bytes | None]:
+    def _draw(self, rng: random.Random, dist, counter: int) -> tuple:
+        """One synthetic request: the key, then ``rng.random()`` for the
+        op, then the tenant (only with a mix), then the app (only with
+        two or more apps) — the draw order every seeded run depends on."""
         key = dist.next_key()
         if rng.random() < self.spec.set_fraction:
-            value = (counter % 2**63).to_bytes(self.spec.value_bytes, "big")
-            return "set", key, value
-        return "get", key, None
+            op, value = "set", (counter % 2**63).to_bytes(VALUE_BYTES, "big")
+        else:
+            op, value = "get", None
+        tenant = rng.choices(*self._tenants)[0] if self._tenants else ""
+        app = rng.choices(*self._apps)[0] if self._apps else None
+        return op, key, value, tenant, app

@@ -12,10 +12,11 @@ nothing but the router, so the simulation itself is shard-parallel.
 **Why the merge is exact.**  Placement is rendezvous hashing over the
 *global* shard index (:func:`repro.serve.router._rendezvous_score`), so
 every key has one owner shard, computable without running anything.  Each
-slice draws the *identical* seeded open-loop arrival schedule — same
-Poisson gaps, ops, keys and tenants — and admits exactly the arrivals
-whose owner shard it hosts (the :class:`~repro.serve.loadgen.LoadGenerator`
-``admit`` hook skips the rest without disturbing the RNG stream).  The
+slice walks the *identical* open-loop arrival stream — the same seeded
+Poisson gaps, ops, keys and tenants, or the same trace events — and
+admits exactly the arrivals whose owner shard it hosts (the
+:class:`~repro.serve.loadgen.LoadGenerator` ``admit`` hook skips the
+rest without disturbing the stream).  The
 result is a conservative time-sync parallel simulation with *infinite
 lookahead* at the router boundary: no event in one slice can ever affect
 another slice, so no slice ever needs to wait, and merging is the plain
@@ -144,10 +145,9 @@ def slice_cells(
     plan only in the slice owning the faulted shard) serialized through
     :meth:`~repro.api.BenchSpec.to_json`, so the cell boundary speaks
     exactly the declarative schema evidence packs record.  A scenario or
-    trace on the spec switches every slice from synthetic load to
-    replaying the identical committed trace, admitting only the arrivals
-    whose rendezvous owner it hosts — exactly like the loadgen's
-    identical-schedule guarantee.
+    trace on the spec switches every slice's open loop from seeded draws
+    to the identical committed trace's events; either way a slice admits
+    only the arrivals whose rendezvous owner it hosts.
     """
     serve = spec.serve
     partitions = slice_shard_ids(serve.shards, spec.slices)

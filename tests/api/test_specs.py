@@ -53,6 +53,7 @@ class TestServeSpecValidation:
             (dict(apps=(("redis", 1.0),)), "unknown apps"),
             (dict(tenants=(("gold", 0.0),)), "weights must be positive"),
             (dict(shards=2, fault_shard=2), "fault_shard"),
+            (dict(tenants=(("gold", 1.0), ("t", -2.0))), "weights must be positive"),
         ],
     )
     def test_invalid_fields_raise_spec_error(self, kwargs, message):
@@ -112,11 +113,27 @@ class TestBenchSpecValidation:
             (dict(slices=4), "must not exceed shards"),
             (dict(obs_interval=0.0), "obs_interval"),
             (dict(rate=None), "the open loop needs a rate"),
+            # A field the chosen load ignores would still be recorded.
+            (
+                dict(scenario="a", rate=9_000.0, seconds=0.3, seed=5, keydist="zipf"),
+                "from the trace; drop seconds, rate, keydist, seed$",
+            ),
+            (dict(trace="t.jsonl", keyspace=7), "from the trace; drop keyspace$"),
+            (dict(scenario="a", set_fraction=0.5), "from the trace; drop set_fraction$"),
+            (dict(clients=2, rate=9_000.0), "no offered rate; drop rate$"),
         ],
     )
     def test_invalid_combinations_raise_spec_error(self, kwargs, message):
         with pytest.raises(SpecError, match=message):
             BenchSpec(serve=ServeSpec(shards=2), **kwargs)
+
+    def test_defaults_the_load_ignores_are_accepted(self):
+        # A default rate under the closed loop is recorded as None, and a
+        # replay accepts every load field at its default (or rate=None).
+        assert BenchSpec(serve=ServeSpec(), clients=2).rate is None
+        assert BenchSpec(serve=ServeSpec(), clients=2, rate=None).rate is None
+        assert BenchSpec(serve=ServeSpec(), scenario="a").rate == 2_000.0
+        assert BenchSpec(serve=ServeSpec(), scenario="a", rate=None).rate is None
 
     def test_sliced_run_constraints(self):
         with pytest.raises(SpecError, match="hash"):

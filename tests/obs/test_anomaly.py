@@ -1,8 +1,8 @@
 """Tests for the online anomaly detector (EWMA bands + CUSUM)."""
 
-from repro.api import ServeSpec
+from repro.api import BenchSpec, ServeSpec
 from repro.obs import AnomalyDetector, MetricSampler
-from repro.serve import LoadGenerator, LoadSpec, build_cluster
+from repro.serve import LoadGenerator, build_cluster
 
 
 def _record(window, value, lane="total", metric="throughput_rps"):
@@ -95,10 +95,8 @@ class TestFlashCrowd:
         # Integration form: one cluster, one sampler, two sequential
         # seeded open-loop phases (trickle then crowd).  The CUSUM
         # changepoint must land on the window containing the rate shift.
-        with build_cluster(
-            ServeSpec(shards=2, budget=8, servers_per_shard=1),
-            telemetry=False,
-        ) as cluster:
+        serve = ServeSpec(shards=2, budget=8, servers_per_shard=1)
+        with build_cluster(serve, telemetry=False) as cluster:
             kernel = cluster.kernel
             interval = kernel.cycles(0.004)
             detector = AnomalyDetector()
@@ -109,10 +107,10 @@ class TestFlashCrowd:
                 shards=cluster.shards,
                 detector=detector,
             ).install()
-            quiet = LoadSpec(rate_rps=1_000.0, duration_s=0.048, seed=5)
+            quiet = BenchSpec(serve=serve, rate=1_000.0, seconds=0.048, seed=5)
             LoadGenerator(kernel, cluster.router, quiet).run()
             shift_window = int((kernel.now - sampler.t0) // interval)
-            crowd = LoadSpec(rate_rps=12_000.0, duration_s=0.04, seed=6)
+            crowd = BenchSpec(serve=serve, rate=12_000.0, seconds=0.04, seed=6)
             LoadGenerator(kernel, cluster.router, crowd).run()
             sampler.detach()
         changepoints = [

@@ -34,14 +34,9 @@ def light_spec(*, trace=None, slices=1, clients=None, apps=None):
         servers_per_shard=2,
         apps=apps,
     )
-    return BenchSpec(
-        serve=serve,
-        rate=None if clients else 2_000.0,
-        seconds=0.06,
-        clients=clients,
-        trace=trace,
-        slices=slices,
-    )
+    # A replay takes its rate and run length from the trace.
+    load = {} if trace else dict(rate=None if clients else 2_000.0, seconds=0.06)
+    return BenchSpec(serve=serve, clients=clients, trace=trace, slices=slices, **load)
 
 
 def _light_trace():

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.api import ServeSpec
+from repro.api import BenchSpec, ServeSpec
 from repro.serve.bench import build_cluster
-from repro.serve.loadgen import LoadGenerator, LoadSpec
+from repro.serve.loadgen import LoadGenerator
 from repro.slo import (
     build_span_tree,
     build_span_trees,
@@ -117,17 +117,19 @@ class TestLiveReconciliation:
     """Acceptance demo: span trees sum to the cycle-attribution ledger."""
 
     def test_bench_spans_reconcile_with_latency_ledger(self):
-        cluster = build_cluster(
-            ServeSpec(shards=2, policy="round-robin", budget=4),
-            telemetry=False,
-        )
-        try:
-            spec = LoadSpec(
-                rate_rps=4_000.0,
-                duration_s=0.02,
-                seed=3,
+        spec = BenchSpec(
+            serve=ServeSpec(
+                shards=2,
+                policy="round-robin",
+                budget=4,
                 tenants=(("bronze", 1.0), ("gold", 3.0)),
-            )
+            ),
+            rate=4_000.0,
+            seconds=0.02,
+            seed=3,
+        )
+        cluster = build_cluster(spec.serve, telemetry=False)
+        try:
             router = cluster.router
             spans: list = []
             router.span_subscribers.append(spans.append)

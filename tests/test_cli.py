@@ -275,33 +275,35 @@ class TestScenarioFlags:
     """Arg hygiene for the scenario/trace serve flags and subcommands."""
 
     QUICK = ["serve", "bench", "--shards", "2", "--seconds", "0.01"]
+    #: A replay takes its run length from the trace: no --seconds.
+    REPLAY = ["serve", "bench", "--shards", "2"]
 
     def test_unknown_scenario_lists_the_choices(self):
         with pytest.raises(SystemExit, match="steady-mixed"):
-            main([*self.QUICK, "--scenario", "not-a-scenario"])
+            main([*self.REPLAY, "--scenario", "not-a-scenario"])
 
     def test_scenario_and_trace_mutually_exclusive(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         trace.write_text("{}\n")
         with pytest.raises(SystemExit, match="mutually exclusive"):
-            main([*self.QUICK, "--scenario", "steady-mixed",
+            main([*self.REPLAY, "--scenario", "steady-mixed",
                   "--trace", str(trace)])
 
     def test_unstamped_trace_fails_cleanly(self, tmp_path):
         trace = tmp_path / "bad.jsonl"
         trace.write_text('{"name": "x"}\n')
         with pytest.raises(SystemExit, match="scenario-trace"):
-            main([*self.QUICK, "--trace", str(trace)])
+            main([*self.REPLAY, "--trace", str(trace)])
 
     def test_corrupt_trace_fails_cleanly(self, tmp_path):
         trace = tmp_path / "garbage.jsonl"
         trace.write_text("not json\n")
         with pytest.raises(SystemExit, match="line 1 is not JSON"):
-            main([*self.QUICK, "--trace", str(trace)])
+            main([*self.REPLAY, "--trace", str(trace)])
 
     def test_missing_trace_file_fails_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="no such file"):
-            main([*self.QUICK, "--trace", str(tmp_path / "absent.jsonl")])
+            main([*self.REPLAY, "--trace", str(tmp_path / "absent.jsonl")])
 
     def test_tampered_trace_fails_cleanly(self, tmp_path):
         from repro.scenarios import ScenarioSpec, generate_trace, write_trace
@@ -315,7 +317,7 @@ class TestScenarioFlags:
         lines.pop()  # drop an event: count check must fire
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SystemExit, match="declares"):
-            main([*self.QUICK, "--trace", str(path)])
+            main([*self.REPLAY, "--trace", str(path)])
 
     def test_trace_with_clients_rejected(self, tmp_path):
         from repro.scenarios import ScenarioSpec, generate_trace, write_trace
@@ -328,7 +330,27 @@ class TestScenarioFlags:
             str(path),
         )
         with pytest.raises(SystemExit, match="open-loop"):
-            main([*self.QUICK, "--trace", str(path), "--clients", "2"])
+            main([*self.REPLAY, "--trace", str(path), "--clients", "2"])
+
+    @pytest.mark.parametrize(
+        "argv, dropped",
+        [
+            (
+                ["--scenario", "flash-crowd", "--rate", "9000", "--seconds", "0.3",
+                 "--seed", "5", "--keydist", "zipf"],
+                "trace replay takes its load from the trace; "
+                "drop seconds, rate, keydist, seed",
+            ),
+            (
+                ["--clients", "4", "--rate", "9000"],
+                "the closed loop has no offered rate; drop rate",
+            ),
+        ],
+    )
+    def test_load_fields_the_load_cannot_use_rejected(self, argv, dropped):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "bench", "--shards", "4", "--budget", "16", *argv])
+        assert str(excinfo.value) == dropped
 
     def test_unknown_app_rejected_with_choices(self):
         with pytest.raises(SystemExit, match="session"):
@@ -356,7 +378,7 @@ class TestScenarioFlags:
             str(path),
         )
         with pytest.raises(SystemExit, match="installed app set"):
-            main([*self.QUICK, "--trace", str(path), "--apps", "kv:1"])
+            main([*self.REPLAY, "--trace", str(path), "--apps", "kv:1"])
 
 
 class TestScenarioCommands:
@@ -576,7 +598,8 @@ class TestMalformedInputs:
         assert not (tmp_path / "b.json").exists() and not (tmp_path / "pack").exists()
 
     def test_trace_directory(self, tmp_path, capsys):
-        argv = [*self.SERVE, "--out", str(tmp_path / "b.json"), "--trace", str(tmp_path)]
+        argv = ["serve", "bench", "--shards", "1", "--out", str(tmp_path / "b.json"),
+                "--trace", str(tmp_path)]
         assert str(tmp_path) in self.refusal(argv, capsys)
 
     def test_evidence_manifest_not_json(self, tmp_path, capsys):
