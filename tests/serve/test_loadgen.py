@@ -107,6 +107,16 @@ class TestMix:
 
 
 class TestEdgeCases:
+    def test_negative_weight_tenant_rejected(self):
+        # The generator draws tenants from the serve spec's mix, which
+        # refuses a negative weight before any load is specified.
+        with pytest.raises(SpecError, match="weights must be positive"):
+            BenchSpec(
+                serve=ServeSpec(shards=2, budget=4, tenants=(("t", -2.0),)),
+                rate=100.0,
+                seconds=0.001,
+            )
+
     def test_single_request_closed_loop(self):
         with build_cluster(QUICK, telemetry=False) as cluster:
             spec = load(clients=1, requests_per_client=1)
