@@ -90,14 +90,26 @@ def test_switchless_path_throughput(benchmark):
 # ----------------------------------------------------------------------
 # Telemetry guards (plain tests, no benchmark fixture)
 # ----------------------------------------------------------------------
-def test_disabled_runs_carry_no_instrumentation():
+def test_disabled_runs_carry_no_instrumentation(monkeypatch):
     # With no session, the hot path pays a single ``is None`` check: no
     # bus, no ledger, nothing recorded — a disabled run executes the same
     # code the seed did, so its host time stays within noise of the seed.
+    # The kernel lets go of finished threads, so the storm's app and
+    # worker threads are checked through the handles spawn returned.
+    spawned = []
+    spawn = Kernel.spawn
+
+    def recording_spawn(self, *args, **kwargs):
+        thread = spawn(self, *args, **kwargs)
+        spawned.append(thread)
+        return thread
+
+    monkeypatch.setattr(Kernel, "spawn", recording_spawn)
     kernel = simulate_ocall_storm(True)
     assert kernel.bus is None
     assert kernel.ledger is None
-    assert all(thread.ledger_cells is None for thread in kernel.threads)
+    assert {thread.kind for thread in spawned} >= {"app", "zc-worker"}
+    assert all(thread.ledger_cells is None for thread in spawned)
 
 
 def test_telemetry_preserves_simulation():

@@ -696,11 +696,7 @@ class BenchSpec(_Spec):
         if self.scenario is not None and self.trace is not None:
             raise SpecError("scenario and trace are mutually exclusive — pick one")
         if self.replays_trace():
-            if self.clients is not None:
-                raise SpecError("trace replay is open-loop; drop clients")
-            self._refuse_unused(
-                TRACE_OWNED_FIELDS, "trace replay takes its load from the trace"
-            )
+            self.refuse_replay_conflicts()
         if self.slices < 1:
             raise SpecError("slices must be >= 1")
         if self.slices > self.serve.shards:
@@ -744,6 +740,20 @@ class BenchSpec(_Spec):
         ]
         if unused:
             raise SpecError(f"{why}; drop {', '.join(unused)}")
+
+    def refuse_replay_conflicts(self) -> None:
+        """Refuse what a trace replay cannot honour: the closed loop,
+        then any :data:`TRACE_OWNED_FIELDS` set to other than its default.
+
+        Construction checks a spec naming a ``scenario``/``trace``;
+        :func:`repro.serve.bench.simulate` checks a spec run beside a
+        trace argument, before it builds anything.
+        """
+        if self.clients is not None:
+            raise SpecError("trace replay is open-loop; drop clients")
+        self._refuse_unused(
+            TRACE_OWNED_FIELDS, "trace replay takes its load from the trace"
+        )
 
     def replays_trace(self) -> bool:
         """True when the load comes from a committed/explicit trace."""

@@ -39,9 +39,12 @@ from repro.telemetry.schema import (
 TRACE_ARTIFACT = "scenario-trace"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
-    """One timestamped request arrival."""
+    """One timestamped request arrival.
+
+    Slotted: a replay holds every event of its trace at once.
+    """
 
     t: float
     app: str

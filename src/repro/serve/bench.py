@@ -334,8 +334,12 @@ def simulate(
     ``admit`` predicate.  ``audit`` runs the slice with
     ``telemetry=True`` inside a fresh telemetry session with the
     auditors attached.  The fault plan is the cluster's
-    (:func:`build_cluster`).  The other keywords are :func:`run_bench`'s.
+    (:func:`build_cluster`).  The other keywords are :func:`run_bench`'s;
+    a ``trace`` replaces the spec's load, so the spec must leave that
+    load at its defaults (:meth:`BenchSpec.refuse_replay_conflicts`).
     """
+    if trace is not None:
+        spec.refuse_replay_conflicts()
     if audit:
         from repro.regress import attach_auditor
 

@@ -115,16 +115,19 @@ class LoadGenerator:
                 )
             )
             return
-        request_threads: list[SimThread] = []
+        # Request index -> thread, for the requests still in flight: each
+        # request program leaves it as it ends, so the generator holds no
+        # finished thread.
+        in_flight: dict[int, SimThread] = {}
         self.kernel.join(
             self.kernel.spawn(
-                self._open_loop(request_threads),
+                self._open_loop(in_flight),
                 name="loadgen-arrivals" if self.trace is None else "trace-arrivals",
                 kind="serve-client",
             )
         )
-        if request_threads:
-            self.kernel.join(*request_threads)
+        if in_flight:
+            self.kernel.join(*in_flight.values())
 
     # ------------------------------------------------------------------
     # Programs
@@ -144,7 +147,7 @@ class LoadGenerator:
             issued += 1
             yield from self._request(*request)
 
-    def _open_loop(self, request_threads: list[SimThread]) -> Program:
+    def _open_loop(self, in_flight: dict[int, SimThread]) -> Program:
         # Absolute schedule anchored at the loop's start: each arrival is
         # *due* at its own time, independent of how long this thread
         # waited in the ready queue.  A relative sleep would silently
@@ -163,13 +166,19 @@ class LoadGenerator:
             if self._admit is not None and not self._admit(request[1]):
                 self.skipped += 1
                 continue
-            request_threads.append(
-                self.kernel.spawn(
-                    self._request(*request),
-                    name=f"req-{index}",
-                    kind="serve-client",
-                )
+            in_flight[index] = self.kernel.spawn(
+                self._open_request(in_flight, index, request),
+                name=f"req-{index}",
+                kind="serve-client",
             )
+
+    def _open_request(
+        self, in_flight: dict[int, SimThread], index: int, request: tuple
+    ) -> Program:
+        try:
+            yield from self._request(*request)
+        finally:  # a kill closes the program here too
+            del in_flight[index]
 
     def _request(
         self, op: str, key: bytes, value: bytes | None, tenant: str, app: str | None

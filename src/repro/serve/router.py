@@ -286,16 +286,18 @@ class Router:
         else:
             stats.shed += 1
             app_stats.shed += 1
-        self._emit(
-            "serve.request.complete",
-            shard=req.shard,
-            op=op,
-            status=status,
-            tenant=req.tenant,
-            app=req.app,
-            request_id=req.request_id,
-        )
-        self._record_span(req, status, t_complete)
+        bus = self.kernel.bus
+        if bus is not None:
+            bus.emit(
+                "serve.request.complete",
+                shard=req.shard,
+                op=op,
+                status=status,
+                tenant=req.tenant,
+                app=req.app,
+                request_id=req.request_id,
+            )
+        self._record_span(req, status, t_complete, bus)
         return status, payload
 
     def submit(self, request: Request) -> Program:
@@ -311,14 +313,16 @@ class Router:
                 self._shed(request, reason="no-shard")
                 return request
             if shard.try_enqueue(request):
-                self._emit(
-                    "serve.request.submit",
-                    shard=shard.index,
-                    op=request.op,
-                    tenant=request.tenant,
-                    app=request.app,
-                    request_id=request.request_id,
-                )
+                bus = self.kernel.bus
+                if bus is not None:
+                    bus.emit(
+                        "serve.request.submit",
+                        shard=shard.index,
+                        op=request.op,
+                        tenant=request.tenant,
+                        app=request.app,
+                        request_id=request.request_id,
+                    )
                 return request
             if self.admission == "shed":
                 if self.tenant_weights is not None and self._preempt_for(
@@ -334,16 +338,18 @@ class Router:
     def _shed(self, request: Request, reason: str, shard: int | None = None) -> None:
         """Reject ``request`` (admission control); fires its completion."""
         self.shed += 1
-        fields: dict[str, Any] = {
-            "op": request.op,
-            "reason": reason,
-            "tenant": request.tenant,
-            "app": request.app,
-            "request_id": request.request_id,
-        }
-        if shard is not None:
-            fields["shard"] = shard
-        self._emit("serve.request.shed", **fields)
+        bus = self.kernel.bus
+        if bus is not None:
+            fields: dict[str, Any] = {
+                "op": request.op,
+                "reason": reason,
+                "tenant": request.tenant,
+                "app": request.app,
+                "request_id": request.request_id,
+            }
+            if shard is not None:
+                fields["shard"] = shard
+            bus.emit("serve.request.shed", **fields)
         request.shed()
 
     # ------------------------------------------------------------------
@@ -593,15 +599,22 @@ class Router:
             stats = self.apps[app] = TenantStats()
         return stats
 
-    def _record_span(self, request: Request, status: str, t_complete: float) -> None:
+    def _record_span(
+        self, request: Request, status: str, t_complete: float, bus: Any
+    ) -> None:
         """Hand the request's span boundaries to every subscriber.
 
         One flat record per request; :mod:`repro.slo.trace` turns it into
         the admission → queue → execute → reply tree.  Subscribers get it
         with no bus installed (the bench reads spans without telemetry);
-        the matching ``serve.request.span`` event makes the same record
-        reconstructable from a JSONL export.
+        the matching ``serve.request.span`` event on ``bus`` makes the
+        same record reconstructable from a JSONL export.  With neither, no
+        record is built.
         """
+        self.spans_recorded += 1
+        subscribers = self.span_subscribers
+        if not subscribers and bus is None:
+            return
         record = {
             "request_id": request.request_id,
             "tenant": request.tenant,
@@ -615,10 +628,10 @@ class Router:
             "t_result": request.executed_at,
             "t_complete": t_complete,
         }
-        self.spans_recorded += 1
-        for subscriber in self.span_subscribers:
+        for subscriber in subscribers:
             subscriber(record)
-        self._emit("serve.request.span", **record)
+        if bus is not None:
+            bus.emit("serve.request.span", **record)
 
     def _emit(self, name: str, **fields: Any) -> None:
         bus = self.kernel.bus

@@ -44,6 +44,10 @@ Raw-speed design (see docs/performance.md for the measured profile):
 - **``join`` counts down.**  Joined threads are marked; finishing one
   decrements a counter, and the event loop stops once it reaches zero,
   after the microtask drain that follows the last finish.
+- **Finished threads are freed.**  A finish clears the thread's
+  generator and drops the thread from :attr:`Kernel.threads`, unless a
+  cycle ledger has yet to fold its cells, so a run holds memory for the
+  threads in flight, not for every thread it spawned.
 """
 
 from __future__ import annotations
@@ -164,7 +168,8 @@ class SimThread:
         #: Logical CPUs this thread may run on (None = any), as set by
         #: sched_setaffinity; switchless deployments pin worker threads.
         self.affinity = affinity
-        self.gen = gen
+        #: The program; None once the thread is done.
+        self.gen: Program | None = gen
         self.state = ThreadState.NEW
         self.result: Any = None
         self.done_event = done_event
@@ -311,7 +316,13 @@ class SchedTrace:
 
 
 class Kernel:
-    """Deterministic discrete-event kernel for one simulated machine."""
+    """Deterministic discrete-event kernel for one simulated machine.
+
+    The kernel references a thread only while it matters to the run:
+    :attr:`threads` drops each thread as it finishes (or, under a cycle
+    ledger, once the ledger has folded its cells), so a spawned thread
+    is freed when its caller drops its handle.
+    """
 
     def __init__(
         self,
@@ -348,7 +359,11 @@ class Kernel:
         #: Maintained so the dispatch scan skips the busy prefix instead of
         #: re-walking all logical CPUs per ready thread.
         self._idle_scan_start = 0
-        self.threads: list[SimThread] = []
+        #: Threads in spawn order, as an insertion-ordered set: every
+        #: thread that has not finished, plus, while a ledger is
+        #: attached, finished threads whose ``ledger_cells`` the ledger
+        #: has not folded yet (see :meth:`release_finished`).
+        self.threads: dict[SimThread, None] = {}
         self.cpus = [LogicalCPU(i, self) for i in range(self.spec.n_logical)]
         for cpu in self.cpus:
             sib = self.spec.sibling_of(cpu.index)
@@ -383,6 +398,14 @@ class Kernel:
     def ledger(self, value: Any) -> None:
         self._ledger = value
         self._bind_hot_paths()
+
+    def release_finished(self) -> None:
+        """Drop the finished threads :attr:`threads` kept for a ledger;
+        the cycle ledger's snapshot calls it once it has folded their
+        cells."""
+        threads = self.threads
+        for thread in [t for t in threads if t.state is ThreadState.DONE]:
+            del threads[thread]
 
     def _bind_hot_paths(self) -> None:
         """Select lean or traced variants of the hot functions.
@@ -441,7 +464,7 @@ class Kernel:
         thread = SimThread(
             unique, kind, daemon, program, self.event(f"done:{unique}"), affinity
         )
-        self.threads.append(thread)
+        self.threads[thread] = None
         self._make_ready(thread)
         return thread
 
@@ -766,13 +789,17 @@ class Kernel:
             raise SimulationError(f"unknown instruction yielded: {instr!r}")
 
     def _finish_thread_lean(self, thread: SimThread, result: Any) -> None:
+        # Every finish ends here, kill and the traced variant included.
         thread.state = ThreadState.DONE
         thread.result = result
+        thread.gen = None
         if thread.core is not None:
             self._release_core(thread)
         if thread._joined:
             thread._joined = False
             self._join_left -= 1
+        if self._ledger is None or not thread.ledger_cells:
+            del self.threads[thread]
         thread.done_event.fire(result)
 
     def _finish_thread_traced(self, thread: SimThread, result: Any) -> None:

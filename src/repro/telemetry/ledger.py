@@ -249,9 +249,16 @@ class CycleLedger:
                         cell[1] += work
 
     def snapshot(self, kernel) -> LedgerSnapshot:
-        """Totals plus idle capacity at ``kernel.now`` (flushes accounting)."""
+        """Totals plus idle capacity at ``kernel.now`` (flushes accounting).
+
+        Folds the cells of ``kernel.threads`` in spawn order: the running
+        threads, and the finished ones the kernel kept for this fold (and
+        releases once it is done).  A thread with no cells adds nothing,
+        so every total is the float an all-threads fold would give.
+        """
         kernel.flush_accounting()
         self.fold_thread_cells(kernel.threads)
+        kernel.release_finished()
         busy = sum(core.busy_cycles for core in kernel.cpus)
         capacity = kernel.now * len(kernel.cpus)
         wall = self.wall_by_category()

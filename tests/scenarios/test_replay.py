@@ -12,9 +12,10 @@ import copy
 import pytest
 
 from repro.scenarios.generate import ScenarioSpec, generate_trace
-from repro.api import BenchSpec, ServeSpec
+from repro.api import BenchSpec, ServeSpec, SpecError
 from repro.regress.baselines import BASELINES, compare_serve
 from repro.scenarios.trace import write_trace
+from repro.serve import bench
 from repro.serve.bench import run_bench
 from repro.telemetry.schema import read_artifact, write_artifact
 
@@ -35,8 +36,7 @@ def light_spec(*, trace=None, slices=1, clients=None, apps=None):
         apps=apps,
     )
     # A replay takes its rate and run length from the trace.
-    load = {} if trace else dict(rate=None if clients else 2_000.0, seconds=0.06)
-    return BenchSpec(serve=serve, clients=clients, trace=trace, slices=slices, **load)
+    return BenchSpec(serve=serve, clients=clients, trace=trace, slices=slices)
 
 
 def _light_trace():
@@ -109,6 +109,31 @@ class TestReplayBasics:
     def test_installed_apps_must_cover_the_trace(self):
         with pytest.raises(ValueError, match="not in"):
             run_bench(light_spec(apps=(("kv", 1.0),)), trace=_light_trace())
+
+
+class TestTraceArgumentRefusals:
+    """A trace passed beside a spec is refused as a spec-named one is,
+    with BenchSpec's messages, before any cluster is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_cluster(self, monkeypatch):
+        def build_cluster(*args, **kwargs):
+            raise AssertionError("a refused run built a cluster")
+
+        monkeypatch.setattr(bench, "build_cluster", build_cluster)
+
+    def test_load_fields_the_replay_ignores_are_refused(self):
+        spec = BenchSpec(serve=LIGHT, seconds=0.3, seed=9)
+        with pytest.raises(
+            SpecError,
+            match="^trace replay takes its load from the trace; drop seconds, seed$",
+        ):
+            run_bench(spec, trace=_light_trace())
+
+    def test_the_closed_loop_is_refused_before_building(self):
+        spec = BenchSpec(serve=LIGHT, clients=4)
+        with pytest.raises(SpecError, match="^trace replay is open-loop; drop clients$"):
+            run_bench(spec, trace=_light_trace())
 
 
 class TestReplayAudit:

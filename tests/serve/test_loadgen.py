@@ -1,8 +1,10 @@
 """Tests for the serving load generator (closed loop, open loop, replay)."""
 
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -173,6 +175,42 @@ class TestEdgeCases:
         # coincides with the horizon and both sides are exclusive there.
         assert sampler.spilled == {}
         assert sum(submitted.values()) > 0
+
+
+class TestRetainedMemory:
+    """An open-loop run keeps memory for its requests in flight, not for
+    every request it served."""
+
+    @staticmethod
+    def live_after_run(seconds):
+        """Requests issued, the bytes the run left live (tracemalloc), and
+        the finished threads the kernel still references."""
+        # Intel workers: a zc shard also logs its worker count per
+        # scheduler quantum, which grows with simulated time, not requests.
+        spec = BenchSpec(
+            serve=ServeSpec(shards=1, backend="intel"), rate=4_000.0, seconds=seconds
+        )
+        with build_cluster(spec.serve, telemetry=False) as cluster:
+            generator = LoadGenerator(cluster.kernel, cluster.router, spec)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                generator.run()
+                live = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            kept = sum(1 for t in cluster.kernel.threads if t.done)
+        return generator.issued, live, kept
+
+    def test_live_memory_grows_by_at_most_256_bytes_per_request(self):
+        # What stays per request is the router's latency samples and the
+        # kernel's per-name spawn count, not the request's thread.
+        small, small_live, _ = self.live_after_run(0.25)
+        large, large_live, kept = self.live_after_run(1.0)
+        assert small >= 1_000 and large >= 3_900
+        assert (large_live - small_live) / (large - small) <= 256
+        assert kept == 0
 
 
 #: Four artifacts pinned bit for bit, one per shape of load: SHA-256 of

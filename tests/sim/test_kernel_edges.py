@@ -1,10 +1,13 @@
 """Edge-case kernel tests: timers, accounting flushes, queue inspection, join."""
 
+import gc
+
 import pytest
 
 from repro.sim import Block, Compute, Kernel, MachineSpec, Sleep, Spin
 from repro.sim.errors import DeadlockError, SimulationError
-from repro.sim.kernel import ThreadState
+from repro.sim.kernel import SimThread, ThreadState
+from repro.telemetry import CycleLedger
 
 
 class TestCallAt:
@@ -247,3 +250,44 @@ class TestJoin:
             kernel.join(t)
         kernel.join(t)
         assert t.done
+
+
+class TestFinishedThreads:
+    """The kernel lets go of a finished thread: once the caller drops its
+    handle nothing keeps it, unless a ledger has yet to fold its cells."""
+
+    @staticmethod
+    def run_short_threads(kernel, kind, n=1_000):
+        def short(i):
+            yield Compute(100 + i % 7, tag="short")
+
+        threads = [kernel.spawn(short(i), name="short", kind=kind) for i in range(n)]
+        kernel.join(*threads)
+        assert all(t.done and t.gen is None for t in threads)
+
+    @staticmethod
+    def finished(kind):
+        return [
+            o for o in gc.get_objects() if type(o) is SimThread and o.kind == kind and o.done
+        ]
+
+    def test_joined_threads_are_freed_with_their_handles(self):
+        kernel = Kernel(MachineSpec(n_cores=4, smt=2))
+        self.run_short_threads(kernel, "freed")
+        assert not kernel.threads
+        assert self.finished("freed") == []
+
+    def test_a_ledger_keeps_the_threads_that_charged_until_its_snapshot(self):
+        kernel = Kernel(MachineSpec(n_cores=4, smt=2))
+        kernel.ledger = ledger = CycleLedger()
+        self.run_short_threads(kernel, "folded")
+        kept = list(kernel.threads)
+        assert len(kept) == 1_000
+        assert all(t.done and t.ledger_cells for t in kept)
+        del kept
+        snapshot = ledger.snapshot(kernel)
+        snapshot.assert_balanced()
+        work = ledger.cells()[("folded", "compute", "short")][1]
+        assert work == pytest.approx(sum(100 + i % 7 for i in range(1_000)))
+        assert not kernel.threads
+        assert self.finished("folded") == []

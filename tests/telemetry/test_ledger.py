@@ -1,14 +1,21 @@
 """Tests for the cycle-attribution ledger."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.api import BenchSpec, ServeSpec
+from repro.regress import attach_auditor
+from repro.serve.bench import run_bench
 from repro.sim import Kernel, MachineSpec
 from repro.sim.instructions import Compute, Spin
-from repro.telemetry import CycleLedger, classify
+from repro.telemetry import CycleLedger, TelemetrySession, classify
 from repro.telemetry.ledger import (
     APP,
     BUSY_CATEGORIES,
     CALLER_SPIN,
+    CATEGORIES,
     HOST_EXEC,
     MARSHAL,
     RUNTIME,
@@ -119,3 +126,36 @@ class TestCycleLedger:
         snap = late.snapshot(kernel)
         with pytest.raises(AssertionError, match="does not balance"):
             snap.assert_balanced()
+
+
+class TestFoldOrder:
+    """Snapshots fold per-thread cells in spawn order, whichever threads
+    the kernel still keeps, so every ledger float stays put."""
+
+    #: SHA-256 of the JSON list of the final snapshot's wall floats (every
+    #: category) then work floats (busy categories), pinned when the
+    #: kernel still kept every thread it ever spawned.  Folding the
+    #: threads in reverse spawn order moves it.
+    PINNED = "4b14fb9772dd3f3192f22363656538e7611481d76c89b301adfc8b3a4325595e"
+
+    def test_open_loop_snapshot_floats_are_pinned(self):
+        spec = BenchSpec(
+            serve=ServeSpec(shards=2, backend="zc"), rate=4_000.0, seconds=0.3, seed=3
+        )
+        auditors = []
+        # The live auditor snapshots the ledger once per scheduler quantum,
+        # so finished request threads are folded and released mid-run too.
+        with TelemetrySession(
+            on_attach=lambda capture: auditors.append(attach_auditor(capture))
+        ) as session:
+            result = run_bench(spec, telemetry=True)
+        for auditor in auditors:
+            auditor.finish()
+        assert result["totals"]["issued"] >= 1_000
+        assert [auditor.ok for auditor in auditors] == [True]
+        snapshot = session.captures[0].snapshot
+        floats = [snapshot.wall_by_category[c] for c in CATEGORIES] + [
+            snapshot.work_by_category[c] for c in BUSY_CATEGORIES
+        ]
+        digest = hashlib.sha256(json.dumps(floats).encode()).hexdigest()
+        assert digest == self.PINNED
